@@ -33,6 +33,7 @@ from .errors import (
     InvalidPValue,
     LengthMismatch,
     LfdrLabError,
+    NonFiniteInput,
     NotEnoughData,
 )
 from .estimation import (

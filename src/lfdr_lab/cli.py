@@ -94,7 +94,8 @@ def _fmt6(x: float) -> str:
 def read_z_file(path: str) -> np.ndarray:
     """Read z-values: plain text one-per-line or CSV with a ``z`` column.
 
-    UTF-8; blank lines and lines starting with ``#`` are ignored.
+    UTF-8; blank lines and lines starting with ``#`` are ignored.  A nan or
+    inf value is an input error naming its line.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -105,16 +106,27 @@ def read_z_file(path: str) -> np.ndarray:
     if not lines:
         raise CliError(EXIT_INPUT, f"{path}: no data lines")
     try:
-        return np.array([float(ln) for ln in lines])
+        z = np.array([float(ln) for ln in lines])
+        header = 0
     except ValueError:
-        pass
-    reader = csv.DictReader(io.StringIO("\n".join(lines)))
-    if reader.fieldnames is None or "z" not in reader.fieldnames:
-        raise CliError(EXIT_INPUT, f"{path}: expected one z per line or a 'z' CSV column")
-    try:
-        return np.array([float(row["z"]) for row in reader])
-    except (ValueError, TypeError) as exc:
-        raise CliError(EXIT_INPUT, f"{path}: malformed z column ({exc})")
+        reader = csv.DictReader(io.StringIO("\n".join(lines)))
+        if reader.fieldnames is None or "z" not in reader.fieldnames:
+            raise CliError(EXIT_INPUT, f"{path}: expected one z per line or a 'z' CSV column")
+        try:
+            z = np.array([float(row["z"]) for row in reader])
+        except (ValueError, TypeError) as exc:
+            raise CliError(EXIT_INPUT, f"{path}: malformed z column ({exc})")
+        header = 1
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        data_lines = [
+            n
+            for n, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip() and not ln.strip().startswith("#")
+        ]
+        line = data_lines[header + int(bad[0])]
+        raise CliError(EXIT_INPUT, f"{path}:{line}: non-finite z value {float(z[bad[0]])!r}")
+    return z
 
 
 def parse_components(spec: str) -> list:

@@ -133,9 +133,9 @@ def gaussian_pdf(z, c: GaussianComponent):
 def gaussian_cdf(z, c: GaussianComponent):
     """Gaussian distribution function of component ``c`` at ``z``.
 
-    Uses the error-function identity Phi(x) = erfc(-x/sqrt(2))/2 at full
-    double precision, which the oracle threshold searches rely on for tail
-    accuracy.
+    Computed with ``scipy.special.ndtr``, which keeps full relative
+    precision in the lower tail; the oracle's interval masses are
+    differences of these values.
     """
     u = (np.asarray(z, dtype=float) - c.mean) / c.sd
     return _as_input(z, ndtr(u))

@@ -42,6 +42,10 @@ class EmptyInput(LfdrLabError, ValueError):
     """An operation received an empty data vector."""
 
 
+class NonFiniteInput(LfdrLabError, ValueError):
+    """A data vector contains nan or inf."""
+
+
 class NotEnoughData(LfdrLabError):
     """Too few observations for the requested estimator."""
 

@@ -28,9 +28,18 @@ frequency window where the ECF is still well above sampling noise:
 Magnitudes are debiased for the sampling term E|psi_m|^2 = |psi|^2 +
 (1 - |psi|^2)/m and median-filtered before the envelope extraction.
 
+The frequency grid is arithmetic, t_k = t_0 + k*dt, so exp(i t_k z) =
+exp(i t_0 z) * exp(i dt z)^k: psi_m is evaluated one frequency at a time with
+one complex multiply per observation, and the scan stops at the first
+frequency where |psi_m| falls below the noise floor.  The result matches the
+direct transcendental sum (``empirical_cf``) to rounding.
+
 The marginal density estimator is a plain Gaussian-kernel KDE with
-Silverman's rule-of-thumb bandwidth, evaluated by linear interpolation on a
-1024-point grid (exact kernel sums off-grid).
+Silverman's rule-of-thumb bandwidth h, stored on a 1024-point grid and
+evaluated by linear interpolation (exact kernel sums off-grid).  The grid
+values come from linear binning (Silverman 1982; Wand 1994) onto an r-fold
+refinement of that grid with spacing at most h/200 (at most 2^18 points),
+followed by an FFT convolution with the Gaussian kernel truncated at 8h.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateCF, DegenerateData, EmptyInput, NotEnoughData
+from .errors import DegenerateCF, DegenerateData, EmptyInput, NonFiniteInput, NotEnoughData
 
 __all__ = [
     "MarginalDensityEstimate",
@@ -54,14 +63,19 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Frequency grid: t_k = k * _T_STEP, k = 1.._T_COUNT, evaluated lazily in
-# blocks because the informative window rarely extends past t ~ 3 for
-# unit-width nulls.
+# Default frequency grid: t_k = k * _T_STEP, k = 1.._T_COUNT.  The scan stops
+# at the noise floor, which for unit-width nulls comes before t ~ 3.
 _T_STEP = 0.01
 _T_COUNT = 3000
-_T_BLOCK = 250
 _MEDFILT = 9
 _MIN_OBS = 100
+
+# KDE: stored grid size, binning spacing at most h / _KDE_BINS_PER_H, the cap
+# on the binning grid, and the kernel truncation in bandwidths.
+_KDE_GRID = 1024
+_KDE_BINS_PER_H = 200
+_KDE_FINE_MAX = 2**18
+_KDE_CUTOFF = 8.0
 
 
 def _crossing_level(m: int) -> float:
@@ -158,17 +172,61 @@ def _median_filter(x: np.ndarray, width: int) -> np.ndarray:
     return np.median(sliding_window_view(padded, width), axis=1)
 
 
+def _require_finite(z: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise NonFiniteInput(
+            f"{what}: {bad.size} non-finite z value(s), first {float(z[bad[0]])!r} at index {bad[0]}"
+        )
+
+
+def _grid_step(ts: np.ndarray) -> float:
+    """Spacing of an arithmetic frequency grid; ValueError if the grid is not
+    equally spaced to within the rounding of building it by repeated
+    addition."""
+    if ts.size == 1:
+        return 0.0
+    dt = (ts[-1] - ts[0]) / (ts.size - 1)
+    drift = np.max(np.abs(ts - (ts[0] + dt * np.arange(ts.size))))
+    if drift > ts.size * np.finfo(float).eps * ts[-1]:
+        raise ValueError("t_grid must be equally spaced")
+    return float(dt)
+
+
+def _ecf_scan(z: np.ndarray, ts: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """psi_m on the arithmetic grid ``ts`` up to and including the first
+    frequency where |psi_m| < ``floor`` (the whole grid if it never does).
+
+    Phase recurrence exp(i t_k z) = exp(i t_0 z) * exp(i dt z)^k: one complex
+    multiply per observation and frequency, no transcendental calls.
+    """
+    dt = _grid_step(ts)
+    phase = np.exp(1j * ts[0] * z)
+    rotate = np.exp(1j * dt * z)
+    out = np.empty(ts.size, dtype=complex)
+    for k in range(ts.size):
+        if k:
+            phase *= rotate
+        out[k] = phase.mean()
+        if abs(out[k]) < floor:
+            return out[: k + 1]
+    return out
+
+
 def estimate_null_ecf(z, t_grid=None) -> NullEstimate:
     """Estimate (p0, u0, sigma0) from z-values via the ECF envelope method.
 
-    ``t_grid`` overrides the default frequency grid 0.01*k, k = 1..3000
-    (must be ascending and positive); scaling the grid by 1/a makes the
-    estimate exactly equivariant under z -> a*z + b.
+    ``t_grid`` overrides the default frequency grid 0.01*k, k = 1..3000.  It
+    must be positive, ascending and equally spaced (to rounding), because the
+    ECF is evaluated by a phase recurrence along it; scaling the grid by 1/a
+    makes the estimate equivariant under z -> a*z + b.
 
-    Raises NotEnoughData below 100 observations and DegenerateCF when the
-    ECF magnitude never falls below the crossing level on the grid.
+    Raises NonFiniteInput on nan or inf, NotEnoughData below 100
+    observations, and DegenerateCF when the ECF magnitude never falls below
+    the crossing level on the grid.
     """
     z = np.asarray(z, dtype=float)
+    _require_finite(z, "null estimation")
     m = z.size
     if m < _MIN_OBS:
         raise NotEnoughData(f"null estimation needs m >= {_MIN_OBS}, got {m}")
@@ -181,28 +239,16 @@ def estimate_null_ecf(z, t_grid=None) -> NullEstimate:
         if ts.size == 0 or np.any(np.diff(ts) <= 0) or ts[0] <= 0:
             raise ValueError("t_grid must be ascending and strictly positive")
 
-    # Lazy evaluation: grow the evaluated prefix until the window [k*, k_end)
-    # between the level crossing and the noise floor is covered.
-    psi = np.empty(0, dtype=complex)
-    k_star = None
-    k_end = None
-    for start in range(0, ts.size, _T_BLOCK):
-        psi = np.concatenate([psi, _ecf(z, ts[start : start + _T_BLOCK])])
-        mag = np.abs(psi)
-        if k_star is None:
-            hits = np.nonzero(mag <= level)[0]
-            if hits.size:
-                k_star = int(hits[0])
-        if k_star is not None:
-            below = np.nonzero(mag[k_star:] < floor)[0]
-            if below.size:
-                k_end = k_star + int(below[0])
-                break
-            k_end = mag.size
-    if k_star is None:
+    # The window runs from the level crossing k* to the first frequency below
+    # the floor; floor <= level, so that frequency also ends the scan.
+    psi = _ecf_scan(z, ts, floor)
+    hits = np.nonzero(np.abs(psi) <= level)[0]
+    if hits.size == 0:
         raise DegenerateCF(
             f"|ECF| never fell below {level:.4g} for t <= {ts[-1]:.4g}"
         )
+    k_star = int(hits[0])
+    k_end = psi.size - 1 if abs(psi[-1]) < floor else psi.size
     k_end = max(k_end, k_star + 1)
     t_star = float(ts[k_star])
     mag_at_star = float(np.abs(psi[k_star]))
@@ -241,6 +287,38 @@ def _kernel_sum(data: np.ndarray, at: np.ndarray, bandwidth: float) -> np.ndarra
     return out / (data.size * bandwidth * _SQRT_2PI)
 
 
+def _binned_kernel_sum(data: np.ndarray, lo: float, step: float, bandwidth: float) -> np.ndarray:
+    """Kernel sums, up to a constant factor, at lo + i*step, i < _KDE_GRID.
+
+    The data (all inside the grid) are linearly binned onto an r-fold
+    refinement with spacing at most bandwidth / _KDE_BINS_PER_H, capped at
+    _KDE_FINE_MAX points, and FFT-convolved with the Gaussian kernel
+    truncated at _KDE_CUTOFF bandwidths; every r-th point is kept.
+    """
+    r = min(
+        math.ceil(_KDE_BINS_PER_H * step / bandwidth),
+        (_KDE_FINE_MAX - 1) // (_KDE_GRID - 1),
+    )
+    n_fine = (_KDE_GRID - 1) * r + 1
+    fine = step / r
+    pos = (data - lo) / fine
+    left = np.minimum(pos.astype(np.intp), n_fine - 2)
+    frac = pos - left
+    bins = np.bincount(left, weights=1.0 - frac, minlength=n_fine)
+    bins += np.bincount(left + 1, weights=frac, minlength=n_fine)
+
+    half = min(n_fine - 1, int(_KDE_CUTOFF * bandwidth / fine))
+    taps = np.exp(-0.5 * (np.arange(half + 1) * (fine / bandwidth)) ** 2)
+    # wrap-around layout: taps at lags 0..half, mirrored at lags -half..-1;
+    # n_fft >= n_fine + half keeps the circular convolution linear
+    n_fft = 1 << (n_fine + half - 1).bit_length()
+    kernel = np.zeros(n_fft)
+    kernel[: half + 1] = taps
+    kernel[n_fft - half :] = taps[:0:-1]
+    conv = np.fft.irfft(np.fft.rfft(bins, n_fft) * np.fft.rfft(kernel), n_fft)
+    return np.maximum(conv[:n_fine:r], 0.0)
+
+
 def silverman_bandwidth(z) -> float:
     """Silverman's rule of thumb 0.9 * min(sd, IQR/1.34) * m^(-1/5)."""
     z = np.asarray(z, dtype=float)
@@ -255,11 +333,13 @@ def silverman_bandwidth(z) -> float:
 def estimate_marginal_kde(z, bandwidth: float | None = None) -> MarginalDensityEstimate:
     """Gaussian-kernel density estimate on a 1024-point grid.
 
-    The grid spans [min(z) - 4h, max(z) + 4h]; grid values are normalized so
-    the trapezoid integral is exactly 1.  ``bandwidth`` overrides the
-    Silverman default.
+    The grid spans [min(z) - 4h, max(z) + 4h]; grid values are computed by
+    linear binning and FFT convolution (see the module docstring) and
+    normalized so the trapezoid integral is exactly 1.  ``bandwidth``
+    overrides the Silverman default.  Raises NonFiniteInput on nan or inf.
     """
     z = np.asarray(z, dtype=float)
+    _require_finite(z, "kernel density estimation")
     if z.size < 2:
         raise DegenerateData("kernel density estimation needs at least 2 points")
     if float(np.std(z, ddof=1)) == 0.0:
@@ -268,8 +348,9 @@ def estimate_marginal_kde(z, bandwidth: float | None = None) -> MarginalDensityE
         bandwidth = silverman_bandwidth(z)
     elif not bandwidth > 0.0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    grid = np.linspace(z.min() - 4.0 * bandwidth, z.max() + 4.0 * bandwidth, 1024)
-    values = _kernel_sum(z, grid, bandwidth)
+    lo, hi = z.min() - 4.0 * bandwidth, z.max() + 4.0 * bandwidth
+    grid = np.linspace(lo, hi, _KDE_GRID)
+    values = _binned_kernel_sum(z, lo, (hi - lo) / (_KDE_GRID - 1), bandwidth)
     values /= np.trapezoid(values, grid)
     return MarginalDensityEstimate(
         grid=grid, values=values, bandwidth=float(bandwidth), data=z.copy()

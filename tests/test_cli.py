@@ -106,6 +106,25 @@ class TestAnalyze:
     def test_missing_file(self, tmp_path):
         assert run(["analyze", tmp_path / "nope.txt"]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("null", ["theoretical", "estimated"])
+    def test_non_finite_line_is_input_error(self, tmp_path, capsys, bad, null):
+        z, _ = sample_model(mixture_model(1.0, []), 500, 23)
+        lines = [repr(float(v)) for v in z]
+        lines[300] = bad
+        path = tmp_path / "z.txt"
+        path.write_text("# comment\n\n" + "\n".join(lines) + "\n")
+        assert run(["analyze", path, "--procedure", "lfdr", "--null", null,
+                    "--manifest", tmp_path / "m.json"]) == 2
+        assert f"z.txt:303: non-finite z value {float(bad)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_csv_row_is_input_error(self, tmp_path, capsys, bad):
+        path = tmp_path / "table.csv"
+        path.write_text(f"gene,z\ng1,0.5\n# skipped\ng2,{bad}\ng3,1.0\n")
+        assert run(["analyze", path, "--manifest", tmp_path / "m.json"]) == 2
+        assert "table.csv:4: non-finite" in capsys.readouterr().err
+
     def test_bad_alpha(self, null_file, tmp_path):
         assert run(["analyze", null_file, "--alpha", "1.5",
                     "--manifest", tmp_path / "m.json"]) == 4
@@ -275,3 +294,9 @@ class TestEstimateNull:
         path = tmp_path / "const.txt"
         path.write_text("\n".join(["2.5"] * 500))
         assert run(["estimate-null", path, "--manifest", tmp_path / "m.json"]) == 5
+
+    def test_non_finite_line_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "z.txt"
+        path.write_text("\n".join(["0.5", "-1.0"] * 100 + ["inf"]))
+        assert run(["estimate-null", path, "--manifest", tmp_path / "m.json"]) == 2
+        assert "z.txt:201: non-finite z value inf" in capsys.readouterr().err

@@ -1,14 +1,18 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lfdr_lab import (
     DegenerateCF,
     DegenerateData,
     EmptyInput,
+    NonFiniteInput,
     NotEnoughData,
     empirical_cf,
     estimate_marginal_kde,
@@ -18,6 +22,7 @@ from lfdr_lab import (
     mixture_model,
     sample_model,
 )
+from lfdr_lab.estimation import _ecf_scan, _kernel_sum
 
 
 def draw(model, m, seed):
@@ -25,6 +30,7 @@ def draw(model, m, seed):
 
 
 PURE_NULL = mixture_model(1.0, [])
+DEFAULT_T_GRID = 0.01 * np.arange(1, 3001)
 
 
 class TestEmpiricalCf:
@@ -100,6 +106,32 @@ class TestEstimateNullEcf:
         assert_allclose(est2.p0_hat, est.p0_hat, atol=1e-9)
         assert_allclose(est2.t_star, est.t_star / a, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [0.05, 1.0, 50.0])
+    def test_recurrence_matches_direct_sum(self, scale):
+        # the phase recurrence against the transcendental reference on the
+        # whole default grid, with no early stop
+        z = scale * draw(eq1_default_model(), 5_000, 11)
+        psi = _ecf_scan(z, DEFAULT_T_GRID)
+        assert psi.size == DEFAULT_T_GRID.size
+        assert np.max(np.abs(psi - empirical_cf(z, DEFAULT_T_GRID))) <= 1e-12
+
+    def test_non_arithmetic_grid_rejected(self):
+        z = draw(PURE_NULL, 1_000, 12)
+        with pytest.raises(ValueError, match="equally spaced"):
+            estimate_null_ecf(z, t_grid=np.geomspace(0.01, 30.0, 3000))
+        nudged = DEFAULT_T_GRID.copy()
+        nudged[1000] += 1e-9
+        with pytest.raises(ValueError, match="equally spaced"):
+            estimate_null_ecf(z, t_grid=nudged)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        z = draw(PURE_NULL, 1_000, 13)
+        z[17] = bad
+        with pytest.raises(NonFiniteInput, match="index 17"):
+            estimate_null_ecf(z)
+        assert issubclass(NonFiniteInput, ValueError)
+
     def test_shift_recovered(self):
         z = draw(PURE_NULL, 50_000, 9) + 1.3
         est = estimate_null_ecf(z)
@@ -130,6 +162,28 @@ class TestEstimateNullEcf:
             med[m] = np.median(errs, axis=0)
         for j, name in enumerate(["p0", "u0", "sigma0"]):
             assert med[1_000][j] >= med[10_000][j] >= med[100_000][j], name
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    z=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=300),
+    t0=st.floats(1e-3, 5.0),
+    dt=st.floats(1e-4, 1.0),
+    n=st.integers(1, 400),
+    floor=st.floats(0.0, 1.0),
+)
+def test_ecf_scan_matches_empirical_cf(z, t0, dt, n, floor):
+    z = np.array(z)
+    ts = t0 + dt * np.arange(n)
+    psi = _ecf_scan(z, ts, floor)
+    # both sides carry phase rounding ~ eps * |t z|, the recurrence also
+    # ~ eps per step
+    tol = 1e-14 * (n + ts[-1] * np.max(np.abs(z)))
+    assert np.max(np.abs(psi - empirical_cf(z, ts[: psi.size]))) <= tol
+    # the scan stops at the first frequency below the floor, or at the end
+    mag = np.abs(psi)
+    assert np.all(mag[:-1] >= floor)
+    assert psi.size == n or mag[-1] < floor
 
 
 class TestEstimateMarginalKde:
@@ -176,6 +230,37 @@ class TestEstimateMarginalKde:
         edge = est.grid[-1]
         inside, outside = est.evaluate([edge - 1e-9, edge + 1e-9])
         assert abs(inside - outside) <= 1e-6
+
+    @pytest.mark.parametrize("m", [5_000, 100_000])
+    def test_binned_values_match_exact_kernel_sum(self, m):
+        z = draw(eq1_default_model(), m, 14)
+        est = estimate_marginal_kde(z)
+        exact = _kernel_sum(z, est.grid, est.bandwidth)
+        exact /= np.trapezoid(exact, est.grid)
+        assert np.max(np.abs(est.values - exact) / exact) <= 1e-4
+
+    def test_far_outlier_bounded_fine_grid(self):
+        # one point at 1e4 stretches the grid spacing to ~45 bandwidths; the
+        # binning grid stays at its 2^18-point cap (~2 MB per array) instead
+        # of ~9e6 points
+        z = np.append(draw(eq1_default_model(), 5_000, 15), 1e4)
+        tracemalloc.start()
+        try:
+            est = estimate_marginal_kde(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48e6
+        assert np.all(np.isfinite(est.values))
+        assert np.max(est.values) > 0.0
+        assert_allclose(np.trapezoid(est.values, est.grid), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        z = draw(PURE_NULL, 1_000, 16)
+        z[-1] = bad
+        with pytest.raises(NonFiniteInput, match="index 999"):
+            estimate_marginal_kde(z)
 
     def test_degenerate_data(self):
         with pytest.raises(DegenerateData):
