@@ -10,14 +10,12 @@ __version__ = "0.1.0"
 
 from .core_model import (
     GaussianComponent,
-    ModelPoint,
     TwoGroupModel,
     gaussian_cdf,
     gaussian_pdf,
     lfdr,
     marginal_density,
     mixture_model,
-    model_point,
     two_sided_pvalue,
 )
 from .errors import (
@@ -58,11 +56,11 @@ from .oracle import (
 )
 from .procedures import (
     ConfusionCounts,
-    DecisionRow,
     DecisionTable,
     adaptive_bh,
     bh_stepup,
     confusion,
+    decide,
     estimated_lfdr_values,
     fdp_fnp,
     lfdr_stepup,

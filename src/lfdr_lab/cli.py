@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -24,29 +23,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core_model import (
-    GaussianComponent,
-    TwoGroupModel,
-    mixture_model,
-    two_sided_pvalue,
-)
+from .core_model import GaussianComponent, TwoGroupModel, mixture_model
 from .errors import (
     DegenerateCF,
     DegenerateData,
     DegenerateMarginal,
     Infeasible,
     InvalidModel,
+    LengthMismatch,
     LfdrLabError,
     NotEnoughData,
 )
-from .estimation import (
-    NullEstimate,
-    estimate_marginal_kde,
-    estimate_null_ecf,
-    estimate_p0_tail,
-)
+from .estimation import estimate_null_ecf
 from .oracle import OracleRule, oracle_lfdr_rule, oracle_pvalue_rule
-from .procedures import DecisionTable, adaptive_bh, bh_stepup, estimated_lfdr_values, lfdr_stepup
+from .procedures import DecisionTable, decide
 from .simulation import (
     PROCEDURES,
     SimConfig,
@@ -155,15 +145,26 @@ def _build_model(p0: float, components: list) -> TwoGroupModel:
         raise CliError(EXIT_PARAMS, str(exc))
 
 
-def decision_table_csv(table: DecisionTable) -> str:
-    buf = io.StringIO()
-    buf.write("index,z,pvalue,lfdr_hat,reject\n")
-    for row in table.rows:
-        z = "" if math.isnan(row.z) else repr(row.z)
-        p = "" if math.isnan(row.pvalue) else repr(row.pvalue)
-        lf = "" if math.isnan(row.lfdr_hat) else repr(row.lfdr_hat)
-        buf.write(f"{row.index},{z},{p},{lf},{'true' if row.reject else 'false'}\n")
-    return buf.getvalue()
+def _csv_column(values, m: int):
+    return [""] * m if values is None else map(repr, values.tolist())
+
+
+def decision_table_csv(z, table: DecisionTable) -> str:
+    """``index,z,pvalue,lfdr_hat,reject`` rows in input order, floats at
+    full precision; the column of the statistic the rule did not rank is
+    blank."""
+    m = table.rejected.size
+    if len(z) != m:
+        raise LengthMismatch(f"{len(z)} z-values for {m} decisions")
+    columns = zip(
+        range(m),
+        _csv_column(np.asarray(z, dtype=float), m),
+        _csv_column(table.pvalue, m),
+        _csv_column(table.lfdr_hat, m),
+        np.where(table.rejected, "true", "false").tolist(),
+    )
+    rows = "".join(f"{i},{zi},{p},{lf},{r}\n" for i, zi, p, lf, r in columns)
+    return "index,z,pvalue,lfdr_hat,reject\n" + rows
 
 
 def _write_output(text: str, out: str | None):
@@ -178,51 +179,19 @@ def _write_output(text: str, out: str | None):
 # analyze
 # ---------------------------------------------------------------------------
 
+# the CLI's --procedure names for decide's procedures
+_ANALYZE_PROCEDURES = {"bh": "bh", "abh": "adaptive_bh", "lfdr": "lfdr"}
+
+
 def cmd_analyze(args) -> int:
     z = read_z_file(args.input)
-    m = z.size
-    if args.null == "estimated" and m < 100:
-        raise CliError(EXIT_DATA, f"--null estimated needs m >= 100, got {m}")
+    null = GaussianComponent(0.0, 1.0) if args.null == "theoretical" else None
     try:
-        if args.null == "estimated":
-            null_est = estimate_null_ecf(z)
-            null_comp = GaussianComponent(null_est.u0_hat, null_est.sigma0_hat)
-        else:
-            null_est = None
-            null_comp = GaussianComponent(0.0, 1.0)
-        pvalues = two_sided_pvalue(z, null_comp)
-
-        if args.procedure == "bh":
-            table = bh_stepup(pvalues, args.alpha)
-        elif args.procedure == "abh":
-            p0_hat = null_est.p0_hat if null_est else estimate_p0_tail(pvalues)
-            table = adaptive_bh(pvalues, args.alpha, p0_hat)
-        else:  # lfdr
-            if m == 1:
-                # a single observation cannot support a marginal estimate;
-                # the capped ratio degenerates to 1
-                values = np.array([1.0])
-            else:
-                if null_est is None:
-                    null_est = NullEstimate(
-                        p0_hat=estimate_p0_tail(pvalues),
-                        u0_hat=0.0,
-                        sigma0_hat=1.0,
-                        t_star=math.nan,
-                        cf_magnitude_at_t_star=math.nan,
-                    )
-                marginal = estimate_marginal_kde(z)
-                values = estimated_lfdr_values(z, null_est, marginal)
-            table = lfdr_stepup(values, args.alpha)
-        table.attach_z(z)
-    except NotEnoughData as exc:
-        raise CliError(EXIT_DATA, str(exc))
-    except (DegenerateCF, DegenerateData, DegenerateMarginal) as exc:
-        raise CliError(EXIT_DEGENERATE, str(exc))
+        table = decide(z, _ANALYZE_PROCEDURES[args.procedure], args.alpha, null)
     except ValueError as exc:
         raise CliError(EXIT_PARAMS, str(exc))
 
-    _write_output(decision_table_csv(table), args.out)
+    _write_output(decision_table_csv(z, table), args.out)
     manifest = RunManifest(
         command="analyze",
         parameters={
@@ -389,10 +358,10 @@ def cmd_simulate(args) -> int:
             raise CliError(EXIT_INPUT, f"unknown figure {fig!r}")
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     written = []
 
     def emit(name: str, text: str):
+        outdir.mkdir(parents=True, exist_ok=True)
         path = outdir / name
         path.write_text(text)
         written.append(str(path))
@@ -418,18 +387,10 @@ def cmd_simulate(args) -> int:
             sim_config = _parse_sim_config(cfg)
             result = run_replicated(sim_config)
             emit("replication.csv", simresult_csv(result))
-    except CliError:
+    except (CliError, LfdrLabError):
         for path in written:
             Path(path).unlink(missing_ok=True)
         raise
-    except LfdrLabError as exc:
-        for path in written:
-            Path(path).unlink(missing_ok=True)
-        if isinstance(exc, NotEnoughData):
-            raise CliError(EXIT_DATA, str(exc))
-        if isinstance(exc, (DegenerateCF, DegenerateData, DegenerateMarginal)):
-            raise CliError(EXIT_DEGENERATE, str(exc))
-        raise CliError(EXIT_PARAMS, str(exc))
 
     manifest = RunManifest(
         command="simulate",
@@ -447,13 +408,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_estimate_null(args) -> int:
-    z = read_z_file(args.input)
-    try:
-        est = estimate_null_ecf(z)
-    except NotEnoughData as exc:
-        raise CliError(EXIT_DATA, str(exc))
-    except DegenerateCF as exc:
-        raise CliError(EXIT_DEGENERATE, str(exc))
+    est = estimate_null_ecf(read_z_file(args.input))
     sys.stdout.write(
         f"p0_hat     = {_fmt6(est.p0_hat)}\n"
         f"u0_hat     = {_fmt6(est.u0_hat)}\n"
@@ -575,6 +530,10 @@ def main(argv=None) -> int:
         return exc.code
     except LfdrLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, NotEnoughData):
+            return EXIT_DATA
+        if isinstance(exc, (DegenerateCF, DegenerateData, DegenerateMarginal)):
+            return EXIT_DEGENERATE
         return EXIT_PARAMS
 
 

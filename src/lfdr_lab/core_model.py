@@ -27,13 +27,11 @@ from .errors import InvalidModel
 __all__ = [
     "GaussianComponent",
     "TwoGroupModel",
-    "ModelPoint",
     "gaussian_pdf",
     "gaussian_cdf",
     "marginal_density",
     "lfdr",
     "two_sided_pvalue",
-    "model_point",
     "mixture_model",
 ]
 
@@ -87,17 +85,6 @@ class TwoGroupModel:
     def components(self) -> tuple:
         """All components as (weight, component), null first."""
         return ((self.p0, self.null),) + self.nonnull
-
-
-@dataclass(frozen=True)
-class ModelPoint:
-    """Per-hypothesis summary of a single z-value under a known model."""
-
-    z: float
-    f: float
-    f0_scaled: float
-    lfdr: float
-    pvalue: float
 
 
 def mixture_model(p0: float, components: Sequence[tuple]) -> TwoGroupModel:
@@ -181,17 +168,3 @@ def two_sided_pvalue(z, null: GaussianComponent):
     """
     u = np.abs(np.asarray(z, dtype=float) - null.mean) / null.sd
     return _as_input(z, erfc(u / math.sqrt(2.0)))
-
-
-def model_point(m: TwoGroupModel, z: float) -> ModelPoint:
-    """Evaluate density, scaled null density, lfdr and p-value at one z."""
-    z = float(z)
-    f = marginal_density(m, z)
-    f0s = m.p0 * gaussian_pdf(z, m.null)
-    return ModelPoint(
-        z=z,
-        f=f,
-        f0_scaled=f0s,
-        lfdr=lfdr(m, z),
-        pvalue=two_sided_pvalue(z, m.null),
-    )

@@ -1,79 +1,64 @@
 """Data-driven multiple-testing procedures on observed z-values.
 
-Step-up rules (Benjamini-Hochberg 1995; its adaptive variant; and the
-local-fdr step-up that rejects the k hypotheses with the smallest lfdr
-values, k being the largest index at which the running mean of sorted lfdr
-values stays below alpha), plus truth-known evaluation helpers.
+Both data-driven rules are one step-up on one kernel, ``_stepup``: sort the
+ranked statistic on the stable (value, input index) order, find the last
+rank i whose per-rank test passes, and reject the i smallest.  The rules
+differ only in that test:
 
-Ties are broken by stable sort on (value, input index), so output is a
-deterministic function of the input sequence; a tie block that straddles the
-step-up boundary is split with lower input indices rejected first.
+* Benjamini-Hochberg (1995) on p-values: p_(i) <= alpha * i / m; adaptive
+  BH runs it at the level alpha / p0_hat;
+* the adaptive local-fdr rule (Sun & Cai 2007) on lfdr values: the running
+  mean (1/i) * sum of the i smallest values <= alpha, which is the estimated
+  false discovery rate of the rejected set.
+
+A tie block that straddles the boundary is split with lower input indices
+rejected first, so output is a deterministic function of the input
+sequence.  ``decide`` runs the whole data-driven chain (null, p-values, p0,
+kernel marginal, lfdr, step-up) for the CLI and the simulator; confusion
+counts and fdp/fnp evaluate decisions against known truth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import GaussianComponent, gaussian_pdf
+from .core_model import GaussianComponent, gaussian_pdf, two_sided_pvalue
 from .errors import (
+    DegenerateData,
     DegenerateMarginal,
     InvalidLfdr,
     InvalidPValue,
     LengthMismatch,
 )
+from .estimation import estimate_marginal_kde, estimate_null_ecf, estimate_p0_tail
 
 __all__ = [
-    "DecisionRow",
     "DecisionTable",
     "ConfusionCounts",
     "bh_stepup",
     "adaptive_bh",
     "lfdr_stepup",
     "estimated_lfdr_values",
+    "decide",
     "confusion",
     "fdp_fnp",
 ]
 
 
-@dataclass
-class DecisionRow:
-    """Per-hypothesis decision record; nan marks an absent statistic."""
-
-    index: int
-    z: float
-    pvalue: float
-    lfdr_hat: float
-    reject: bool
-
-
-@dataclass
+@dataclass(frozen=True)
 class DecisionTable:
-    """Decisions for one procedure run, in input order."""
+    """Decisions of one step-up run, as arrays in input order.
 
-    rows: list = field(default_factory=list)
-    alpha: float = 0.0
-    procedure: str = ""
+    ``rejected`` flags the k rejected hypotheses.  ``pvalue`` or
+    ``lfdr_hat`` holds the statistic the rule ranked; the other is None.
+    """
 
-    @property
-    def k(self) -> int:
-        """Number of rejections R."""
-        return sum(1 for r in self.rows if r.reject)
-
-    @property
-    def rejected(self) -> np.ndarray:
-        return np.array([r.reject for r in self.rows], dtype=bool)
-
-    def attach_z(self, z) -> "DecisionTable":
-        """Fill the z column in place (procedures that only see p-values or
-        lfdr values leave it as nan); returns self for chaining."""
-        z = np.asarray(z, dtype=float)
-        if len(z) != len(self.rows):
-            raise LengthMismatch(f"{len(z)} z-values for {len(self.rows)} rows")
-        for row, zi in zip(self.rows, z):
-            row.z = float(zi)
-        return self
+    rejected: np.ndarray
+    k: int
+    pvalue: np.ndarray | None = None
+    lfdr_hat: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -108,16 +93,16 @@ def _check_alpha(alpha: float):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
-def _stepup_reject(values: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
-    """Reject the k smallest values, k = max{i : v_(i) <= cutoff_i} on the
-    stable (value, index) order; returns a boolean mask in input order."""
-    m = len(values)
-    order = np.lexsort((np.arange(m), values))
-    ok = np.nonzero(values[order] <= cutoffs)[0]
-    k = int(ok[-1]) + 1 if len(ok) else 0
-    reject = np.zeros(m, dtype=bool)
-    reject[order[:k]] = True
-    return reject
+def _stepup(values: np.ndarray, passes) -> tuple:
+    """Reject the k smallest values on the stable (value, index) order, k
+    being the last rank whose entry of ``passes(sorted values)`` is true;
+    returns (boolean mask in input order, k)."""
+    order = np.lexsort((np.arange(values.size), values))
+    ok = np.flatnonzero(passes(values[order]))
+    k = int(ok[-1]) + 1 if ok.size else 0
+    rejected = np.zeros(values.size, dtype=bool)
+    rejected[order[:k]] = True
+    return rejected, k
 
 
 def bh_stepup(pvalues, alpha: float) -> DecisionTable:
@@ -127,18 +112,13 @@ def bh_stepup(pvalues, alpha: float) -> DecisionTable:
     carrying the k smallest p-values where k = max{i : p_(i) <= i*alpha/m}.
     """
     _check_alpha(alpha)
-    p = np.asarray(pvalues, dtype=float)
+    p = np.array(pvalues, dtype=float)
     if p.size == 0:
         raise InvalidPValue("empty p-value vector")
     if np.any(~np.isfinite(p)) or np.any(p <= 0.0) or np.any(p > 1.0):
         raise InvalidPValue("p-values must lie in (0, 1]")
-    cutoffs = alpha * np.arange(1, p.size + 1) / p.size
-    reject = _stepup_reject(p, cutoffs)
-    rows = [
-        DecisionRow(i, np.nan, float(p[i]), np.nan, bool(reject[i]))
-        for i in range(p.size)
-    ]
-    return DecisionTable(rows=rows, alpha=alpha, procedure="bh")
+    rejected, k = _stepup(p, lambda s: s <= alpha * np.arange(1, s.size + 1) / s.size)
+    return DecisionTable(rejected=rejected, k=k, pvalue=p)
 
 
 def adaptive_bh(pvalues, alpha: float, p0_hat: float) -> DecisionTable:
@@ -150,11 +130,7 @@ def adaptive_bh(pvalues, alpha: float, p0_hat: float) -> DecisionTable:
     _check_alpha(alpha)
     if not (0.0 < p0_hat <= 1.0):
         raise ValueError(f"p0_hat must be in (0, 1], got {p0_hat}")
-    effective = min(alpha / p0_hat, 1.0 - 1e-12)
-    table = bh_stepup(pvalues, effective)
-    table.alpha = alpha
-    table.procedure = "adaptive_bh"
-    return table
+    return bh_stepup(pvalues, min(alpha / p0_hat, 1.0 - 1e-12))
 
 
 def lfdr_stepup(lfdr_values, alpha: float) -> DecisionTable:
@@ -166,49 +142,75 @@ def lfdr_stepup(lfdr_values, alpha: float) -> DecisionTable:
     set.
     """
     _check_alpha(alpha)
-    v = np.asarray(lfdr_values, dtype=float)
+    v = np.array(lfdr_values, dtype=float)
     if v.size == 0:
         raise InvalidLfdr("empty lfdr vector")
     if np.any(~np.isfinite(v)) or np.any(v < 0.0) or np.any(v > 1.0):
         raise InvalidLfdr("lfdr values must lie in [0, 1]")
-    order = np.lexsort((np.arange(v.size), v))
-    running_means = np.cumsum(v[order]) / np.arange(1, v.size + 1)
-    ok = np.nonzero(running_means <= alpha)[0]
-    k = int(ok[-1]) + 1 if len(ok) else 0
-    reject = np.zeros(v.size, dtype=bool)
-    reject[order[:k]] = True
-    rows = [
-        DecisionRow(i, np.nan, np.nan, float(v[i]), bool(reject[i]))
-        for i in range(v.size)
-    ]
-    return DecisionTable(rows=rows, alpha=alpha, procedure="lfdr")
+    rejected, k = _stepup(v, lambda s: np.cumsum(s) / np.arange(1, s.size + 1) <= alpha)
+    return DecisionTable(rejected=rejected, k=k, lfdr_hat=v)
 
 
-def estimated_lfdr_values(z, null_est, marginal) -> np.ndarray:
-    """Estimated local fdr min(1, p0_hat * f0_hat(z) / f_hat(z)).
+def estimated_lfdr_values(z, p0_hat: float, null: GaussianComponent, marginal) -> np.ndarray:
+    """Estimated local fdr min(1, p0_hat * f0(z) / f_hat(z)).
 
-    ``null_est`` supplies (p0_hat, u0_hat, sigma0_hat); ``marginal`` is a
-    MarginalDensityEstimate.  Raises DegenerateMarginal when the marginal
+    ``null`` is the null component f0 (known or estimated); ``marginal`` is
+    a MarginalDensityEstimate.  Raises DegenerateMarginal when the marginal
     estimate vanishes at an evaluation point, which signals a bandwidth or
     grid misconfiguration.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    f0 = gaussian_pdf(z, GaussianComponent(null_est.u0_hat, null_est.sigma0_hat))
+    f0 = gaussian_pdf(z, null)
     fhat = marginal.evaluate(z)
     if np.any(fhat < 1e-300):
         worst = float(z[np.argmin(fhat)])
         raise DegenerateMarginal(f"marginal estimate vanishes near z = {worst:.6g}")
-    return np.minimum(1.0, null_est.p0_hat * np.atleast_1d(f0) / fhat)
+    return np.minimum(1.0, p0_hat * f0 / fhat)
+
+
+def decide(z, procedure: str, alpha: float, null: GaussianComponent | None) -> DecisionTable:
+    """Run one data-driven procedure on z-values.
+
+    ``procedure`` is ``bh``, ``adaptive_bh`` or ``lfdr``.  ``null`` is a
+    known null component, or None to estimate (p0, u0, sigma0) by the ECF
+    method.  p-values are two-sided under that null; p0 is the ECF estimate
+    when the null is estimated and the tail estimate otherwise; the lfdr
+    rule plugs p0, the null and a kernel marginal into
+    ``estimated_lfdr_values`` (a single observation gets lfdr 1).
+
+    Raises NotEnoughData and DegenerateCF from null estimation, and
+    DegenerateData when adaptive BH meets a tail p0 estimate of 0.
+    """
+    if procedure not in ("bh", "adaptive_bh", "lfdr"):
+        raise ValueError(f"procedure must be bh, adaptive_bh or lfdr, got {procedure!r}")
+    _check_alpha(alpha)
+    z = np.asarray(z, dtype=float)
+    p0_hat = None
+    if null is None:
+        est = estimate_null_ecf(z)
+        p0_hat, null = est.p0_hat, GaussianComponent(est.u0_hat, est.sigma0_hat)
+    if procedure == "lfdr":
+        if z.size == 1:
+            return lfdr_stepup([1.0], alpha)
+        if p0_hat is None:
+            p0_hat = estimate_p0_tail(two_sided_pvalue(z, null))
+        return lfdr_stepup(estimated_lfdr_values(z, p0_hat, null, estimate_marginal_kde(z)), alpha)
+    pvalues = two_sided_pvalue(z, null)
+    if procedure == "bh":
+        return bh_stepup(pvalues, alpha)
+    if p0_hat is None:
+        p0_hat = estimate_p0_tail(pvalues)
+        if p0_hat == 0.0:
+            raise DegenerateData("adaptive BH: tail p0 estimate is 0, no p-value above 0.5")
+    return adaptive_bh(pvalues, alpha, p0_hat)
 
 
 def confusion(decisions: DecisionTable, truth) -> ConfusionCounts:
     """Cross-tabulate decisions against nonnull indicator flags."""
     truth = np.asarray(truth, dtype=bool)
-    if truth.size != len(decisions.rows):
-        raise LengthMismatch(
-            f"{truth.size} truth flags for {len(decisions.rows)} decisions"
-        )
     reject = decisions.rejected
+    if truth.size != reject.size:
+        raise LengthMismatch(f"{truth.size} truth flags for {reject.size} decisions")
     return ConfusionCounts(
         n00=int(np.sum(~truth & ~reject)),
         n01=int(np.sum(truth & ~reject)),

@@ -20,16 +20,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core_model import TwoGroupModel, lfdr, mixture_model, two_sided_pvalue
-from .estimation import estimate_marginal_kde, estimate_null_ecf, estimate_p0_tail
 from .oracle import oracle_lfdr_rule, oracle_pvalue_rule, oracle_sweep
-from .procedures import (
-    adaptive_bh,
-    bh_stepup,
-    confusion,
-    estimated_lfdr_values,
-    fdp_fnp,
-    lfdr_stepup,
-)
+from .procedures import confusion, decide, fdp_fnp, lfdr_stepup
 
 __all__ = [
     "PROCEDURES",
@@ -168,20 +160,14 @@ def sample_correlated(model: TwoGroupModel, m: int, rho: float, seed: int):
 
 def _run_one(config: SimConfig, rep: int) -> dict:
     z, nonnull = sample_correlated(config.model, config.m, config.rho, rep_seed(config.seed, rep))
-    pvalues = two_sided_pvalue(z, config.model.null)
     out = {}
     for proc in config.procedures:
-        if proc == "bh":
-            table = bh_stepup(pvalues, config.alpha)
-        elif proc == "adaptive_bh":
-            table = adaptive_bh(pvalues, config.alpha, estimate_p0_tail(pvalues))
-        elif proc == "lfdr_oracle_plugin":
+        if proc == "lfdr_oracle_plugin":
             table = lfdr_stepup(lfdr(config.model, z), config.alpha)
-        else:  # lfdr_estimated
-            null_est = estimate_null_ecf(z)
-            marginal = estimate_marginal_kde(z)
-            values = estimated_lfdr_values(z, null_est, marginal)
-            table = lfdr_stepup(values, config.alpha)
+        elif proc == "lfdr_estimated":
+            table = decide(z, "lfdr", config.alpha, None)
+        else:  # bh, adaptive_bh under the model's known null
+            table = decide(z, proc, config.alpha, config.model.null)
         fdp, fnp = fdp_fnp(confusion(table, nonnull))
         out[proc] = (fdp, fnp, table.k)
     return out

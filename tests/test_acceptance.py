@@ -252,8 +252,8 @@ def test_criterion_9_procedure_identities(report):
     for _ in range(1_000):
         p = rng.uniform(size=int(rng.integers(1, 60))) ** 2
         alpha = float(rng.uniform(0.01, 0.5))
-        a = [r.reject for r in bh_stepup(p, alpha).rows]
-        b = [r.reject for r in adaptive_bh(p, alpha, 1.0).rows]
+        a = bh_stepup(p, alpha).rejected.tolist()
+        b = adaptive_bh(p, alpha, 1.0).rejected.tolist()
         if a != b:
             identical = False
             break
@@ -263,15 +263,14 @@ def test_criterion_9_procedure_identities(report):
         v = rng.uniform(size=int(rng.integers(1, 100)))
         alpha = float(rng.uniform(0.02, 0.5))
         table = lfdr_stepup(v, alpha)
-        rejected = [row.lfdr_hat for row in table.rows if row.reject]
-        if rejected and np.mean(rejected) > alpha + 1e-12:
+        rejected = v[table.rejected]
+        if rejected.size and np.mean(rejected) > alpha + 1e-12:
             mean_ok = False
             break
 
     hand_ok = (
-        [r.reject for r in bh_stepup([0.001, 0.2, 0.9], 0.05).rows] == [True, False, False]
-        and [r.reject for r in adaptive_bh([0.02, 0.03, 0.9], 0.05, 0.5).rows]
-        == [True, True, False]
+        bh_stepup([0.001, 0.2, 0.9], 0.05).rejected.tolist() == [True, False, False]
+        and adaptive_bh([0.02, 0.03, 0.9], 0.05, 0.5).rejected.tolist() == [True, True, False]
         and lfdr_stepup([0.01, 0.05, 0.2, 0.9], 0.10).k == 3
     )
     ok = identical and mean_ok and hand_ok

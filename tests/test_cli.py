@@ -3,7 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from lfdr_lab import mixture_model, sample_model
+from lfdr_lab import (
+    GaussianComponent,
+    adaptive_bh,
+    bh_stepup,
+    estimate_marginal_kde,
+    estimate_null_ecf,
+    estimate_p0_tail,
+    estimated_lfdr_values,
+    lfdr_stepup,
+    mixture_model,
+    sample_model,
+    two_sided_pvalue,
+)
 from lfdr_lab.cli import main
 
 
@@ -128,6 +140,52 @@ class TestAnalyze:
     def test_bad_alpha(self, null_file, tmp_path):
         assert run(["analyze", null_file, "--alpha", "1.5",
                     "--manifest", tmp_path / "m.json"]) == 4
+
+    def test_abh_zero_tail_p0_is_degenerate(self, tmp_path, capsys):
+        # no p-value above 0.5: the tail p0 estimate is 0
+        path = tmp_path / "z.txt"
+        path.write_text("3.0\n-4.0\n5.0\n2.5\n")
+        assert run(["analyze", path, "--procedure", "abh",
+                    "--manifest", tmp_path / "m.json"]) == 5
+        assert "adaptive BH: tail p0 estimate is 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("null", ["theoretical", "estimated"])
+    @pytest.mark.parametrize("procedure", ["bh", "abh", "lfdr"])
+    def test_columns_compose_public_functions(self, tmp_path, procedure, null):
+        model = mixture_model(0.8, [(0.15, -3.0, 1.0), (0.05, 4.0, 1.0)])
+        z, _ = sample_model(model, 2_000, 24)
+        path = tmp_path / "z.txt"
+        write_z_file(path, z)
+        out = tmp_path / "dec.csv"
+        assert run(["analyze", path, "--alpha", "0.1", "--procedure", procedure,
+                    "--null", null, "--out", out, "--manifest", tmp_path / "m.json"]) == 0
+        header, *lines = out.read_text().splitlines()
+        assert header == "index,z,pvalue,lfdr_hat,reject"
+        index, zcol, pcol, lcol, rcol = zip(*(ln.split(",") for ln in lines))
+        assert index == tuple(str(i) for i in range(z.size))
+        assert np.array_equal(np.array(zcol, dtype=float), z)
+
+        if null == "theoretical":
+            null_comp = GaussianComponent(0.0, 1.0)
+            p = two_sided_pvalue(z, null_comp)
+            p0 = estimate_p0_tail(p)
+        else:
+            est = estimate_null_ecf(z)
+            null_comp = GaussianComponent(est.u0_hat, est.sigma0_hat)
+            p = two_sided_pvalue(z, null_comp)
+            p0 = est.p0_hat
+        if procedure == "lfdr":
+            lf = estimated_lfdr_values(z, p0, null_comp, estimate_marginal_kde(z))
+            table = lfdr_stepup(lf, 0.1)
+            assert set(pcol) == {""}
+            assert np.array_equal(np.array(lcol, dtype=float), lf)
+        else:
+            table = bh_stepup(p, 0.1) if procedure == "bh" else adaptive_bh(p, 0.1, p0)
+            assert set(lcol) == {""}
+            assert np.array_equal(np.array(pcol, dtype=float), p)
+        assert table.k > 0
+        assert np.array_equal(np.array(rcol) == "true", table.rejected)
+        assert set(rcol) == {"true", "false"}
 
     def test_replay_byte_identical(self, null_file, tmp_path):
         out = tmp_path / "dec.csv"
@@ -259,6 +317,19 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", outdir]) == 3
         assert not (outdir / "replication.csv").exists()
         assert not (outdir / "manifest.json").exists()
+
+    def test_adaptive_bh_zero_tail_p0_is_degenerate(self, tmp_path, capsys):
+        # every z sits near 6, so no p-value exceeds 0.5 and the tail p0
+        # estimate is 0; the run exits 5 and leaves no output
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "p0": 0.001, "components": [[0.999, 6.0, 1.0]], "m": 50, "reps": 2,
+            "alpha": 0.1, "seed": 1, "procedures": ["adaptive_bh"],
+        }))
+        outdir = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", outdir]) == 5
+        assert "adaptive BH: tail p0 estimate is 0" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_simulate_replay(self, tmp_path):
         cfg = tmp_path / "cfg.json"

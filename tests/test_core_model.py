@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -14,7 +16,6 @@ from lfdr_lab import (
     lfdr,
     marginal_density,
     mixture_model,
-    model_point,
     two_sided_pvalue,
 )
 
@@ -205,11 +206,26 @@ class TestModelTypes:
         with pytest.raises(InvalidModel):
             mixture_model(1.1, [(-0.1, 0.0, 1.0)])
 
-    def test_model_point_consistency(self):
-        m = fig2_model()
-        pt = model_point(m, -2.0)
-        assert pt.z == -2.0
-        assert_allclose(pt.f, marginal_density(m, -2.0), rtol=1e-14)
-        assert_allclose(pt.f0_scaled, 0.8 * gaussian_pdf(-2.0, STD), rtol=1e-14)
-        assert 0.0 <= pt.lfdr <= 1.0
-        assert pt.f >= pt.f0_scaled >= 0.0
+    # |z| <= 30 keeps the N(0, 1) null term p0*f0 a normal (not subnormal)
+    # float, where the two roundings compared below agree to 1e-12
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        p0=st.floats(0.01, 1.0),
+        comps=st.lists(
+            st.tuples(st.floats(0.01, 1.0), st.floats(-10.0, 10.0), st.floats(0.05, 5.0)),
+            min_size=1,
+            max_size=3,
+        ),
+        z=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=20),
+    )
+    @example(p0=0.8, comps=[(0.75, -3.0, 1.0), (0.25, 4.0, 1.0)], z=[-2.0])  # figure-2 model
+    def test_lfdr_in_unit_interval_and_marginal_covers_null_term(self, p0, comps, z):
+        total = sum(r for r, _, _ in comps)
+        m = mixture_model(p0, [((1.0 - p0) * r / total, mu, sd) for r, mu, sd in comps])
+        z = np.array(z)
+        f = marginal_density(m, z)
+        f0_scaled = m.p0 * gaussian_pdf(z, m.null)
+        assert np.all(f0_scaled >= 0.0)
+        assert np.all(f >= f0_scaled * (1.0 - 1e-12))
+        values = lfdr(m, z)
+        assert np.all((values >= 0.0) & (values <= 1.0))

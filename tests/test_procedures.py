@@ -1,29 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lfdr_lab import (
     ConfusionCounts,
+    GaussianComponent,
     InvalidLfdr,
     InvalidPValue,
     LengthMismatch,
-    NullEstimate,
     adaptive_bh,
     bh_stepup,
     confusion,
+    decide,
     estimate_marginal_kde,
     estimated_lfdr_values,
     fdp_fnp,
     lfdr_stepup,
+    estimate_p0_tail,
     mixture_model,
     lfdr as exact_lfdr,
     sample_model,
+    two_sided_pvalue,
 )
-from lfdr_lab.errors import DegenerateMarginal
+from lfdr_lab.errors import DegenerateData, DegenerateMarginal
+
+
+STD = GaussianComponent(0.0, 1.0)
 
 
 def rejected_indices(table):
-    return [r.index for r in table.rows if r.reject]
+    return np.flatnonzero(table.rejected).tolist()
 
 
 class TestBhStepup:
@@ -70,8 +78,7 @@ class TestBhStepup:
 
     def test_preserves_input_order(self):
         table = bh_stepup([0.9, 0.001, 0.2], 0.05)
-        assert [r.index for r in table.rows] == [0, 1, 2]
-        assert [r.reject for r in table.rows] == [False, True, False]
+        assert table.rejected.tolist() == [False, True, False]
 
 
 class TestAdaptiveBh:
@@ -131,8 +138,8 @@ class TestLfdrStepup:
             v = rng.uniform(size=rng.integers(1, 80))
             alpha = float(rng.uniform(0.02, 0.5))
             table = lfdr_stepup(v, alpha)
-            rej = [row.lfdr_hat for row in table.rows if row.reject]
-            if rej:
+            rej = v[table.rejected]
+            if rej.size:
                 assert np.mean(rej) <= alpha + 1e-12
 
     def test_lower_set_property(self):
@@ -176,16 +183,14 @@ class TestEstimatedLfdrValues:
         z, _ = sample_model(m, 2000, 0)
         marginal = estimate_marginal_kde(z)
         # at the mode the unmixed null density exceeds the mixture marginal
-        est = NullEstimate(1.0, 0.0, 1.0, 1.0, 0.5)
-        vals = estimated_lfdr_values(np.array([0.0]), est, marginal)
+        vals = estimated_lfdr_values(np.array([0.0]), 1.0, STD, marginal)
         assert vals[0] == 1.0
 
     def test_zero_p0_gives_zero(self):
         m = mixture_model(0.8, [(0.2, 3.0, 1.0)])
         z, _ = sample_model(m, 2000, 0)
         marginal = estimate_marginal_kde(z)
-        est = NullEstimate(1e-6, 0.0, 1.0, 1.0, 0.5)
-        vals = estimated_lfdr_values(z[:10], est, marginal)
+        vals = estimated_lfdr_values(z[:10], 1e-6, STD, marginal)
         assert np.all(vals < 1e-3)
 
     def test_exact_inputs_reproduce_lfdr(self):
@@ -201,9 +206,8 @@ class TestEstimatedLfdrValues:
             bandwidth=0.1,
             data=np.array([]),
         )
-        est = NullEstimate(0.8, 0.0, 1.0, 1.5, 0.3)
         z = np.linspace(-6.0, 6.0, 241)
-        vals = estimated_lfdr_values(z, est, marginal)
+        vals = estimated_lfdr_values(z, 0.8, STD, marginal)
         assert np.max(np.abs(vals - exact_lfdr(model, z))) <= 1e-6
 
     def test_matches_exact_lfdr_with_true_inputs(self):
@@ -212,8 +216,7 @@ class TestEstimatedLfdrValues:
         model = mixture_model(0.8, [(0.1, -3.0, 1.0), (0.1, 3.0, 1.0)])
         z, _ = sample_model(model, 100_000, 21)
         marginal = estimate_marginal_kde(z)
-        est = NullEstimate(0.8, 0.0, 1.0, 1.5, 0.3)
-        vals = estimated_lfdr_values(z, est, marginal)
+        vals = estimated_lfdr_values(z, 0.8, STD, marginal)
         central = np.abs(z) <= 4.0
         err = np.abs(vals[central] - exact_lfdr(model, z[central]))
         assert err.mean() <= 0.05
@@ -222,9 +225,8 @@ class TestEstimatedLfdrValues:
         m = mixture_model(0.8, [(0.2, 3.0, 1.0)])
         z, _ = sample_model(m, 500, 0)
         marginal = estimate_marginal_kde(z, bandwidth=0.05)
-        est = NullEstimate(0.8, 0.0, 1.0, 1.0, 0.5)
         with pytest.raises(DegenerateMarginal):
-            estimated_lfdr_values(np.array([80.0]), est, marginal)
+            estimated_lfdr_values(np.array([80.0]), 0.8, STD, marginal)
 
 
 class TestConfusion:
@@ -270,3 +272,82 @@ class TestFdpFnp:
 
     def test_everything_rejected_fnp_zero(self):
         assert fdp_fnp(ConfusionCounts(0, 0, 2, 2))[1] == 0.0
+
+
+class TestDecide:
+    def test_unknown_procedure(self):
+        with pytest.raises(ValueError):
+            decide([0.5, 1.0], "abh", 0.1, STD)
+
+    def test_zero_tail_p0_is_degenerate_for_adaptive_bh(self):
+        # no p-value above 0.5, so the tail p0 estimate is 0
+        z = [3.0, -4.0, 5.0, 2.5]
+        assert estimate_p0_tail(two_sided_pvalue(np.array(z), STD)) == 0.0
+        with pytest.raises(DegenerateData, match="adaptive BH: tail p0 estimate is 0"):
+            decide(z, "adaptive_bh", 0.1, STD)
+
+
+# Properties of the shared step-up kernel.  BH ranks p-values in (0, 1],
+# the lfdr rule ranks lfdr values in [0, 1].
+STEPUPS = {
+    "bh": (bh_stepup, st.floats(0.0, 1.0, exclude_min=True)),
+    "lfdr": (lfdr_stepup, st.floats(0.0, 1.0)),
+}
+ALPHAS = st.floats(1e-3, 0.999)
+
+
+@pytest.mark.parametrize("name", sorted(STEPUPS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), alpha=ALPHAS)
+def test_stepup_permutation_equivariant(name, data, alpha):
+    # ties are split by input index, so equivariance needs distinct values
+    stepup, values = STEPUPS[name]
+    v = np.array(data.draw(st.lists(values, min_size=1, max_size=60, unique=True)))
+    perm = np.array(data.draw(st.permutations(range(v.size))))
+    base, permuted = stepup(v, alpha), stepup(v[perm], alpha)
+    assert permuted.k == base.k
+    assert np.array_equal(permuted.rejected, base.rejected[perm])
+
+
+@pytest.mark.parametrize("name", sorted(STEPUPS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), a1=ALPHAS, a2=ALPHAS)
+def test_stepup_k_monotone_in_alpha(name, data, a1, a2):
+    stepup, values = STEPUPS[name]
+    v = data.draw(st.lists(values, min_size=1, max_size=60))
+    lo, hi = min(a1, a2), max(a1, a2)
+    assert stepup(v, lo).k <= stepup(v, hi).k
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(p=st.lists(STEPUPS["bh"][1], min_size=1, max_size=60), alpha=ALPHAS)
+def test_bh_stepup_self_consistent(p, alpha):
+    # BH's k is the largest i with at least i p-values <= alpha*i/m, and it
+    # rejects exactly the p-values <= alpha*k/m when they are distinct
+    p = np.array(p)
+    m = p.size
+    passing = [i for i in range(1, m + 1) if np.sum(p <= alpha * i / m) >= i]
+    table = bh_stepup(p, alpha)
+    assert table.k == max(passing, default=0)
+    if table.k and np.unique(p).size == m:
+        assert np.array_equal(table.rejected, p <= alpha * table.k / m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(p=st.lists(STEPUPS["bh"][1], min_size=1, max_size=60), alpha=ALPHAS)
+def test_adaptive_bh_at_p0_one_is_bh(p, alpha):
+    a, b = adaptive_bh(p, alpha, 1.0), bh_stepup(p, alpha)
+    assert a.k == b.k
+    assert np.array_equal(a.rejected, b.rejected)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(v=st.lists(STEPUPS["lfdr"][1], min_size=1, max_size=60), alpha=ALPHAS)
+def test_lfdr_stepup_running_mean_bound(v, alpha):
+    v = np.array(v)
+    table = lfdr_stepup(v, alpha)
+    assert table.k == int(table.rejected.sum())
+    if table.k:
+        assert v[table.rejected].mean() <= alpha + 1e-12
+    running = np.cumsum(np.sort(v)) / np.arange(1, v.size + 1)
+    assert np.all(running[table.k :] > alpha)
