@@ -128,9 +128,10 @@ def gaussian_cdf(z, c: GaussianComponent):
     return _as_input(z, ndtr(u))
 
 
-def _log_marginal(m: TwoGroupModel, z):
+def _log_terms(m: TwoGroupModel, z):
+    """log(w * f_c(z)) for every component of positive weight, null first."""
     z = np.asarray(z, dtype=float)
-    logs = np.stack(
+    return np.stack(
         [
             math.log(w) + _log_gaussian_pdf(z, comp)
             for w, comp in m.components
@@ -138,10 +139,35 @@ def _log_marginal(m: TwoGroupModel, z):
         ],
         axis=0,
     )
+
+
+def _logsumexp(logs):
     # stable log-sum-exp; the peak term anchors the scale so 6-sigma
     # contributions survive
     peak = logs.max(axis=0)
     return peak + np.log(np.exp(logs - peak).sum(axis=0))
+
+
+def _log_marginal(m: TwoGroupModel, z):
+    return _logsumexp(_log_terms(m, z))
+
+
+def _log_lfdr_slope(m: TwoGroupModel, z):
+    """log lfdr(m, z) and its derivative in z.
+
+    Computed as -log(1 + odds) with odds = sum_c w_c f_c(z) / (p0 f0(z))
+    over the nonnull components, which keeps relative precision where lfdr
+    is near 1.  With posterior weights pi_c(z) = w_c f_c(z)/f(z) and scores
+    s_c(z) = (u_c - z)/s_c^2, d log lfdr/dz = -sum_c pi_c(z) (s_c - s_null).
+    """
+    z = np.asarray(z, dtype=float)
+    logs = _log_terms(m, z)
+    log_odds = _logsumexp(logs[1:] - logs[0])
+    log_lfdr = -np.logaddexp(0.0, log_odds)
+    null_score = (m.null.mean - z) / (m.null.sd * m.null.sd)
+    scores = np.stack([(c.mean - z) / (c.sd * c.sd) for w, c in m.nonnull if w > 0.0])
+    posterior = np.exp(logs[1:] - logs[0] + log_lfdr)
+    return log_lfdr, -(posterior * (scores - null_score)).sum(axis=0)
 
 
 def marginal_density(m: TwoGroupModel, z):

@@ -11,9 +11,16 @@ Two families of rejection rules are compared:
 mFDR of a region R is (null mass in R)/(total mass in R); mFNR is the
 nonnull fraction of the complement.  Because every density involved is a
 finite Gaussian mixture, interval masses are computed in closed form from
-Gaussian distribution functions (error far below the 1e-8 relative
-tolerance the threshold searches assume).  The tests cross-check these
-masses against adaptive quadrature and Monte Carlo.
+Gaussian distribution functions.  The tests cross-check these masses
+against adaptive quadrature and Monte Carlo.
+
+The mFDR of a sublevel set is the mass-weighted mean of lfdr over it, so
+the optimal lfdr rule is the adaptive step-up (Sun & Cai 2007) applied to
+the known mixture: one lfdr profile on a scan grid, cells sorted by lfdr,
+the longest prefix whose cumulative null/total mass stays <= alpha, then a
+safeguarded Newton finish on lambda over the exact region masses.
+Sublevel-set boundaries are refined the same way, by Newton steps on
+log lfdr (whose z-derivative is closed form) kept inside their grid cell.
 """
 
 from __future__ import annotations
@@ -23,9 +30,16 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
-from .core_model import GaussianComponent, TwoGroupModel, gaussian_cdf, lfdr
+from .core_model import (
+    GaussianComponent,
+    TwoGroupModel,
+    _log_lfdr_slope,
+    gaussian_cdf,
+    gaussian_pdf,
+    lfdr,
+)
 from .errors import EmptyRegion, FullRegion, Infeasible
 
 __all__ = [
@@ -43,8 +57,14 @@ __all__ = [
 
 # Interval masses below this are treated as zero rejected mass.
 _MASS_FLOOR = 1e-300
-# Threshold searches refine to this absolute tolerance.
+# The p-value threshold search refines to this absolute tolerance.
 _SEARCH_TOL = 1e-9
+# Bracket widths at which the lfdr searches stop (sublevel-set boundaries
+# in z, and the lfdr cutoff lambda), and a cap on their steps; bisection
+# alone needs ~40 steps to reach either width.
+_EDGE_TOL = 1e-13
+_LAMBDA_TOL = 1e-12
+_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -108,29 +128,37 @@ class SweepRow:
     error: str | None = None
 
 
-def _component_mass(c: GaussianComponent, region: RejectionRegion) -> float:
-    s = 0.0
-    for lo, hi in region.intervals:
-        s += gaussian_cdf(hi, c) - gaussian_cdf(lo, c)
-    return s
+def _interval_masses(m: TwoGroupModel, lo, hi) -> np.ndarray:
+    """w_c * (mass of [lo_i, hi_i] under component c): one row per component
+    of positive weight, null first.  Intervals above a component's mean are
+    measured from its upper tail, so far-tail masses keep full relative
+    precision instead of cancelling in 1 - Phi."""
+    comps = [(w, c) for w, c in m.components if w > 0.0]
+    w = np.array([w for w, _ in comps])[:, None]
+    mean = np.array([c.mean for _, c in comps])[:, None]
+    sd = np.array([c.sd for _, c in comps])[:, None]
+    a = (np.asarray(lo, dtype=float) - mean) / sd
+    b = (np.asarray(hi, dtype=float) - mean) / sd
+    return w * np.where(a > 0.0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
 
 
-def _null_mass(m: TwoGroupModel, region: RejectionRegion) -> float:
-    return m.p0 * _component_mass(m.null, region)
-
-
-def _total_mass(m: TwoGroupModel, region: RejectionRegion) -> float:
-    return sum(w * _component_mass(c, region) for w, c in m.components if w > 0.0)
+def _region_masses(m: TwoGroupModel, region: RejectionRegion) -> tuple:
+    """(null mass, total mass) of ``region``."""
+    if region.is_empty:
+        return 0.0, 0.0
+    lo, hi = zip(*region.intervals)
+    per_component = _interval_masses(m, lo, hi).sum(axis=1)
+    return float(per_component[0]), float(per_component.sum())
 
 
 def mfdr_of_region(m: TwoGroupModel, r: RejectionRegion) -> float:
     """Marginal FDR of region ``r``: E(N10)/E(R) = null mass / total mass."""
     if r.is_empty:
         raise EmptyRegion("mFDR is undefined for an empty rejection region")
-    total = _total_mass(m, r)
+    null, total = _region_masses(m, r)
     if total < _MASS_FLOOR:
         raise EmptyRegion("rejection region carries no probability mass")
-    return _null_mass(m, r) / total
+    return null / total
 
 
 def mfnr_of_region(m: TwoGroupModel, r: RejectionRegion) -> float:
@@ -138,10 +166,10 @@ def mfnr_of_region(m: TwoGroupModel, r: RejectionRegion) -> float:
     comp = r.complement()
     if comp.is_empty:
         raise FullRegion("mFNR is undefined when everything is rejected")
-    total = _total_mass(m, comp)
+    null, total = _region_masses(m, comp)
     if total < _MASS_FLOOR:
         raise FullRegion("acceptance set carries no probability mass")
-    nonnull = total - _null_mass(m, comp)
+    nonnull = total - null
     return max(0.0, nonnull) / total
 
 
@@ -158,64 +186,90 @@ def region_from_pvalue_threshold(null: GaussianComponent, t: float) -> Rejection
     )
 
 
-def _scan_domain(m: TwoGroupModel) -> tuple:
+def _scan_grid(m: TwoGroupModel) -> np.ndarray:
+    """Grid over all component means +- 12 max sd, step min(0.01, min sd/10)."""
     means = [c.mean for _, c in m.components]
     sds = [c.sd for _, c in m.components]
-    pad = 12.0 * max(sds)
-    return min(means) - pad, max(means) + pad, min(sds)
+    lo, hi = min(means) - 12.0 * max(sds), max(means) + 12.0 * max(sds)
+    step = min(0.01, min(sds) / 10.0)
+    return np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1)
+
+
+def _bracketed_newton(fun, lo, hi, lo_low, tol):
+    """Shrink root brackets [lo, hi] of ``fun`` to width <= tol, elementwise.
+
+    ``fun(x)`` returns (g, dg/dx).  g <= 0 at ``lo`` where ``lo_low`` is
+    true, at ``hi`` elsewhere, and g > 0 at the other end.  A Newton step is
+    taken when it is at most half the step before last (as in Numerical
+    Recipes' rtsafe) and overshoots the bracket by at most half its own
+    length, otherwise the bracket is bisected.  Steps shorter than tol/2
+    are carried tol/2 further and every point is kept tol/4 inside the
+    bracket, so a root on a bracket end (a grid point whose lfdr equals the
+    cutoff) closes the bracket as fast as an interior one.  Returns the
+    final (lo, hi).
+    """
+    x = 0.5 * (lo + hi)
+    prev = older = hi - lo
+    for _ in range(_MAX_STEPS):
+        g, dg = fun(x)
+        to_lo = (g <= 0.0) == lo_low
+        lo = np.where(to_lo, x, lo)
+        hi = np.where(to_lo, hi, x)
+        if np.all(hi - lo <= tol):
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.divide(-g, dg)
+        newton = x + step
+        reach = 0.5 * np.abs(step)
+        ok = (lo - reach <= newton) & (newton <= hi + reach) & (np.abs(step) <= 0.5 * np.abs(older))
+        newton += np.where(np.abs(step) < 0.5 * tol, np.copysign(0.5 * tol, step), 0.0)
+        newton = np.clip(newton, lo + 0.25 * tol, hi - 0.25 * tol)
+        nxt = np.where(ok, newton, 0.5 * (lo + hi))
+        older, prev, x = prev, nxt - x, nxt
+    return lo, hi
+
+
+def _sublevel_region(m: TwoGroupModel, zs: np.ndarray, profile: np.ndarray,
+                     lam: float) -> RejectionRegion:
+    """{z : lfdr(m, z) <= lam} from the lfdr ``profile`` on the grid ``zs``.
+
+    Runs of grid points inside the set become intervals; each boundary is
+    refined inside its grid cell to within _EDGE_TOL, and a run reaching a
+    grid end extends to infinity.
+    """
+    inside = profile <= lam
+    if not inside.any():
+        return RejectionRegion(())
+    flips = np.diff(inside.astype(np.int8))
+    entries = np.flatnonzero(flips == 1)  # boundary in (zs[i], zs[i + 1]), zs[i] outside
+    exits = np.flatnonzero(flips == -1)  # boundary in (zs[i], zs[i + 1]), zs[i] inside
+    cells = np.concatenate([entries, exits])
+    log_lam = math.log(lam)
+
+    def level(z):
+        value, slope = _log_lfdr_slope(m, z)
+        return value - log_lam, slope
+
+    lo, hi = _bracketed_newton(level, zs[cells], zs[cells + 1],
+                               np.arange(cells.size) >= entries.size, _EDGE_TOL)
+    edges = (0.5 * (lo + hi)).tolist()
+    lefts = [-math.inf] * bool(inside[0]) + edges[: entries.size]
+    rights = edges[entries.size:] + [math.inf] * bool(inside[-1])
+    return RejectionRegion(tuple(zip(lefts, rights)))
 
 
 def region_from_lfdr_threshold(m: TwoGroupModel, lam: float) -> RejectionRegion:
     """Sublevel set {z : lfdr(m, z) <= lam} as a union of closed intervals.
 
     Boundaries are located by a sign-change scan on a grid covering all
-    component means plus 12 sd, then refined by bisection to |dz| <= 1e-9.
-    Grid ends whose lfdr is already below the threshold extend to infinity.
+    component means plus 12 sd, then refined inside their grid cell by
+    safeguarded Newton steps on log lfdr to |dz| <= 1e-13.  Grid ends whose
+    lfdr is already below the threshold extend to infinity.
     """
     if not (0.0 < lam < 1.0):
         raise ValueError(f"lfdr threshold must be in (0, 1), got {lam}")
-    lo, hi, min_sd = _scan_domain(m)
-    step = min(0.01, min_sd / 10.0)
-    n = int(math.ceil((hi - lo) / step)) + 1
-    zs = np.linspace(lo, hi, n)
-    inside = lfdr(m, zs) <= lam
-    if not inside.any():
-        return RejectionRegion(())
-
-    flips = np.diff(inside.astype(np.int8))
-    run_starts = np.nonzero(flips == 1)[0] + 1  # first index inside each run
-    run_ends = np.nonzero(flips == -1)[0] + 1  # first index past each run
-    starts = ([0] if inside[0] else []) + run_starts.tolist()
-    ends = run_ends.tolist() + ([n] if inside[-1] else [])
-
-    # refine every finite boundary at once; each bracket [a, b] has the
-    # membership flipping from out to in (entry) or in to out (exit)
-    brackets = []  # (a, b, a_is_inside)
-    for i0 in starts:
-        if i0 > 0:
-            brackets.append((zs[i0 - 1], zs[i0], False))
-    for i1 in ends:
-        if i1 < n:
-            brackets.append((zs[i1 - 1], zs[i1], True))
-    if brackets:
-        lo_end = np.array([br[0] for br in brackets])
-        hi_end = np.array([br[1] for br in brackets])
-        lo_is_inside = np.array([br[2] for br in brackets])
-        while float((hi_end - lo_end).max()) > _SEARCH_TOL:
-            mid = 0.5 * (lo_end + hi_end)
-            same_side = (lfdr(m, mid) <= lam) == lo_is_inside
-            lo_end = np.where(same_side, mid, lo_end)
-            hi_end = np.where(same_side, hi_end, mid)
-        edges = 0.5 * (lo_end + hi_end)
-    n_entry = sum(1 for i0 in starts if i0 > 0)
-    entry_iter = iter(edges[:n_entry] if brackets else [])
-    exit_iter = iter(edges[n_entry:] if brackets else [])
-    intervals = []
-    for i0, i1 in zip(starts, ends):
-        left = -math.inf if i0 == 0 else float(next(entry_iter))
-        right = math.inf if i1 == n else float(next(exit_iter))
-        intervals.append((left, right))
-    return RejectionRegion(tuple(intervals))
+    zs = _scan_grid(m)
+    return _sublevel_region(m, zs, lfdr(m, zs), lam)
 
 
 def _pvalue_grid_mfdr(m: TwoGroupModel, ts: np.ndarray) -> np.ndarray:
@@ -274,37 +328,76 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     )
 
 
+def _lfdr_excess(m: TwoGroupModel, region: RejectionRegion, lam: float, alpha: float) -> tuple:
+    """mFDR(region) - alpha and its derivative in lam, for region = R(lam).
+
+    A region without mass counts as feasible.  Moving the cutoff moves each
+    finite boundary b by dz/dlam = 1/|lfdr'(b)| and adds mass f(b) there, so
+    d mFDR/dlam = sum_b f(b)/|lfdr'(b)| * (lam - mFDR)/total.
+    """
+    null, total = _region_masses(m, region)
+    if total < _MASS_FLOOR:
+        return -alpha, 0.0
+    rate = null / total  # as mfdr_of_region computes it
+    ends = np.array([e for iv in region.intervals for e in iv if math.isfinite(e)])
+    _, slope = _log_lfdr_slope(m, ends)
+    density = m.p0 * gaussian_pdf(ends, m.null) / lam
+    growth = float(np.sum(density / (lam * np.abs(slope))))
+    return rate - alpha, growth * (lam - rate) / total
+
+
+def _lfdr_cutoff(m: TwoGroupModel, alpha: float, lam_hi: float) -> float:
+    """Largest lambda < lam_hi whose sublevel set keeps mFDR <= alpha,
+    given that lam_hi itself is infeasible; within _LAMBDA_TOL below the
+    root and feasible under the arithmetic of ``mfdr_of_region``."""
+    zs = _scan_grid(m)
+    profile = lfdr(m, zs)
+
+    def excess(lam):
+        return _lfdr_excess(m, _sublevel_region(m, zs, profile, lam), lam, alpha)
+
+    # step-up over the grid cells (midpoint to midpoint, open at the ends),
+    # ranked by lfdr and weighted by their closed-form masses
+    edges = np.concatenate(([-math.inf], 0.5 * (zs[1:] + zs[:-1]), [math.inf]))
+    masses = _interval_masses(m, edges[:-1], edges[1:])
+    order = np.argsort(profile, kind="stable")
+    passing = np.flatnonzero(np.cumsum(masses[0][order]) <= alpha * np.cumsum(masses.sum(axis=0)[order]))
+    k = int(passing[-1]) + 1 if passing.size else 0
+
+    # the prefix brackets lambda* between neighbouring ranked lfdr values;
+    # widen by doubling strides if a sign check fails (cells are not exact
+    # sublevel sets)
+    cuts = np.append(np.minimum(profile[order], lam_hi), lam_hi)
+    lo, stride = k - 1, 1
+    while lo >= 0 and excess(cuts[lo])[0] > 0.0:
+        lo, stride = lo - stride, 2 * stride
+    hi, stride = k, 1
+    while hi < zs.size and excess(cuts[hi])[0] <= 0.0:
+        hi, stride = min(hi + stride, zs.size), 2 * stride
+    lam_lo, _ = _bracketed_newton(excess, cuts[lo] if lo >= 0 else 0.0, cuts[hi], True, _LAMBDA_TOL)
+    return float(lam_lo)
+
+
 def oracle_lfdr_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     """Largest lfdr cutoff lambda with mFDR(region(lambda)) <= alpha.
 
     mFDR is nondecreasing in lambda (it averages lfdr over a growing
-    sublevel set), so plain bisection applies; empty regions count as
-    trivially feasible so the bracket stays monotone.
+    sublevel set), and equals the mass-weighted mean of lfdr there, so the
+    rule is a population step-up: lfdr is profiled once on the scan grid,
+    grid cells are ranked by lfdr, and the longest prefix whose cumulative
+    null mass stays <= alpha times its total mass brackets lambda between
+    two ranked values.  A safeguarded Newton search then closes that
+    bracket to 1e-12 on the exact sublevel-set masses and returns its
+    feasible end, so the reported mFDR is <= alpha exactly.  Empty regions
+    count as feasible; if even lambda = 1 - 1e-12 is feasible it is used.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-
-    def feasible(lam: float) -> bool:
-        region = region_from_lfdr_threshold(m, lam)
-        if region.is_empty:
-            return True
-        try:
-            return mfdr_of_region(m, region) <= alpha
-        except EmptyRegion:
-            return True
-
     lam_hi = 1.0 - 1e-12
-    if feasible(lam_hi):
+    if _lfdr_excess(m, region_from_lfdr_threshold(m, lam_hi), lam_hi, alpha)[0] <= 0.0:
         lam_star = lam_hi
     else:
-        a, b = 0.0, lam_hi
-        while b - a > _SEARCH_TOL:
-            c = 0.5 * (a + b)
-            if feasible(c):
-                a = c
-            else:
-                b = c
-        lam_star = a
+        lam_star = _lfdr_cutoff(m, alpha, lam_hi)
     region = region_from_lfdr_threshold(m, lam_star)
     if region.is_empty:
         raise Infeasible(
@@ -315,8 +408,6 @@ def oracle_lfdr_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
         rate = mfdr_of_region(m, region)
     except EmptyRegion:
         raise Infeasible(f"no lfdr region with positive mass attains mFDR <= {alpha}")
-    if rate > alpha + 1e-6:
-        raise Infeasible(f"no lfdr cutoff attains mFDR <= {alpha}; best is {rate:.6g}")
     return OracleRule(
         kind="lfdr",
         threshold=float(lam_star),

@@ -168,6 +168,15 @@ def estimated_lfdr_values(z, p0_hat: float, null: GaussianComponent, marginal) -
     return np.minimum(1.0, p0_hat * f0 / fhat)
 
 
+def _tail_p0(pvalues, rule: str) -> float:
+    """Tail p0 estimate for ``rule``; 0 (no p-value above 0.5) would make
+    adaptive BH undefined and every lfdr estimate 0, so it is refused."""
+    p0_hat = estimate_p0_tail(pvalues)
+    if p0_hat == 0.0:
+        raise DegenerateData(f"{rule}: tail p0 estimate is 0, no p-value above 0.5")
+    return p0_hat
+
+
 def decide(z, procedure: str, alpha: float, null: GaussianComponent | None) -> DecisionTable:
     """Run one data-driven procedure on z-values.
 
@@ -179,7 +188,8 @@ def decide(z, procedure: str, alpha: float, null: GaussianComponent | None) -> D
     ``estimated_lfdr_values`` (a single observation gets lfdr 1).
 
     Raises NotEnoughData and DegenerateCF from null estimation, and
-    DegenerateData when adaptive BH meets a tail p0 estimate of 0.
+    DegenerateData when adaptive BH or the lfdr rule meets a tail p0
+    estimate of 0.
     """
     if procedure not in ("bh", "adaptive_bh", "lfdr"):
         raise ValueError(f"procedure must be bh, adaptive_bh or lfdr, got {procedure!r}")
@@ -193,15 +203,13 @@ def decide(z, procedure: str, alpha: float, null: GaussianComponent | None) -> D
         if z.size == 1:
             return lfdr_stepup([1.0], alpha)
         if p0_hat is None:
-            p0_hat = estimate_p0_tail(two_sided_pvalue(z, null))
+            p0_hat = _tail_p0(two_sided_pvalue(z, null), "lfdr rule")
         return lfdr_stepup(estimated_lfdr_values(z, p0_hat, null, estimate_marginal_kde(z)), alpha)
     pvalues = two_sided_pvalue(z, null)
     if procedure == "bh":
         return bh_stepup(pvalues, alpha)
     if p0_hat is None:
-        p0_hat = estimate_p0_tail(pvalues)
-        if p0_hat == 0.0:
-            raise DegenerateData("adaptive BH: tail p0 estimate is 0, no p-value above 0.5")
+        p0_hat = _tail_p0(pvalues, "adaptive BH")
     return adaptive_bh(pvalues, alpha, p0_hat)
 
 

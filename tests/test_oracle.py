@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -260,3 +262,166 @@ class TestMonteCarloAgreement:
         fdp = float((inside & ~nonnull).sum()) / n_rej
         se = math.sqrt(fdp * (1 - fdp) / n_rej)
         assert abs(mfdr_of_region(m, r) - fdp) <= 3 * se
+
+
+# Reference: the lfdr rule as it was before the population step-up, a
+# 31-step bisection on lambda over regions whose boundaries are bisected
+# to 1e-9 on the same scan grid (region rates from the library's
+# mfdr_of_region and mfnr_of_region).
+def reference_region(m, lam):
+    means = [c.mean for _, c in m.components]
+    sds = [c.sd for _, c in m.components]
+    lo, hi = min(means) - 12.0 * max(sds), max(means) + 12.0 * max(sds)
+    step = min(0.01, min(sds) / 10.0)
+    n = int(math.ceil((hi - lo) / step)) + 1
+    zs = np.linspace(lo, hi, n)
+    inside = lfdr(m, zs) <= lam
+    if not inside.any():
+        return RejectionRegion(())
+    flips = np.diff(inside.astype(np.int8))
+    starts = ([0] if inside[0] else []) + (np.nonzero(flips == 1)[0] + 1).tolist()
+    ends = (np.nonzero(flips == -1)[0] + 1).tolist() + ([n] if inside[-1] else [])
+    brackets = [(zs[i0 - 1], zs[i0], False) for i0 in starts if i0 > 0]
+    brackets += [(zs[i1 - 1], zs[i1], True) for i1 in ends if i1 < n]
+    edges = []
+    if brackets:
+        a = np.array([br[0] for br in brackets])
+        b = np.array([br[1] for br in brackets])
+        a_inside = np.array([br[2] for br in brackets])
+        while float((b - a).max()) > 1e-9:
+            mid = 0.5 * (a + b)
+            same = (lfdr(m, mid) <= lam) == a_inside
+            a, b = np.where(same, mid, a), np.where(same, b, mid)
+        edges = (0.5 * (a + b)).tolist()
+    n_entry = sum(1 for i0 in starts if i0 > 0)
+    entry, exit_ = iter(edges[:n_entry]), iter(edges[n_entry:])
+    return RejectionRegion(tuple(
+        (-math.inf if i0 == 0 else next(entry), math.inf if i1 == n else next(exit_))
+        for i0, i1 in zip(starts, ends)
+    ))
+
+
+def reference_lfdr_rule(m, alpha):
+    """(lambda, mfdr, mfnr) of the bisection rule."""
+    def feasible(lam):
+        region = reference_region(m, lam)
+        try:
+            return region.is_empty or mfdr_of_region(m, region) <= alpha
+        except EmptyRegion:
+            return True
+
+    lam_hi = 1.0 - 1e-12
+    if feasible(lam_hi):
+        lam = lam_hi
+    else:
+        a, b = 0.0, lam_hi
+        while b - a > 1e-9:
+            c = 0.5 * (a + b)
+            a, b = (c, b) if feasible(c) else (a, c)
+        lam = a
+    region = reference_region(m, lam)
+    if region.is_empty:
+        raise Infeasible("empty")
+    return lam, mfdr_of_region(m, region), mfnr_of_region(m, region)
+
+
+def compare_with_reference(m, alpha):
+    """The step-up rule and the bisection reference on one model: both
+    infeasible, or cutoffs within 2e-9 with the step-up's mFDR <= alpha
+    and its boundaries on the cutoff's level set.  Returns (rule,
+    reference), or None when both are infeasible."""
+    try:
+        want = reference_lfdr_rule(m, alpha)
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            oracle_lfdr_rule(m, alpha)
+        return None
+    rule = oracle_lfdr_rule(m, alpha)
+    assert abs(rule.threshold - want[0]) <= 2e-9
+    assert rule.mfdr <= alpha
+    for lo, hi in rule.region.intervals:
+        for edge in (lo, hi):
+            if math.isfinite(edge):
+                assert abs(lfdr(m, edge) - rule.threshold) <= 1e-9
+    return rule, want
+
+
+P1_GRID = [round(0.01 * k, 2) for k in range(1, 20)]
+# the (model, alpha) pairs of figure 1 panels a-d and the figure-2 sweep
+FIGURE_MODELS = (
+    [(mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 3.0, 1.0)]), 0.10) for p1 in P1_GRID]
+    + [(mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 6.0, 1.0)]), 0.10) for p1 in P1_GRID]
+    + [(mixture_model(0.8, [(0.18, -3.0, 1.0), (0.02, mu2, 1.0)]), 0.10)
+       for mu2 in [1.0 + 0.25 * k for k in range(21)]]
+    + [(mixture_model(0.8, [(0.02, -3.0, 1.0), (0.18, 1.0, 1.0)]), a)
+       for a in [round(0.02 * k, 2) for k in range(1, 16)]]
+    + [(mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 4.0, 1.0)]), 0.10) for p1 in P1_GRID]
+)
+
+
+class TestStepUpMatchesBisection:
+    def test_figure_models(self):
+        for m, alpha in FIGURE_MODELS:
+            rule, want = compare_with_reference(m, alpha)
+            assert abs(rule.mfnr - want[2]) <= 1e-9
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        p0=st.floats(0.5, 0.97),
+        split=st.floats(0.0, 1.0),
+        means=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        sds=st.tuples(st.floats(0.3, 2.0), st.floats(0.3, 2.0)),
+        three=st.booleans(),
+        alpha=st.floats(0.02, 0.3),
+    )
+    def test_random_mixtures(self, p0, split, means, sds, three, alpha):
+        w = 1.0 - p0
+        if three:
+            comps = [(w * split, means[0], sds[0]), (w * (1.0 - split), means[1], sds[1])]
+        else:
+            comps = [(w, means[0], sds[0])]
+        m = mixture_model(p0, comps)
+        pair = compare_with_reference(m, alpha)
+        if pair is not None:
+            # The reference resolves lambda only to 1e-9, and where a region
+            # boundary sits on a flat stretch of lfdr, mFNR moves by up to
+            # ~100 per unit lambda; so mFNR is compared at the reference's
+            # own cutoff, which checks the region and rate computations.
+            want = pair[1]
+            region = region_from_lfdr_threshold(m, want[0])
+            assert abs(mfnr_of_region(m, region) - want[2]) <= 1e-9
+
+    # (nonnull sd, lambda, mFDR, mFNR, mFDR tolerance) of the bisection rule
+    # for mixture_model(0.9, [(0.1, 2.5, sd)]) at alpha 0.1.  The last two
+    # reach the 1 - 1e-12 cap with mFDR far below alpha; there the upper
+    # boundary sits where 1 - lfdr = 1e-12, which the bisection rule placed
+    # from exp(log ratio) rounded to 1e-16, i.e. to 1e-4 of 1 - lfdr, off by
+    # 2.7e-7 in z at sd = 0.01.  The step-up rule refines it from
+    # -log1p(odds) and lands within 2.3e-17 of the cap (40-digit check), so
+    # its capped mFDR differs from the bisection rule's by up to 3.3e-8.
+    @pytest.mark.parametrize("sd, lam, mfdr, mfnr, tol", [
+        (1.0, 0.28188758809091274, 0.09999999993901292, 0.05305792140625793, 1e-9),
+        (0.1, 0.9202848635604717, 0.09999999995642865, 0.00010880177976962027, 1e-9),
+        (0.01, 0.999999999999, 0.02517983576425374, 0.0, 5e-8),
+        (0.001, 0.999999999999, 0.002650392514798093, 0.0, 5e-8),
+    ])
+    def test_narrow_component(self, sd, lam, mfdr, mfnr, tol):
+        rule = oracle_lfdr_rule(mixture_model(0.9, [(0.1, 2.5, sd)]), 0.10)
+        assert abs(rule.threshold - lam) <= 2e-9
+        assert abs(rule.mfdr - mfdr) <= tol and rule.mfdr <= 0.10
+        assert abs(rule.mfnr - mfnr) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    points=st.lists(st.floats(-1e6, 1e6), unique=True, max_size=10),
+    from_minus_inf=st.booleans(),
+    to_plus_inf=st.booleans(),
+)
+@example(points=[], from_minus_inf=True, to_plus_inf=True)
+@example(points=[], from_minus_inf=False, to_plus_inf=False)
+def test_complement_is_an_involution(points, from_minus_inf, to_plus_inf):
+    ends = [-math.inf] * from_minus_inf + sorted(points) + [math.inf] * to_plus_inf
+    ends = ends[: len(ends) // 2 * 2]
+    region = RejectionRegion(tuple(zip(ends[::2], ends[1::2])))
+    assert region.complement().complement() == region

@@ -286,6 +286,12 @@ class TestDecide:
         with pytest.raises(DegenerateData, match="adaptive BH: tail p0 estimate is 0"):
             decide(z, "adaptive_bh", 0.1, STD)
 
+    def test_zero_tail_p0_is_degenerate_for_lfdr(self):
+        # the same condition would give every lfdr_hat the value 0 and
+        # reject everything
+        with pytest.raises(DegenerateData, match="lfdr rule: tail p0 estimate is 0"):
+            decide([3.0, -4.0, 5.0, 2.5], "lfdr", 0.1, STD)
+
 
 # Properties of the shared step-up kernel.  BH ranks p-values in (0, 1],
 # the lfdr rule ranks lfdr values in [0, 1].
