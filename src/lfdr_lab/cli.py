@@ -28,6 +28,7 @@ from .errors import (
     DegenerateCF,
     DegenerateData,
     DegenerateMarginal,
+    FullRegion,
     Infeasible,
     InvalidModel,
     LengthMismatch,
@@ -157,14 +158,13 @@ def decision_table_csv(z, table: DecisionTable) -> str:
     if len(z) != m:
         raise LengthMismatch(f"{len(z)} z-values for {m} decisions")
     columns = zip(
-        range(m),
+        map(str, range(m)),
         _csv_column(np.asarray(z, dtype=float), m),
         _csv_column(table.pvalue, m),
         _csv_column(table.lfdr_hat, m),
-        np.where(table.rejected, "true", "false").tolist(),
+        np.where(table.rejected, "true\n", "false\n").tolist(),
     )
-    rows = "".join(f"{i},{zi},{p},{lf},{r}\n" for i, zi, p, lf, r in columns)
-    return "index,z,pvalue,lfdr_hat,reject\n" + rows
+    return "index,z,pvalue,lfdr_hat,reject\n" + "".join(map(",".join, columns))
 
 
 def _write_output(text: str, out: str | None):
@@ -238,7 +238,7 @@ def cmd_oracle(args) -> int:
     for kind, solver in (("pvalue", oracle_pvalue_rule), ("lfdr", oracle_lfdr_rule)):
         try:
             rules[kind] = solver(model, args.alpha)
-        except Infeasible as exc:
+        except (Infeasible, FullRegion) as exc:
             rules[kind] = None
             notes[kind] = str(exc)
 

@@ -426,7 +426,8 @@ def oracle_sweep(
 
     ``alpha`` is either a fixed level or a callable mapping the sweep value
     to a level (used when the sweep is over alpha itself).  Infeasible grid
-    points are flagged in the row, not dropped.
+    points, and points whose feasible region is the whole line (mFNR
+    undefined, ``FullRegion``), are flagged in the row, not dropped.
     """
     if len(sweep) == 0:
         raise ValueError("sweep grid must be nonempty")
@@ -438,7 +439,7 @@ def oracle_sweep(
         try:
             p_rule = oracle_pvalue_rule(model, level)
             l_rule = oracle_lfdr_rule(model, level)
-        except Infeasible as exc:
+        except (Infeasible, FullRegion) as exc:
             rows.append(SweepRow(float(value), math.nan, math.nan, error=str(exc)))
             continue
         rows.append(SweepRow(float(value), p_rule.mfnr, l_rule.mfnr))

@@ -1,8 +1,8 @@
 """Data-driven multiple-testing procedures on observed z-values.
 
 Both data-driven rules are one step-up on one kernel, ``_stepup``: sort the
-ranked statistic on the stable (value, input index) order, find the last
-rank i whose per-rank test passes, and reject the i smallest.  The rules
+ranked statistic once by value, find the last rank i whose per-rank test
+passes, and reject the i smallest in (value, input index) order.  The rules
 differ only in that test:
 
 * Benjamini-Hochberg (1995) on p-values: p_(i) <= alpha * i / m; adaptive
@@ -11,11 +11,13 @@ differ only in that test:
   mean (1/i) * sum of the i smallest values <= alpha, which is the estimated
   false discovery rate of the rejected set.
 
-A tie block that straddles the boundary is split with lower input indices
-rejected first, so output is a deterministic function of the input
-sequence.  ``decide`` runs the whole data-driven chain (null, p-values, p0,
-kernel marginal, lfdr, step-up) for the CLI and the simulator; confusion
-counts and fdp/fnp evaluate decisions against known truth.
+Only the tie block at the cut needs the index order: every value below the
+cut is rejected, and a block of values equal to the cut that straddles the
+boundary is split with lower input indices rejected first, so output is a
+deterministic function of the input sequence.  ``decide`` runs the whole
+data-driven chain (null, p-values, p0, kernel marginal, lfdr, step-up) for
+the CLI and the simulator; confusion counts and fdp/fnp evaluate decisions
+against known truth.
 """
 
 from __future__ import annotations
@@ -93,16 +95,28 @@ def _check_alpha(alpha: float):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
+def _k_smallest(values: np.ndarray, s: np.ndarray, k: int) -> np.ndarray:
+    """Mask, in input order, of the k smallest values in (value, index)
+    order; ``s`` is ``np.sort(values)``.  Values below the cut s[k-1] are
+    all taken, and the tie block at the cut gives its lowest indices."""
+    if k == 0:
+        return np.zeros(values.size, dtype=bool)
+    cut = s[k - 1]
+    taken = values < cut
+    ties = np.flatnonzero(values == cut)
+    taken[ties[: k - np.count_nonzero(taken)]] = True
+    return taken
+
+
 def _stepup(values: np.ndarray, passes) -> tuple:
-    """Reject the k smallest values on the stable (value, index) order, k
-    being the last rank whose entry of ``passes(sorted values)`` is true;
-    returns (boolean mask in input order, k)."""
-    order = np.lexsort((np.arange(values.size), values))
-    ok = np.flatnonzero(passes(values[order]))
+    """Reject the k smallest values in (value, index) order, k being the
+    last rank whose entry of ``passes(sorted values)`` is true; returns
+    (boolean mask in input order, k).  One value sort suffices: the index
+    order only splits the tie block at the cut."""
+    s = np.sort(values)
+    ok = np.flatnonzero(passes(s))
     k = int(ok[-1]) + 1 if ok.size else 0
-    rejected = np.zeros(values.size, dtype=bool)
-    rejected[order[:k]] = True
-    return rejected, k
+    return _k_smallest(values, s, k), k
 
 
 def bh_stepup(pvalues, alpha: float) -> DecisionTable:
@@ -115,7 +129,7 @@ def bh_stepup(pvalues, alpha: float) -> DecisionTable:
     p = np.array(pvalues, dtype=float)
     if p.size == 0:
         raise InvalidPValue("empty p-value vector")
-    if np.any(~np.isfinite(p)) or np.any(p <= 0.0) or np.any(p > 1.0):
+    if not (p.min() > 0.0 and p.max() <= 1.0):  # false on nan
         raise InvalidPValue("p-values must lie in (0, 1]")
     rejected, k = _stepup(p, lambda s: s <= alpha * np.arange(1, s.size + 1) / s.size)
     return DecisionTable(rejected=rejected, k=k, pvalue=p)
@@ -145,7 +159,7 @@ def lfdr_stepup(lfdr_values, alpha: float) -> DecisionTable:
     v = np.array(lfdr_values, dtype=float)
     if v.size == 0:
         raise InvalidLfdr("empty lfdr vector")
-    if np.any(~np.isfinite(v)) or np.any(v < 0.0) or np.any(v > 1.0):
+    if not (v.min() >= 0.0 and v.max() <= 1.0):  # false on nan
         raise InvalidLfdr("lfdr values must lie in [0, 1]")
     rejected, k = _stepup(v, lambda s: np.cumsum(s) / np.arange(1, s.size + 1) <= alpha)
     return DecisionTable(rejected=rejected, k=k, lfdr_hat=v)
@@ -219,12 +233,10 @@ def confusion(decisions: DecisionTable, truth) -> ConfusionCounts:
     reject = decisions.rejected
     if truth.size != reject.size:
         raise LengthMismatch(f"{truth.size} truth flags for {reject.size} decisions")
-    return ConfusionCounts(
-        n00=int(np.sum(~truth & ~reject)),
-        n01=int(np.sum(truth & ~reject)),
-        n10=int(np.sum(~truth & reject)),
-        n11=int(np.sum(truth & reject)),
-    )
+    r = int(np.count_nonzero(reject))
+    t = int(np.count_nonzero(truth))
+    n11 = int(np.count_nonzero(truth & reject))
+    return ConfusionCounts(n00=truth.size - r - t + n11, n01=t - n11, n10=r - n11, n11=n11)
 
 
 def fdp_fnp(c: ConfusionCounts) -> tuple:

@@ -21,7 +21,7 @@ from scipy.special import ndtri
 
 from .core_model import TwoGroupModel, lfdr, mixture_model, two_sided_pvalue
 from .oracle import oracle_lfdr_rule, oracle_pvalue_rule, oracle_sweep
-from .procedures import confusion, decide, fdp_fnp, lfdr_stepup
+from .procedures import _k_smallest, confusion, decide, fdp_fnp, lfdr_stepup
 
 __all__ = [
     "PROCEDURES",
@@ -354,8 +354,8 @@ def concentrated_alternative_demo(p0: float = 0.9, seed: int = _DEMO_SEED) -> Co
     z, nonnull = sample_model(model, m, seed)
     pvalues = two_sided_pvalue(z, model.null)
     lfdr_values = lfdr(model, z)
-    by_p = np.lexsort((np.arange(m), pvalues))[:top]
-    by_l = np.lexsort((np.arange(m), lfdr_values))[:top]
+    by_p = _k_smallest(pvalues, np.sort(pvalues), top)
+    by_l = _k_smallest(lfdr_values, np.sort(lfdr_values), top)
     return ConcentratedDemo(
         m=m,
         top=top,

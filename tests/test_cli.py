@@ -231,6 +231,20 @@ class TestOracle:
         assert code == 0
         assert "infeasible" in capsys.readouterr().out
 
+    def test_whole_line_lfdr_region_reports_infeasible(self, tmp_path, capsys):
+        # the lfdr rule's feasible region is the whole line, where mFNR is
+        # undefined: reported as infeasible with the cause, not exit 4
+        code = run(["oracle", "--p0", "0.05", "--components", "0.95:0:2",
+                    "--alpha", "0.1", "--csv", tmp_path / "r.csv",
+                    "--manifest", tmp_path / "m.json"])
+        assert code == 0
+        report = capsys.readouterr().out
+        lfdr_part = report[report.index("lfdr oracle rule"):]
+        assert "infeasible: mFNR is undefined when everything is rejected" in lfdr_part
+        lines = (tmp_path / "r.csv").read_text().strip().split("\n")
+        assert lines[2] == "lfdr,,,,infeasible"
+        assert lines[1].startswith("pvalue,") and "infeasible" not in lines[1]
+
     def test_symmetric_model_equal_mfnr(self, tmp_path, capsys):
         code = run(["oracle", "--p0", "0.8", "--components", "0.1:-3:1,0.1:3:1",
                     "--alpha", "0.10", "--csv", tmp_path / "r.csv",

@@ -242,6 +242,19 @@ class TestOracleSweep:
         assert rows[0].error is None
         assert rows[1].error is not None and math.isnan(rows[1].mfnr_lfdr)
 
+    def test_full_region_rows_flagged_not_raised(self):
+        # p0 below alpha and a nonnull wider than the null in both tails:
+        # the feasible lfdr region is the whole line, so its mFNR is
+        # undefined; the row is flagged like an infeasible one
+        def model_for(v):
+            return mixture_model(v, [(1.0 - v, 0.0, 2.0)])
+
+        rows = oracle_sweep(model_for, [0.05, 0.5], 0.1)
+        assert [r.sweep for r in rows] == [0.05, 0.5]
+        assert "everything is rejected" in rows[0].error
+        assert math.isnan(rows[0].mfnr_pvalue) and math.isnan(rows[0].mfnr_lfdr)
+        assert rows[1].error is None and math.isfinite(rows[1].mfnr_lfdr)
+
     def test_alpha_callable(self):
         rows = oracle_sweep(lambda _: symmetric_model(0.1), [0.05, 0.2], lambda a: a)
         assert rows[0].mfnr_pvalue > rows[1].mfnr_pvalue  # looser level, fewer misses

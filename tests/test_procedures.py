@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from lfdr_lab import (
     ConfusionCounts,
+    DecisionTable,
     GaussianComponent,
     InvalidLfdr,
     InvalidPValue,
@@ -75,6 +76,11 @@ class TestBhStepup:
             bh_stepup([], 0.05)
         with pytest.raises(ValueError):
             bh_stepup([0.5], 1.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidPValue, match=r"p-values must lie in \(0, 1\]"):
+            bh_stepup([0.5, bad, 0.01], 0.05)
 
     def test_preserves_input_order(self):
         table = bh_stepup([0.9, 0.001, 0.2], 0.05)
@@ -175,6 +181,11 @@ class TestLfdrStepup:
             lfdr_stepup([0.5, 1.2], 0.1)
         with pytest.raises(InvalidLfdr):
             lfdr_stepup([], 0.1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidLfdr, match=r"lfdr values must lie in \[0, 1\]"):
+            lfdr_stepup([0.5, bad, 0.01], 0.1)
 
 
 class TestEstimatedLfdrValues:
@@ -357,3 +368,83 @@ def test_lfdr_stepup_running_mean_bound(v, alpha):
         assert v[table.rejected].mean() <= alpha + 1e-12
     running = np.cumsum(np.sort(v)) / np.arange(1, v.size + 1)
     assert np.all(running[table.k :] > alpha)
+
+
+def _reference_stepup(v, passes):
+    """Test-only reference kernel: the full (value, index) lexsort."""
+    order = np.lexsort((np.arange(v.size), v))
+    ok = np.flatnonzero(passes(v[order]))
+    k = int(ok[-1]) + 1 if ok.size else 0
+    rejected = np.zeros(v.size, dtype=bool)
+    rejected[order[:k]] = True
+    return k, rejected
+
+
+# values on a coarse lattice, so nearly every draw has exact ties; the lfdr
+# lattice holds both zeros, which compare equal
+EIGHTHS = st.integers(1, 8).map(lambda i: i / 8)
+LFDR_TIES = st.sampled_from([0.0, -0.0, 0.125, 0.25, 0.5, 1.0])
+REFERENCE_TESTS = {
+    "bh": (bh_stepup, EIGHTHS, lambda a: lambda s: s <= a * np.arange(1, s.size + 1) / s.size),
+    "lfdr": (lfdr_stepup, LFDR_TIES, lambda a: lambda s: np.cumsum(s) / np.arange(1, s.size + 1) <= a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TESTS))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), alpha=ALPHAS)
+def test_stepup_matches_lexsort_reference_on_ties(name, data, alpha):
+    stepup, values, test_for = REFERENCE_TESTS[name]
+    v = np.array(data.draw(st.lists(values, min_size=1, max_size=40)))
+    table = stepup(v, alpha)
+    k, rejected = _reference_stepup(v, test_for(alpha))
+    assert table.k == k
+    assert np.array_equal(table.rejected, rejected)
+
+
+@pytest.mark.parametrize(
+    "name, v, alpha, rejected",
+    [
+        # k = 0, with a tie block at the bottom
+        ("bh", [0.5, 0.625, 0.5, 1.0], 0.05, [0, 0, 0, 0]),
+        ("lfdr", [0.5, 0.25, 0.25], 0.1, [0, 0, 0]),
+        # k = m, all one tie block (signed zeros compare equal)
+        ("bh", [0.125, 0.125, 0.125], 0.2, [1, 1, 1]),
+        ("lfdr", [0.0, -0.0, 0.0], 0.05, [1, 1, 1]),
+        # running means 0, 0, 1/12, 1/8: the 0.25 block straddles k = 3
+        # and gives its lowest index
+        ("lfdr", [0.25, 0.0, 0.25, 0.25, 0.25, -0.0], 0.1, [1, 1, 0, 0, 0, 1]),
+        # a BH cut ends its tie block: once p <= alpha*i/m holds at one rank
+        # of a block, it holds at the block's later ranks
+        ("bh", [0.25, 0.125, 0.25, 0.25, 1.0, 0.125, 1.0, 1.0], 0.5, [1, 1, 1, 1, 0, 1, 0, 0]),
+    ],
+)
+def test_stepup_tie_cases(name, v, alpha, rejected):
+    stepup, _, test_for = REFERENCE_TESTS[name]
+    v = np.array(v)
+    table = stepup(v, alpha)
+    assert table.rejected.tolist() == [bool(r) for r in rejected]
+    assert table.k == sum(rejected)
+    assert _reference_stepup(v, test_for(alpha))[1].tolist() == table.rejected.tolist()
+
+
+def _masks(n):
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    return st.one_of(st.just([True] * n), st.just([False] * n), flags)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 50))
+def test_confusion_matches_four_sums(data, n):
+    truth = np.array(data.draw(_masks(n)))
+    reject = np.array(data.draw(_masks(n)))
+    c = confusion(DecisionTable(rejected=reject, k=int(reject.sum())), truth)
+    cells = (c.n00, c.n01, c.n10, c.n11)
+    assert cells == (
+        np.sum(~truth & ~reject),
+        np.sum(truth & ~reject),
+        np.sum(~truth & reject),
+        np.sum(truth & reject),
+    )
+    assert all(type(x) is int for x in cells)
+    assert sum(cells) == n
