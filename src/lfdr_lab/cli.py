@@ -186,8 +186,9 @@ _ANALYZE_PROCEDURES = {"bh": "bh", "abh": "adaptive_bh", "lfdr": "lfdr"}
 def cmd_analyze(args) -> int:
     z = read_z_file(args.input)
     null = GaussianComponent(0.0, 1.0) if args.null == "theoretical" else None
+    procedure = _ANALYZE_PROCEDURES[args.procedure]
     try:
-        table = decide(z, _ANALYZE_PROCEDURES[args.procedure], args.alpha, null)
+        table = decide(z, (procedure,), args.alpha, null)[procedure]
     except ValueError as exc:
         raise CliError(EXIT_PARAMS, str(exc))
 
@@ -436,40 +437,56 @@ def _default_manifest_path(command: str, primary_out: str | None) -> str:
     return f"{command.replace('-', '_')}_manifest.json"
 
 
+def _manifest_entry(entries, key, name: str):
+    """``entries[key]``, where ``entries`` is the manifest's ``name``; a
+    missing entry is an input error naming it."""
+    try:
+        return entries[key]
+    except (KeyError, IndexError):
+        raise CliError(EXIT_INPUT, f"manifest {name!r} has no entry {key!r}")
+
+
 def cmd_replay(args) -> int:
     try:
         data = json.loads(Path(args.manifest_file).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(EXIT_INPUT, f"cannot load manifest: {exc}")
+    if not isinstance(data, dict):
+        raise CliError(EXIT_INPUT, f"manifest must be a JSON object, got {type(data).__name__}")
     command = data.get("command")
     params = data.get("parameters", {})
     inputs = data.get("inputs", [])
     outputs = data.get("outputs", [])
+    if not isinstance(params, dict):
+        raise CliError(EXIT_INPUT, "manifest 'parameters' must be a JSON object")
+    for key, paths in (("inputs", inputs), ("outputs", outputs)):
+        if not (isinstance(paths, list) and all(isinstance(path, str) for path in paths)):
+            raise CliError(EXIT_INPUT, f"manifest {key!r} must be a list of paths")
     if command == "analyze":
-        argv = [
-            "analyze", inputs[0],
-            "--alpha", str(params["alpha"]),
-            "--procedure", params["procedure"],
-            "--null", params["null"],
-        ]
+        argv = ["analyze", _manifest_entry(inputs, 0, "inputs")]
+        for key in ("alpha", "procedure", "null"):
+            argv += [f"--{key}", str(_manifest_entry(params, key, "parameters"))]
         if outputs:
             argv += ["--out", outputs[0]]
         argv += ["--manifest", args.manifest_file]
     elif command == "oracle":
-        argv = ["oracle", "--p0", str(params["p0"]), "--alpha", str(params["alpha"])]
+        argv = ["oracle"]
+        for key in ("p0", "alpha"):
+            argv += [f"--{key}", str(_manifest_entry(params, key, "parameters"))]
         if params.get("components"):
-            argv += ["--components", params["components"]]
+            argv += ["--components", str(params["components"])]
         if outputs:
             argv += ["--csv", outputs[0]]
         argv += ["--manifest", args.manifest_file]
     elif command == "simulate":
+        config = _manifest_entry(params, "config", "parameters")
         # rebuild the normalized config next to the manifest
         cfg_path = Path(args.manifest_file).with_suffix(".replay.json")
-        cfg_path.write_text(json.dumps(params["config"], sort_keys=True))
+        cfg_path.write_text(json.dumps(config, sort_keys=True))
         outdir = str(Path(outputs[0]).parent) if outputs else str(Path(args.manifest_file).parent)
         argv = ["simulate", "--config", str(cfg_path), "--out", outdir]
     elif command == "estimate-null":
-        argv = ["estimate-null", inputs[0], "--manifest", args.manifest_file]
+        argv = ["estimate-null", _manifest_entry(inputs, 0, "inputs"), "--manifest", args.manifest_file]
     else:
         raise CliError(EXIT_INPUT, f"manifest has unknown command {command!r}")
     return main(argv)

@@ -15,9 +15,9 @@ Only the tie block at the cut needs the index order: every value below the
 cut is rejected, and a block of values equal to the cut that straddles the
 boundary is split with lower input indices rejected first, so output is a
 deterministic function of the input sequence.  ``decide`` runs the whole
-data-driven chain (null, p-values, p0, kernel marginal, lfdr, step-up) for
-the CLI and the simulator; confusion counts and fdp/fnp evaluate decisions
-against known truth.
+data-driven chain (null, p-values, p0, kernel marginal, lfdr, step-up)
+once for all the rules the CLI or the simulator asks for; confusion
+counts and fdp/fnp evaluate decisions against known truth.
 """
 
 from __future__ import annotations
@@ -182,49 +182,52 @@ def estimated_lfdr_values(z, p0_hat: float, null: GaussianComponent, marginal) -
     return np.minimum(1.0, p0_hat * f0 / fhat)
 
 
-def _tail_p0(pvalues, rule: str) -> float:
-    """Tail p0 estimate for ``rule``; 0 (no p-value above 0.5) would make
-    adaptive BH undefined and every lfdr estimate 0, so it is refused."""
-    p0_hat = estimate_p0_tail(pvalues)
-    if p0_hat == 0.0:
-        raise DegenerateData(f"{rule}: tail p0 estimate is 0, no p-value above 0.5")
-    return p0_hat
+def decide(z, procedures: tuple, alpha: float, null: GaussianComponent | None) -> dict:
+    """Run data-driven procedures on one vector of z-values.
 
-
-def decide(z, procedure: str, alpha: float, null: GaussianComponent | None) -> DecisionTable:
-    """Run one data-driven procedure on z-values.
-
-    ``procedure`` is ``bh``, ``adaptive_bh`` or ``lfdr``.  ``null`` is a
+    ``procedures`` is a tuple of ``bh``, ``adaptive_bh`` and ``lfdr``;
+    returns ``{procedure: DecisionTable}`` in that order.  ``null`` is a
     known null component, or None to estimate (p0, u0, sigma0) by the ECF
     method.  p-values are two-sided under that null; p0 is the ECF estimate
     when the null is estimated and the tail estimate otherwise; the lfdr
     rule plugs p0, the null and a kernel marginal into
-    ``estimated_lfdr_values`` (a single observation gets lfdr 1).
+    ``estimated_lfdr_values`` (a single observation gets lfdr 1).  Each
+    piece is computed once, and only if a requested procedure needs it.
 
     Raises NotEnoughData and DegenerateCF from null estimation, and
-    DegenerateData when adaptive BH or the lfdr rule meets a tail p0
-    estimate of 0.
+    DegenerateData, naming the first requested rule that needs p0, when
+    the tail p0 estimate is 0.
     """
-    if procedure not in ("bh", "adaptive_bh", "lfdr"):
-        raise ValueError(f"procedure must be bh, adaptive_bh or lfdr, got {procedure!r}")
+    if not procedures or not set(procedures) <= {"bh", "adaptive_bh", "lfdr"}:
+        raise ValueError(f"procedures must be a tuple of bh, adaptive_bh, lfdr; got {procedures!r}")
     _check_alpha(alpha)
     z = np.asarray(z, dtype=float)
     p0_hat = None
     if null is None:
         est = estimate_null_ecf(z)
         p0_hat, null = est.p0_hat, GaussianComponent(est.u0_hat, est.sigma0_hat)
-    if procedure == "lfdr":
-        if z.size == 1:
-            return lfdr_stepup([1.0], alpha)
-        if p0_hat is None:
-            p0_hat = _tail_p0(two_sided_pvalue(z, null), "lfdr rule")
-        return lfdr_stepup(estimated_lfdr_values(z, p0_hat, null, estimate_marginal_kde(z)), alpha)
-    pvalues = two_sided_pvalue(z, null)
-    if procedure == "bh":
-        return bh_stepup(pvalues, alpha)
-    if p0_hat is None:
-        p0_hat = _tail_p0(pvalues, "adaptive BH")
-    return adaptive_bh(pvalues, alpha, p0_hat)
+    # a single observation gets lfdr 1 without p0
+    p0_users = [p for p in procedures if p == "adaptive_bh" or (p == "lfdr" and z.size > 1)]
+    pvalues = None
+    if "bh" in procedures or "adaptive_bh" in procedures or (p0_hat is None and p0_users):
+        pvalues = two_sided_pvalue(z, null)
+    if p0_hat is None and p0_users:
+        p0_hat = estimate_p0_tail(pvalues)
+        if p0_hat == 0.0:  # adaptive BH would be undefined and every lfdr estimate 0
+            rule = "adaptive BH" if p0_users[0] == "adaptive_bh" else "lfdr rule"
+            raise DegenerateData(f"{rule}: tail p0 estimate is 0, no p-value above 0.5")
+    tables = {}
+    for procedure in dict.fromkeys(procedures):
+        if procedure == "bh":
+            tables[procedure] = bh_stepup(pvalues, alpha)
+        elif procedure == "adaptive_bh":
+            tables[procedure] = adaptive_bh(pvalues, alpha, p0_hat)
+        elif z.size == 1:
+            tables[procedure] = lfdr_stepup([1.0], alpha)
+        else:
+            lfdr_hat = estimated_lfdr_values(z, p0_hat, null, estimate_marginal_kde(z))
+            tables[procedure] = lfdr_stepup(lfdr_hat, alpha)
+    return tables
 
 
 def confusion(decisions: DecisionTable, truth) -> ConfusionCounts:

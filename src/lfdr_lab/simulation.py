@@ -4,16 +4,13 @@ procedure evaluation, including the oracle-comparison figure data.
 Reproducibility contract: every normal variate is produced by inverse-CDF
 transform of uniforms from a PCG64 stream, and per-replication seeds derive
 from (master seed, replication index) via the SplitMix64 mixing function, so
-results are bit-identical for a given config regardless of how many worker
-threads run the replications.
+results are bit-identical for a given config.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +75,8 @@ class SimConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not (0.0 <= self.rho < 1.0):
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
+        if not self.procedures:
+            raise ValueError("procedures must name at least one procedure")
         unknown = set(self.procedures) - set(PROCEDURES)
         if unknown:
             raise ValueError(f"unknown procedures: {sorted(unknown)}")
@@ -158,43 +157,23 @@ def sample_correlated(model: TwoGroupModel, m: int, rho: float, seed: int):
     return z, comp > 0
 
 
-def _run_one(config: SimConfig, rep: int) -> dict:
-    z, nonnull = sample_correlated(config.model, config.m, config.rho, rep_seed(config.seed, rep))
-    out = {}
-    for proc in config.procedures:
-        if proc == "lfdr_oracle_plugin":
-            table = lfdr_stepup(lfdr(config.model, z), config.alpha)
-        elif proc == "lfdr_estimated":
-            table = decide(z, "lfdr", config.alpha, None)
-        else:  # bh, adaptive_bh under the model's known null
-            table = decide(z, proc, config.alpha, config.model.null)
-        fdp, fnp = fdp_fnp(confusion(table, nonnull))
-        out[proc] = (fdp, fnp, table.k)
-    return out
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("LFDR_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_replicated(config: SimConfig) -> SimResult:
-    """Evaluate the configured procedures over seeded replications.
-
-    A failed replication aborts the whole run with its cause.  Replications
-    are independent work units; with LFDR_LAB_THREADS > 1 they run on a
-    thread pool, and aggregation by replication index keeps the result
-    identical to sequential execution.
-    """
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda r: _run_one(config, r), range(config.reps)))
-    else:
-        results = [_run_one(config, rep) for rep in range(config.reps)]
+    """Evaluate the configured procedures over seeded replications, in
+    replication index order; a failed replication aborts the run with its
+    cause."""
+    known = tuple(p for p in config.procedures if p in ("bh", "adaptive_bh"))
+    outcomes = {proc: [] for proc in config.procedures}  # (fdp, fnp, k) per replication
+    for rep in range(config.reps):
+        z, nonnull = sample_correlated(config.model, config.m, config.rho, rep_seed(config.seed, rep))
+        tables = decide(z, known, config.alpha, config.model.null) if known else {}
+        for proc in outcomes:
+            if proc == "lfdr_oracle_plugin":
+                table = lfdr_stepup(lfdr(config.model, z), config.alpha)
+            elif proc == "lfdr_estimated":
+                table = decide(z, ("lfdr",), config.alpha, None)["lfdr"]
+            else:
+                table = tables[proc]
+            outcomes[proc].append((*fdp_fnp(confusion(table, nonnull)), table.k))
 
     def std_err(x: np.ndarray) -> float:
         if config.reps < 2:
@@ -202,10 +181,8 @@ def run_replicated(config: SimConfig) -> SimResult:
         return float(np.std(x, ddof=1) / math.sqrt(config.reps))
 
     per_procedure = {}
-    for proc in config.procedures:
-        fdps = np.array([res[proc][0] for res in results])
-        fnps = np.array([res[proc][1] for res in results])
-        ks = np.array([res[proc][2] for res in results], dtype=float)
+    for proc, rows in outcomes.items():
+        fdps, fnps, ks = np.array(rows, dtype=float).T
         per_procedure[proc] = ProcedureStats(
             mfdr=float(fdps.mean()),
             mfdr_se=std_err(fdps),

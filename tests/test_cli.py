@@ -331,6 +331,17 @@ class TestSimulate:
         cfg.write_text(json.dumps({"p0": 0.8}))
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
+    def test_empty_procedures_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "p0": 0.8, "components": "0.2:4:1", "m": 100, "reps": 2,
+            "alpha": 0.1, "seed": 1, "procedures": [],
+        }))
+        outdir = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", outdir]) == 2
+        assert "at least one procedure" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_failed_run_removes_partial_outputs(self, tmp_path):
         # lfdr_estimated needs m >= 100; the run aborts and leaves no CSV
         cfg = tmp_path / "cfg.json"
@@ -368,6 +379,25 @@ class TestSimulate:
         (outdir / "replication.csv").unlink()
         assert run(["replay", outdir / "manifest.json"]) == 0
         assert (outdir / "replication.csv").read_bytes() == first
+
+
+class TestReplay:
+    @pytest.mark.parametrize("manifest, names", [
+        ({"command": "analyze"}, "'inputs' has no entry 0"),
+        ({"command": "analyze", "inputs": ["z.txt"], "parameters": {"alpha": 0.1}},
+         "'parameters' has no entry 'procedure'"),
+        ([], "must be a JSON object, got list"),
+        ({"command": "estimate-null", "inputs": []}, "'inputs' has no entry 0"),
+        ({"command": "estimate-null", "inputs": "z.txt"}, "'inputs' must be a list"),
+        ({"command": "oracle", "parameters": [0.8]}, "'parameters' must be a JSON object"),
+        ({"command": "simulate"}, "'parameters' has no entry 'config'"),
+    ], ids=["analyze-no-inputs", "analyze-no-procedure", "list", "estimate-null-empty-inputs",
+            "string-inputs", "list-parameters", "simulate-no-config"])
+    def test_malformed_manifest_is_input_error(self, tmp_path, capsys, manifest, names):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        assert run(["replay", path]) == 2
+        assert names in capsys.readouterr().err
 
 
 class TestEstimateNull:

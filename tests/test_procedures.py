@@ -25,6 +25,7 @@ from lfdr_lab import (
     sample_model,
     two_sided_pvalue,
 )
+from lfdr_lab import procedures as procedures_module
 from lfdr_lab.errors import DegenerateData, DegenerateMarginal
 
 
@@ -285,23 +286,101 @@ class TestFdpFnp:
         assert fdp_fnp(ConfusionCounts(0, 0, 2, 2))[1] == 0.0
 
 
+DECIDE_PROCEDURES = ("bh", "adaptive_bh", "lfdr")
+DECIDE_SUBSETS = [
+    tuple(p for bit, p in enumerate(DECIDE_PROCEDURES) if mask >> bit & 1)
+    for mask in range(1, 2 ** len(DECIDE_PROCEDURES))
+]
+
+
+@pytest.fixture(scope="module")
+def eq1_z():
+    model = mixture_model(0.8, [(0.1, -3.0, 1.0), (0.1, 3.0, 1.0)])
+    z, _ = sample_model(model, 2_000, 31)
+    return z
+
+
 class TestDecide:
     def test_unknown_procedure(self):
         with pytest.raises(ValueError):
             decide([0.5, 1.0], "abh", 0.1, STD)
+
+    @pytest.mark.parametrize("procedures", ["bh", "lfdr", (), ("bh", "abh"), ["lfdr", "oracle"]])
+    def test_rejects_bad_procedures(self, procedures):
+        with pytest.raises(ValueError, match="procedures must be"):
+            decide([0.5, 1.0, -0.3], procedures, 0.1, STD)
+
+    @pytest.mark.parametrize("null", [STD, None], ids=["known", "estimated"])
+    @pytest.mark.parametrize("procedures", DECIDE_SUBSETS, ids="+".join)
+    def test_shared_evidence_matches_single_calls(self, eq1_z, procedures, null):
+        tables = decide(eq1_z, procedures, 0.1, null)
+        assert tuple(tables) == procedures
+        for procedure, table in tables.items():
+            alone = decide(eq1_z, (procedure,), 0.1, null)[procedure]
+            assert table.k == alone.k
+            assert np.array_equal(table.rejected, alone.rejected)
+            for name in ("pvalue", "lfdr_hat"):
+                got, want = getattr(table, name), getattr(alone, name)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("null", [STD, None], ids=["known", "estimated"])
+    def test_evidence_computed_at_most_once(self, eq1_z, null, monkeypatch):
+        calls = {}
+
+        def counted(name):
+            original = getattr(procedures_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(procedures_module, name, wrapper)
+
+        for name in ("two_sided_pvalue", "estimate_p0_tail", "estimate_null_ecf",
+                     "estimate_marginal_kde"):
+            counted(name)
+        for subset in DECIDE_SUBSETS:
+            calls.clear()
+            decide(eq1_z, subset + subset, 0.1, null)
+            assert calls and max(calls.values()) == 1, (subset, calls)
+        # with a known null bh, adaptive BH and the lfdr rule share one
+        # p-value vector and one tail p0
+        calls.clear()
+        decide(eq1_z, DECIDE_PROCEDURES, 0.1, null)
+        expected = {"two_sided_pvalue": 1, "estimate_marginal_kde": 1}
+        expected.update({"estimate_p0_tail": 1} if null is STD else {"estimate_null_ecf": 1})
+        assert calls == expected
+
+    def test_single_observation_lfdr_skips_tail_p0(self):
+        # the tail p0 of [3.0] under N(0, 1) is 0, but one observation gets
+        # lfdr 1 before any p0 is needed
+        tables = decide([3.0], ("lfdr",), 0.1, STD)
+        assert tables["lfdr"].k == 0
+        assert tables["lfdr"].lfdr_hat.tolist() == [1.0]
+        with pytest.raises(DegenerateData, match="adaptive BH: tail p0 estimate is 0"):
+            decide([3.0], ("lfdr", "adaptive_bh"), 0.1, STD)
 
     def test_zero_tail_p0_is_degenerate_for_adaptive_bh(self):
         # no p-value above 0.5, so the tail p0 estimate is 0
         z = [3.0, -4.0, 5.0, 2.5]
         assert estimate_p0_tail(two_sided_pvalue(np.array(z), STD)) == 0.0
         with pytest.raises(DegenerateData, match="adaptive BH: tail p0 estimate is 0"):
-            decide(z, "adaptive_bh", 0.1, STD)
+            decide(z, ("adaptive_bh",), 0.1, STD)["adaptive_bh"]
 
     def test_zero_tail_p0_is_degenerate_for_lfdr(self):
         # the same condition would give every lfdr_hat the value 0 and
         # reject everything
         with pytest.raises(DegenerateData, match="lfdr rule: tail p0 estimate is 0"):
-            decide([3.0, -4.0, 5.0, 2.5], "lfdr", 0.1, STD)
+            decide([3.0, -4.0, 5.0, 2.5], ("lfdr",), 0.1, STD)["lfdr"]
+
+    def test_zero_tail_p0_names_first_rule_that_needs_it(self):
+        z = [3.0, -4.0, 5.0, 2.5]
+        with pytest.raises(DegenerateData, match="lfdr rule: tail p0 estimate is 0"):
+            decide(z, ("bh", "lfdr", "adaptive_bh"), 0.1, STD)
+        with pytest.raises(DegenerateData, match="adaptive BH: tail p0 estimate is 0"):
+            decide(z, ("adaptive_bh", "lfdr"), 0.1, STD)
 
 
 # Properties of the shared step-up kernel.  BH ranks p-values in (0, 1],

@@ -172,6 +172,8 @@ class TestRunReplicated:
             SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, rho=1.0)
         with pytest.raises(ValueError):
             SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, procedures=("nope",))
+        with pytest.raises(ValueError, match="at least one procedure"):
+            SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, procedures=())
 
     def test_csv_rendering(self):
         config = SimConfig(
