@@ -14,13 +14,20 @@ finite Gaussian mixture, interval masses are computed in closed form from
 Gaussian distribution functions.  The tests cross-check these masses
 against adaptive quadrature and Monte Carlo.
 
+The p-value rule bisects to 1e-9 above the largest feasible point of a log
+grid in t, scanned top down in chunks; a chunk is evaluated only if its
+bound (first null mass <= alpha times last total mass) admits it.  The
+bisection, not a Newton finish, ends the search because its feasible end
+is the rule's result: closing onto the root moves figure mFNRs by 5e-9.
+
 The mFDR of a sublevel set is the mass-weighted mean of lfdr over it, so
 the optimal lfdr rule is the adaptive step-up (Sun & Cai 2007) applied to
-the known mixture: one lfdr profile on a scan grid, cells sorted by lfdr,
-the longest prefix whose cumulative null/total mass stays <= alpha, then a
-safeguarded Newton finish on lambda over the exact region masses.
-Sublevel-set boundaries are refined the same way, by Newton steps on
-log lfdr (whose z-derivative is closed form) kept inside their grid cell.
+the known mixture: one scan grid, lfdr and density profile and component
+table per rule, grid points sorted by lfdr, the longest prefix whose
+cumulative null/total density stays <= alpha, then a safeguarded Newton
+finish on lambda over the exact region masses.  Sublevel-set boundaries
+are refined the same way, by Newton steps on log lfdr (whose z-derivative
+is closed form) kept inside their grid cell.
 """
 
 from __future__ import annotations
@@ -33,12 +40,13 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .core_model import (
+    _LOG_SQRT_2PI,
     GaussianComponent,
     TwoGroupModel,
-    _log_lfdr_slope,
-    gaussian_cdf,
+    _logsumexp,
     gaussian_pdf,
     lfdr,
+    marginal_density,
 )
 from .errors import EmptyRegion, FullRegion, Infeasible
 
@@ -57,8 +65,10 @@ __all__ = [
 
 # Interval masses below this are treated as zero rejected mass.
 _MASS_FLOOR = 1e-300
-# The p-value threshold search refines to this absolute tolerance.
+# The p-value threshold search scans its grid in chunks of _CHUNK points
+# and refines to this absolute tolerance.
 _SEARCH_TOL = 1e-9
+_CHUNK = 64
 # Bracket widths at which the lfdr searches stop (sublevel-set boundaries
 # in z, and the lfdr cutoff lambda), and a cap on their steps; bisection
 # alone needs ~40 steps to reach either width.
@@ -128,26 +138,30 @@ class SweepRow:
     error: str | None = None
 
 
-def _interval_masses(m: TwoGroupModel, lo, hi) -> np.ndarray:
-    """w_c * (mass of [lo_i, hi_i] under component c): one row per component
-    of positive weight, null first.  Intervals above a component's mean are
-    measured from its upper tail, so far-tail masses keep full relative
-    precision instead of cancelling in 1 - Phi."""
-    comps = [(w, c) for w, c in m.components if w > 0.0]
-    w = np.array([w for w, _ in comps])[:, None]
-    mean = np.array([c.mean for _, c in comps])[:, None]
-    sd = np.array([c.sd for _, c in comps])[:, None]
+def _components(m: TwoGroupModel) -> np.ndarray:
+    """Rows (w, mean, sd, log w, log sd) over the components of positive
+    weight, null first, each a (C, 1) column that broadcasts over z."""
+    return np.array([(w, c.mean, c.sd, math.log(w), math.log(c.sd))
+                     for w, c in m.components if w > 0.0]).T[:, :, None]
+
+
+def _interval_masses(comps: np.ndarray, lo, hi) -> np.ndarray:
+    """w_c * (mass of [lo_i, hi_i] under component c): one row per
+    component of ``comps`` (see ``_components``).  Intervals above a
+    component's mean are measured from its upper tail, so far-tail masses
+    keep full relative precision instead of cancelling in 1 - Phi."""
+    w, mean, sd = comps[:3]
     a = (np.asarray(lo, dtype=float) - mean) / sd
     b = (np.asarray(hi, dtype=float) - mean) / sd
     return w * np.where(a > 0.0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
 
 
-def _region_masses(m: TwoGroupModel, region: RejectionRegion) -> tuple:
+def _region_masses(comps: np.ndarray, region: RejectionRegion) -> tuple:
     """(null mass, total mass) of ``region``."""
     if region.is_empty:
         return 0.0, 0.0
     lo, hi = zip(*region.intervals)
-    per_component = _interval_masses(m, lo, hi).sum(axis=1)
+    per_component = _interval_masses(comps, lo, hi).sum(axis=1)
     return float(per_component[0]), float(per_component.sum())
 
 
@@ -155,7 +169,7 @@ def mfdr_of_region(m: TwoGroupModel, r: RejectionRegion) -> float:
     """Marginal FDR of region ``r``: E(N10)/E(R) = null mass / total mass."""
     if r.is_empty:
         raise EmptyRegion("mFDR is undefined for an empty rejection region")
-    null, total = _region_masses(m, r)
+    null, total = _region_masses(_components(m), r)
     if total < _MASS_FLOOR:
         raise EmptyRegion("rejection region carries no probability mass")
     return null / total
@@ -166,7 +180,7 @@ def mfnr_of_region(m: TwoGroupModel, r: RejectionRegion) -> float:
     comp = r.complement()
     if comp.is_empty:
         raise FullRegion("mFNR is undefined when everything is rejected")
-    null, total = _region_masses(m, comp)
+    null, total = _region_masses(_components(m), comp)
     if total < _MASS_FLOOR:
         raise FullRegion("acceptance set carries no probability mass")
     nonnull = total - null
@@ -229,9 +243,28 @@ def _bracketed_newton(fun, lo, hi, lo_low, tol):
     return lo, hi
 
 
-def _sublevel_region(m: TwoGroupModel, zs: np.ndarray, profile: np.ndarray,
+def _log_lfdr_slope(comps: np.ndarray, z):
+    """log lfdr(z) and its derivative in z for the mixture ``comps``.
+
+    Computed as -log(1 + odds) with odds = sum_c w_c f_c(z) / (p0 f0(z))
+    over the nonnull components, which keeps relative precision where lfdr
+    is near 1.  With posterior weights pi_c(z) = w_c f_c(z)/f(z) and scores
+    s_c(z) = (u_c - z)/s_c^2, d log lfdr/dz = -sum_c pi_c(z) (s_c - s_null).
+    """
+    _, mean, sd, log_w, log_sd = comps
+    z = np.asarray(z, dtype=float)
+    u = (z - mean) / sd
+    logs = log_w + (-0.5 * u * u - log_sd - _LOG_SQRT_2PI)
+    log_odds = logs[1:] - logs[0]  # per nonnull component
+    log_lfdr = -np.logaddexp(0.0, _logsumexp(log_odds))
+    scores = (mean - z) / (sd * sd)
+    posterior = np.exp(log_odds + log_lfdr)
+    return log_lfdr, -(posterior * (scores[1:] - scores[0])).sum(axis=0)
+
+
+def _sublevel_region(comps: np.ndarray, zs: np.ndarray, profile: np.ndarray,
                      lam: float) -> RejectionRegion:
-    """{z : lfdr(m, z) <= lam} from the lfdr ``profile`` on the grid ``zs``.
+    """{z : lfdr(z) <= lam} from the lfdr ``profile`` on the grid ``zs``.
 
     Runs of grid points inside the set become intervals; each boundary is
     refined inside its grid cell to within _EDGE_TOL, and a run reaching a
@@ -247,7 +280,7 @@ def _sublevel_region(m: TwoGroupModel, zs: np.ndarray, profile: np.ndarray,
     log_lam = math.log(lam)
 
     def level(z):
-        value, slope = _log_lfdr_slope(m, z)
+        value, slope = _log_lfdr_slope(comps, z)
         return value - log_lam, slope
 
     lo, hi = _bracketed_newton(level, zs[cells], zs[cells + 1],
@@ -269,55 +302,56 @@ def region_from_lfdr_threshold(m: TwoGroupModel, lam: float) -> RejectionRegion:
     if not (0.0 < lam < 1.0):
         raise ValueError(f"lfdr threshold must be in (0, 1), got {lam}")
     zs = _scan_grid(m)
-    return _sublevel_region(m, zs, lfdr(m, zs), lam)
-
-
-def _pvalue_grid_mfdr(m: TwoGroupModel, ts: np.ndarray) -> np.ndarray:
-    """Vectorized mFDR of the symmetric-tail regions for thresholds ``ts``."""
-    qs = -ndtri(ts / 2.0)
-    lo = m.null.mean - qs * m.null.sd
-    hi = m.null.mean + qs * m.null.sd
-    num = None
-    den = np.zeros_like(ts)
-    for w, c in m.components:
-        if w == 0.0:
-            continue
-        mass = w * (gaussian_cdf(lo, c) + 1.0 - gaussian_cdf(hi, c))
-        den += mass
-        if num is None:  # components() lists the null first
-            num = mass
-    return num / den
+    return _sublevel_region(_components(m), zs, lfdr(m, zs), lam)
 
 
 def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     """Largest two-sided p-value cutoff t with mFDR(region(t)) <= alpha.
 
     mFDR need not be monotone in t for multimodal alternatives, so the
-    search scans a 10^4-point log-spaced grid for the largest feasible t and
-    then bisects between that grid point and the next.
+    search takes the largest feasible point of a 10^4-point log-spaced grid
+    and bisects towards the next grid point to 1e-9.  Null mass N(t) and
+    total mass T(t) both grow with t, so a chunk [t_a, t_b] of 64 grid
+    points holds a feasible point only if N(t_a) <= alpha * T(t_b); chunks
+    are checked top down on that bound, and only admitted ones point by
+    point.  All steps share the tail masses of ``mfdr_of_region``.  The
+    result is the bisection's feasible end, not the root: a Newton finish
+    onto the root would move the figures' mFNR by up to 5e-9.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    t_lo, t_hi = 1e-10, 1.0 - 1e-12
-    ts = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), 10_000))
-    feasible = _pvalue_grid_mfdr(m, ts) <= alpha
-    if not feasible.any():
+    comps = _components(m)
+
+    def tail_masses(ts):
+        # as mfdr_of_region computes them for region_from_pvalue_threshold
+        q = -ndtri(np.asarray(ts) / 2.0)
+        per_component = (_interval_masses(comps, -math.inf, m.null.mean - q * m.null.sd)
+                         + _interval_masses(comps, m.null.mean + q * m.null.sd, math.inf))
+        return per_component[0], per_component.sum(axis=0)
+
+    def feasible(ts):
+        null, total = tail_masses(ts)
+        return null / total <= alpha
+
+    ts = np.exp(np.linspace(math.log(1e-10), math.log(1.0 - 1e-12), 10_000))
+    ends = np.append(np.arange(0, ts.size - 1, _CHUNK), ts.size - 1)
+    null, total = tail_masses(ts[ends])
+    for j in np.flatnonzero(null[:-1] <= alpha * total[1:])[::-1]:
+        hits = np.flatnonzero(feasible(ts[ends[j]: ends[j + 1] + 1]))
+        if hits.size:
+            i = int(ends[j] + hits[-1])
+            break
+    else:
         raise Infeasible(
             f"no p-value threshold attains mFDR <= {alpha}; "
-            f"tail mFDR is {_pvalue_grid_mfdr(m, ts[:1])[0]:.6g} at t = {ts[0]:.3g}"
+            f"tail mFDR is {null[0] / total[0]:.6g} at t = {ts[0]:.3g}"
         )
-    i = int(np.nonzero(feasible)[0][-1])
-    if i == len(ts) - 1:
-        t_star = ts[-1]
-    else:
-        a, b = ts[i], ts[i + 1]
-        while b - a > _SEARCH_TOL:
-            c = 0.5 * (a + b)
-            if mfdr_of_region(m, region_from_pvalue_threshold(m.null, c)) <= alpha:
-                a = c
-            else:
-                b = c
-        t_star = a
+    t_star = ts[i]
+    if i < ts.size - 1:
+        b = ts[i + 1]
+        while b - t_star > _SEARCH_TOL:
+            c = 0.5 * (t_star + b)
+            t_star, b = (c, b) if feasible(c) else (t_star, c)
     region = region_from_pvalue_threshold(m.null, t_star)
     return OracleRule(
         kind="pvalue",
@@ -328,52 +362,47 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     )
 
 
-def _lfdr_excess(m: TwoGroupModel, region: RejectionRegion, lam: float, alpha: float) -> tuple:
+def _lfdr_excess(m: TwoGroupModel, comps: np.ndarray, region: RejectionRegion,
+                 lam: float, alpha: float) -> tuple:
     """mFDR(region) - alpha and its derivative in lam, for region = R(lam).
 
     A region without mass counts as feasible.  Moving the cutoff moves each
     finite boundary b by dz/dlam = 1/|lfdr'(b)| and adds mass f(b) there, so
     d mFDR/dlam = sum_b f(b)/|lfdr'(b)| * (lam - mFDR)/total.
     """
-    null, total = _region_masses(m, region)
+    null, total = _region_masses(comps, region)
     if total < _MASS_FLOOR:
         return -alpha, 0.0
     rate = null / total  # as mfdr_of_region computes it
     ends = np.array([e for iv in region.intervals for e in iv if math.isfinite(e)])
-    _, slope = _log_lfdr_slope(m, ends)
+    _, slope = _log_lfdr_slope(comps, ends)
     density = m.p0 * gaussian_pdf(ends, m.null) / lam
     growth = float(np.sum(density / (lam * np.abs(slope))))
     return rate - alpha, growth * (lam - rate) / total
 
 
-def _lfdr_cutoff(m: TwoGroupModel, alpha: float, lam_hi: float) -> float:
-    """Largest lambda < lam_hi whose sublevel set keeps mFDR <= alpha,
-    given that lam_hi itself is infeasible; within _LAMBDA_TOL below the
-    root and feasible under the arithmetic of ``mfdr_of_region``."""
-    zs = _scan_grid(m)
-    profile = lfdr(m, zs)
-
-    def excess(lam):
-        return _lfdr_excess(m, _sublevel_region(m, zs, profile, lam), lam, alpha)
-
-    # step-up over the grid cells (midpoint to midpoint, open at the ends),
-    # ranked by lfdr and weighted by their closed-form masses
-    edges = np.concatenate(([-math.inf], 0.5 * (zs[1:] + zs[:-1]), [math.inf]))
-    masses = _interval_masses(m, edges[:-1], edges[1:])
+def _lfdr_cutoff(excess, profile: np.ndarray, density: np.ndarray, alpha: float,
+                 lam_hi: float) -> float:
+    """Largest lambda < lam_hi with ``excess(lambda)[0] <= 0``, given that
+    lam_hi itself is infeasible; within _LAMBDA_TOL below the root, and a
+    lambda that ``excess`` was evaluated at (or 0)."""
+    # step-up over the grid cells ranked by lfdr, weighted by the midpoint
+    # rule: null weight lfdr * f and total weight f at each grid point
     order = np.argsort(profile, kind="stable")
-    passing = np.flatnonzero(np.cumsum(masses[0][order]) <= alpha * np.cumsum(masses.sum(axis=0)[order]))
+    f = density[order]
+    passing = np.flatnonzero(np.cumsum(profile[order] * f) <= alpha * np.cumsum(f))
     k = int(passing[-1]) + 1 if passing.size else 0
 
     # the prefix brackets lambda* between neighbouring ranked lfdr values;
     # widen by doubling strides if a sign check fails (cells are not exact
-    # sublevel sets)
+    # sublevel sets, and their weights are not exact masses)
     cuts = np.append(np.minimum(profile[order], lam_hi), lam_hi)
     lo, stride = k - 1, 1
     while lo >= 0 and excess(cuts[lo])[0] > 0.0:
         lo, stride = lo - stride, 2 * stride
     hi, stride = k, 1
-    while hi < zs.size and excess(cuts[hi])[0] <= 0.0:
-        hi, stride = min(hi + stride, zs.size), 2 * stride
+    while hi < profile.size and excess(cuts[hi])[0] <= 0.0:
+        hi, stride = min(hi + stride, profile.size), 2 * stride
     lam_lo, _ = _bracketed_newton(excess, cuts[lo] if lo >= 0 else 0.0, cuts[hi], True, _LAMBDA_TOL)
     return float(lam_lo)
 
@@ -383,22 +412,31 @@ def oracle_lfdr_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
 
     mFDR is nondecreasing in lambda (it averages lfdr over a growing
     sublevel set), and equals the mass-weighted mean of lfdr there, so the
-    rule is a population step-up: lfdr is profiled once on the scan grid,
-    grid cells are ranked by lfdr, and the longest prefix whose cumulative
-    null mass stays <= alpha times its total mass brackets lambda between
-    two ranked values.  A safeguarded Newton search then closes that
-    bracket to 1e-12 on the exact sublevel-set masses and returns its
-    feasible end, so the reported mFDR is <= alpha exactly.  Empty regions
-    count as feasible; if even lambda = 1 - 1e-12 is feasible it is used.
+    rule is a population step-up: lfdr and the density f are profiled once
+    on the scan grid, grid points are ranked by lfdr, and the longest prefix
+    whose cumulative lfdr * f stays <= alpha times its cumulative f brackets
+    lambda between two ranked values.  A safeguarded Newton search then
+    closes that bracket to 1e-12 on the exact sublevel-set masses and
+    returns its feasible end with the region evaluated there, so the
+    reported mFDR is <= alpha exactly.  Empty regions count as feasible; if
+    even lambda = 1 - 1e-12 is feasible it is used.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    lam_hi = 1.0 - 1e-12
-    if _lfdr_excess(m, region_from_lfdr_threshold(m, lam_hi), lam_hi, alpha)[0] <= 0.0:
-        lam_star = lam_hi
-    else:
-        lam_star = _lfdr_cutoff(m, alpha, lam_hi)
-    region = region_from_lfdr_threshold(m, lam_star)
+    comps = _components(m)
+    zs = _scan_grid(m)
+    profile = lfdr(m, zs)
+    regions = {}
+
+    def excess(lam):
+        lam = float(lam)
+        regions[lam] = _sublevel_region(comps, zs, profile, lam)
+        return _lfdr_excess(m, comps, regions[lam], lam, alpha)
+
+    lam_star = 1.0 - 1e-12
+    if excess(lam_star)[0] > 0.0:
+        lam_star = _lfdr_cutoff(excess, profile, marginal_density(m, zs), alpha, lam_star)
+    region = regions.get(lam_star, RejectionRegion(()))
     if region.is_empty:
         raise Infeasible(
             f"even the smallest nonempty lfdr region exceeds mFDR {alpha} "
@@ -410,7 +448,7 @@ def oracle_lfdr_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
         raise Infeasible(f"no lfdr region with positive mass attains mFDR <= {alpha}")
     return OracleRule(
         kind="lfdr",
-        threshold=float(lam_star),
+        threshold=lam_star,
         region=region,
         mfdr=rate,
         mfnr=mfnr_of_region(m, region),

@@ -108,15 +108,38 @@ def _k_smallest(values: np.ndarray, s: np.ndarray, k: int) -> np.ndarray:
     return taken
 
 
-def _stepup(values: np.ndarray, passes) -> tuple:
+def _stepup(values: np.ndarray, s: np.ndarray, passes) -> tuple:
     """Reject the k smallest values in (value, index) order, k being the
-    last rank whose entry of ``passes(sorted values)`` is true; returns
-    (boolean mask in input order, k).  One value sort suffices: the index
-    order only splits the tie block at the cut."""
-    s = np.sort(values)
+    last rank whose entry of ``passes(s)`` is true, ``s`` being
+    ``np.sort(values)``; returns (boolean mask in input order, k).  One
+    value sort suffices: the index order only splits the tie block at the
+    cut."""
     ok = np.flatnonzero(passes(s))
     k = int(ok[-1]) + 1 if ok.size else 0
     return _k_smallest(values, s, k), k
+
+
+def _sorted_pvalues(pvalues) -> tuple:
+    """A checked float copy of ``pvalues`` and its sort."""
+    p = np.array(pvalues, dtype=float)
+    if p.size == 0:
+        raise InvalidPValue("empty p-value vector")
+    if not (p.min() > 0.0 and p.max() <= 1.0):  # false on nan
+        raise InvalidPValue("p-values must lie in (0, 1]")
+    return p, np.sort(p)
+
+
+def _bh(p: np.ndarray, s: np.ndarray, level: float) -> DecisionTable:
+    """BH step-up at ``level`` on checked p-values ``p``, sorted ``s``."""
+    rejected, k = _stepup(p, s, lambda s: s <= level * np.arange(1, s.size + 1) / s.size)
+    return DecisionTable(rejected=rejected, k=k, pvalue=p)
+
+
+def _adaptive_level(alpha: float, p0_hat: float) -> float:
+    _check_alpha(alpha)
+    if not (0.0 < p0_hat <= 1.0):
+        raise ValueError(f"p0_hat must be in (0, 1], got {p0_hat}")
+    return min(alpha / p0_hat, 1.0 - 1e-12)
 
 
 def bh_stepup(pvalues, alpha: float) -> DecisionTable:
@@ -126,13 +149,7 @@ def bh_stepup(pvalues, alpha: float) -> DecisionTable:
     carrying the k smallest p-values where k = max{i : p_(i) <= i*alpha/m}.
     """
     _check_alpha(alpha)
-    p = np.array(pvalues, dtype=float)
-    if p.size == 0:
-        raise InvalidPValue("empty p-value vector")
-    if not (p.min() > 0.0 and p.max() <= 1.0):  # false on nan
-        raise InvalidPValue("p-values must lie in (0, 1]")
-    rejected, k = _stepup(p, lambda s: s <= alpha * np.arange(1, s.size + 1) / s.size)
-    return DecisionTable(rejected=rejected, k=k, pvalue=p)
+    return _bh(*_sorted_pvalues(pvalues), alpha)
 
 
 def adaptive_bh(pvalues, alpha: float, p0_hat: float) -> DecisionTable:
@@ -141,10 +158,7 @@ def adaptive_bh(pvalues, alpha: float, p0_hat: float) -> DecisionTable:
     With p0_hat = 1 this is exactly bh_stepup; smaller p0_hat enlarges the
     rejection set.
     """
-    _check_alpha(alpha)
-    if not (0.0 < p0_hat <= 1.0):
-        raise ValueError(f"p0_hat must be in (0, 1], got {p0_hat}")
-    return bh_stepup(pvalues, min(alpha / p0_hat, 1.0 - 1e-12))
+    return bh_stepup(pvalues, _adaptive_level(alpha, p0_hat))
 
 
 def lfdr_stepup(lfdr_values, alpha: float) -> DecisionTable:
@@ -161,7 +175,7 @@ def lfdr_stepup(lfdr_values, alpha: float) -> DecisionTable:
         raise InvalidLfdr("empty lfdr vector")
     if not (v.min() >= 0.0 and v.max() <= 1.0):  # false on nan
         raise InvalidLfdr("lfdr values must lie in [0, 1]")
-    rejected, k = _stepup(v, lambda s: np.cumsum(s) / np.arange(1, s.size + 1) <= alpha)
+    rejected, k = _stepup(v, np.sort(v), lambda s: np.cumsum(s) / np.arange(1, s.size + 1) <= alpha)
     return DecisionTable(rejected=rejected, k=k, lfdr_hat=v)
 
 
@@ -192,7 +206,8 @@ def decide(z, procedures: tuple, alpha: float, null: GaussianComponent | None) -
     when the null is estimated and the tail estimate otherwise; the lfdr
     rule plugs p0, the null and a kernel marginal into
     ``estimated_lfdr_values`` (a single observation gets lfdr 1).  Each
-    piece is computed once, and only if a requested procedure needs it.
+    piece is computed once, and only if a requested procedure needs it;
+    both BH levels share one checked copy of the p-values and one sort.
 
     Raises NotEnoughData and DegenerateCF from null estimation, and
     DegenerateData, naming the first requested rule that needs p0, when
@@ -217,11 +232,13 @@ def decide(z, procedures: tuple, alpha: float, null: GaussianComponent | None) -
             rule = "adaptive BH" if p0_users[0] == "adaptive_bh" else "lfdr rule"
             raise DegenerateData(f"{rule}: tail p0 estimate is 0, no p-value above 0.5")
     tables = {}
+    sorted_p = None
     for procedure in dict.fromkeys(procedures):
-        if procedure == "bh":
-            tables[procedure] = bh_stepup(pvalues, alpha)
-        elif procedure == "adaptive_bh":
-            tables[procedure] = adaptive_bh(pvalues, alpha, p0_hat)
+        if procedure in ("bh", "adaptive_bh"):
+            level = alpha if procedure == "bh" else _adaptive_level(alpha, p0_hat)
+            if sorted_p is None:
+                pvalues, sorted_p = _sorted_pvalues(pvalues)
+            tables[procedure] = _bh(pvalues, sorted_p, level)
         elif z.size == 1:
             tables[procedure] = lfdr_stepup([1.0], alpha)
         else:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 from lfdr_lab import (
     EmptyRegion,
@@ -25,6 +26,7 @@ from lfdr_lab import (
     region_from_pvalue_threshold,
     sample_model,
 )
+from lfdr_lab.oracle import _components, _log_lfdr_slope
 
 STD = GaussianComponent(0.0, 1.0)
 
@@ -423,6 +425,83 @@ class TestStepUpMatchesBisection:
         assert abs(rule.threshold - lam) <= 2e-9
         assert abs(rule.mfdr - mfdr) <= tol and rule.mfdr <= 0.10
         assert abs(rule.mfnr - mfnr) <= 1e-9
+
+
+def exhaustive_pvalue_threshold(m, alpha):
+    """The p-value rule without pruning: closed-form tail masses at all 10^4
+    grid points, then the bisection to 1e-9 through ``mfdr_of_region``."""
+    ts = np.exp(np.linspace(math.log(1e-10), math.log(1.0 - 1e-12), 10_000))
+    q = -ndtri(ts / 2.0)
+    lo, hi = m.null.mean - q * m.null.sd, m.null.mean + q * m.null.sd
+    masses = [w * (ndtr((lo - c.mean) / c.sd) + ndtr((c.mean - hi) / c.sd))
+              for w, c in m.components]
+    i = int(np.flatnonzero(masses[0] / sum(masses) <= alpha)[-1])
+    a = ts[i]
+    if i < ts.size - 1:
+        b = ts[i + 1]
+        while b - a > 1e-9:
+            c = 0.5 * (a + b)
+            if mfdr_of_region(m, region_from_pvalue_threshold(m.null, c)) <= alpha:
+                a = c
+            else:
+                b = c
+    return a
+
+
+class TestPvalueScanMatchesExhaustive:
+    def test_figure_models(self):
+        for m, alpha in FIGURE_MODELS:
+            assert oracle_pvalue_rule(m, alpha).threshold == exhaustive_pvalue_threshold(m, alpha)
+
+    # mFDR(t) is not monotone near the top of the grid: at alpha 0.85 it
+    # exceeds alpha from index 9848 to 9982, and the answer t = 1 - 1e-12
+    # lies past that stretch; at alpha 0.8 the answer lies below it, several
+    # chunks down from the first chunk the bound admits
+    @pytest.mark.parametrize("alpha, at_top", [(0.85, True), (0.87, True), (0.8, False)])
+    def test_mfdr_not_monotone_in_t(self, alpha, at_top):
+        m = mixture_model(0.8, [(0.1, -3.0, 1.0), (0.1, 0.0, 0.05)])
+        ts = np.exp(np.linspace(math.log(1e-10), math.log(1.0 - 1e-12), 10_000))
+        rates = [mfdr_of_region(m, region_from_pvalue_threshold(m.null, t)) for t in ts[9800:]]
+        assert max(rates) > alpha
+        threshold = oracle_pvalue_rule(m, alpha).threshold
+        assert threshold == exhaustive_pvalue_threshold(m, alpha)
+        assert (threshold == ts[-1]) == at_top
+
+
+def loop_log_lfdr_slope(m, z):
+    """log lfdr and its z-derivative by a loop over components, in the
+    arithmetic of core_model's densities."""
+    logs, scores = [], []
+    for w, c in m.components:
+        if w > 0.0:
+            u = (z - c.mean) / c.sd
+            logs.append(math.log(w) + (-0.5 * u * u - math.log(c.sd) - 0.5 * math.log(2.0 * math.pi)))
+            scores.append((c.mean - z) / (c.sd * c.sd))
+    odds = np.stack(logs[1:]) - logs[0]
+    peak = odds.max(axis=0)
+    log_lfdr = -np.logaddexp(0.0, peak + np.log(np.exp(odds - peak).sum(axis=0)))
+    posterior = np.exp(odds + log_lfdr)
+    return log_lfdr, -(posterior * (np.stack(scores[1:]) - scores[0])).sum(axis=0)
+
+
+def test_log_lfdr_slope_matches_component_loop():
+    models = [m for m, _ in FIGURE_MODELS[::10]] + [
+        mixture_model(0.9, [(0.1, 2.5, 0.001)]),
+        mixture_model(0.7, [(0.2, -1.0, 0.3), (0.0, 5.0, 1.0), (0.1, 2.0, 2.0)]),
+    ]
+    z = np.linspace(-8.0, 9.0, 69)
+    for m in models:
+        value, slope = _log_lfdr_slope(_components(m), z)
+        want_value, want_slope = loop_log_lfdr_slope(m, z)
+        assert np.array_equal(value, want_value) and np.array_equal(slope, want_slope)
+        assert_allclose(np.exp(value), lfdr(m, z), rtol=1e-12, atol=1e-300)
+
+
+def test_lfdr_rule_returns_the_region_it_searched():
+    for m, alpha in FIGURE_MODELS:
+        rule = oracle_lfdr_rule(m, alpha)
+        assert rule.region == region_from_lfdr_threshold(m, rule.threshold)
+        assert rule.mfdr == mfdr_of_region(m, rule.region) <= alpha
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -353,6 +353,13 @@ class TestDecide:
         expected.update({"estimate_p0_tail": 1} if null is STD else {"estimate_null_ecf": 1})
         assert calls == expected
 
+    def test_bh_levels_share_one_checked_copy(self, eq1_z):
+        tables = decide(eq1_z, ("adaptive_bh", "bh"), 0.1, STD)
+        assert tables["bh"].pvalue is tables["adaptive_bh"].pvalue
+        # still checked: the two-sided p-value of z = 40 underflows to 0
+        with pytest.raises(InvalidPValue):
+            decide(np.append(eq1_z, 40.0), ("bh", "adaptive_bh"), 0.1, STD)
+
     def test_single_observation_lfdr_skips_tail_p0(self):
         # the tail p0 of [3.0] under N(0, 1) is 0, but one observation gets
         # lfdr 1 before any p0 is needed
