@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .core_model import (
     GaussianComponent,
     TwoGroupModel,
-    gaussian_cdf,
     gaussian_pdf,
     lfdr,
     marginal_density,

@@ -329,7 +329,7 @@ def _parse_sim_config(cfg: dict) -> SimConfig:
             alpha=float(cfg["alpha"]),
             seed=int(cfg["seed"]),
             rho=float(cfg.get("rho", 0.0)),
-            procedures=tuple(cfg.get("procedures", PROCEDURES)),
+            procedures=cfg.get("procedures", PROCEDURES),
         )
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_INPUT, f"bad config: {exc}")

@@ -11,6 +11,11 @@ functions of immutable inputs and accept scalars or numpy arrays for ``z``.
 
 Densities are evaluated in log space and exponentiated at the end so that
 far-tail arithmetic (six-sigma terms and beyond) stays accurate.
+
+This module also owns the package's one array form of a mixture,
+``_components``: a table of the positive-weight components, null first,
+that the lfdr and density functions here, the oracle's interval masses and
+lfdr slopes, and the samplers all read.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc, ndtr
+from scipy.special import erfc
 
 from .errors import InvalidModel
 
@@ -28,7 +33,6 @@ __all__ = [
     "GaussianComponent",
     "TwoGroupModel",
     "gaussian_pdf",
-    "gaussian_cdf",
     "marginal_density",
     "lfdr",
     "two_sided_pvalue",
@@ -117,28 +121,20 @@ def gaussian_pdf(z, c: GaussianComponent):
     return _as_input(z, np.exp(_log_gaussian_pdf(z, c)))
 
 
-def gaussian_cdf(z, c: GaussianComponent):
-    """Gaussian distribution function of component ``c`` at ``z``.
-
-    Computed with ``scipy.special.ndtr``, which keeps full relative
-    precision in the lower tail; the oracle's interval masses are
-    differences of these values.
-    """
-    u = (np.asarray(z, dtype=float) - c.mean) / c.sd
-    return _as_input(z, ndtr(u))
+def _components(m: TwoGroupModel) -> np.ndarray:
+    """Rows (w, mean, sd, log w, log sd) over the components of positive
+    weight, null first, each a (C, 1) column that broadcasts over z."""
+    return np.array([(w, c.mean, c.sd, math.log(w), math.log(c.sd))
+                     for w, c in m.components if w > 0.0]).T[:, :, None]
 
 
-def _log_terms(m: TwoGroupModel, z):
-    """log(w * f_c(z)) for every component of positive weight, null first."""
+def _log_terms(comps: np.ndarray, z):
+    """log(w_c * f_c(z)) for every row of ``comps``, stacked on a leading
+    axis over the shape of ``z``."""
     z = np.asarray(z, dtype=float)
-    return np.stack(
-        [
-            math.log(w) + _log_gaussian_pdf(z, comp)
-            for w, comp in m.components
-            if w > 0.0
-        ],
-        axis=0,
-    )
+    _, mean, sd, log_w, log_sd = comps.reshape(comps.shape[:2] + (1,) * z.ndim)
+    u = (z - mean) / sd
+    return log_w + (-0.5 * u * u - log_sd - _LOG_SQRT_2PI)
 
 
 def _logsumexp(logs):
@@ -148,13 +144,9 @@ def _logsumexp(logs):
     return peak + np.log(np.exp(logs - peak).sum(axis=0))
 
 
-def _log_marginal(m: TwoGroupModel, z):
-    return _logsumexp(_log_terms(m, z))
-
-
 def marginal_density(m: TwoGroupModel, z):
     """Mixture density p0*f0(z) + sum_j w_j*f_j(z); strictly positive."""
-    return _as_input(z, np.exp(_log_marginal(m, z)))
+    return _as_input(z, np.exp(_logsumexp(_log_terms(_components(m), z))))
 
 
 def lfdr(m: TwoGroupModel, z):
@@ -164,7 +156,8 @@ def lfdr(m: TwoGroupModel, z):
     the null group.  The clamp only absorbs rounding at the top end; the
     ratio never exceeds 1 mathematically because f >= p0*f0 pointwise.
     """
-    log_ratio = math.log(m.p0) + _log_gaussian_pdf(z, m.null) - _log_marginal(m, z)
+    terms = _log_terms(_components(m), z)
+    log_ratio = terms[0] - _logsumexp(terms)
     return _as_input(z, np.clip(np.exp(log_ratio), 0.0, 1.0))
 
 

@@ -22,12 +22,13 @@ is the rule's result: closing onto the root moves figure mFNRs by 5e-9.
 
 The mFDR of a sublevel set is the mass-weighted mean of lfdr over it, so
 the optimal lfdr rule is the adaptive step-up (Sun & Cai 2007) applied to
-the known mixture: one scan grid, lfdr and density profile and component
-table per rule, grid points sorted by lfdr, the longest prefix whose
-cumulative null/total density stays <= alpha, then a safeguarded Newton
-finish on lambda over the exact region masses.  Sublevel-set boundaries
+the known mixture: one scan grid and one lfdr and density profile per
+rule, grid points sorted by lfdr, the longest prefix whose cumulative
+null/total density stays <= alpha, then a safeguarded Newton finish on
+lambda over the exact region masses.  Sublevel-set boundaries
 are refined the same way, by Newton steps on log lfdr (whose z-derivative
-is closed form) kept inside their grid cell.
+is closed form) kept inside their grid cell.  Masses, densities and slopes
+all read the mixture's component table from ``core_model._components``.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .core_model import (
-    _LOG_SQRT_2PI,
     GaussianComponent,
     TwoGroupModel,
+    _components,
+    _log_terms,
     _logsumexp,
     gaussian_pdf,
     lfdr,
@@ -138,18 +140,11 @@ class SweepRow:
     error: str | None = None
 
 
-def _components(m: TwoGroupModel) -> np.ndarray:
-    """Rows (w, mean, sd, log w, log sd) over the components of positive
-    weight, null first, each a (C, 1) column that broadcasts over z."""
-    return np.array([(w, c.mean, c.sd, math.log(w), math.log(c.sd))
-                     for w, c in m.components if w > 0.0]).T[:, :, None]
-
-
 def _interval_masses(comps: np.ndarray, lo, hi) -> np.ndarray:
     """w_c * (mass of [lo_i, hi_i] under component c): one row per
-    component of ``comps`` (see ``_components``).  Intervals above a
-    component's mean are measured from its upper tail, so far-tail masses
-    keep full relative precision instead of cancelling in 1 - Phi."""
+    component of ``comps`` (see ``core_model._components``).  Intervals
+    above a component's mean are measured from its upper tail, so far-tail
+    masses keep full relative precision instead of cancelling in 1 - Phi."""
     w, mean, sd = comps[:3]
     a = (np.asarray(lo, dtype=float) - mean) / sd
     b = (np.asarray(hi, dtype=float) - mean) / sd
@@ -244,17 +239,17 @@ def _bracketed_newton(fun, lo, hi, lo_low, tol):
 
 
 def _log_lfdr_slope(comps: np.ndarray, z):
-    """log lfdr(z) and its derivative in z for the mixture ``comps``.
+    """log lfdr(z) and its derivative in z, for a 1-d array ``z`` and the
+    mixture ``comps``.
 
     Computed as -log(1 + odds) with odds = sum_c w_c f_c(z) / (p0 f0(z))
     over the nonnull components, which keeps relative precision where lfdr
     is near 1.  With posterior weights pi_c(z) = w_c f_c(z)/f(z) and scores
     s_c(z) = (u_c - z)/s_c^2, d log lfdr/dz = -sum_c pi_c(z) (s_c - s_null).
     """
-    _, mean, sd, log_w, log_sd = comps
+    _, mean, sd, _, _ = comps
     z = np.asarray(z, dtype=float)
-    u = (z - mean) / sd
-    logs = log_w + (-0.5 * u * u - log_sd - _LOG_SQRT_2PI)
+    logs = _log_terms(comps, z)
     log_odds = logs[1:] - logs[0]  # per nonnull component
     log_lfdr = -np.logaddexp(0.0, _logsumexp(log_odds))
     scores = (mean - z) / (sd * sd)

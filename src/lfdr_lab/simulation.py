@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .core_model import TwoGroupModel, lfdr, mixture_model, two_sided_pvalue
+from .core_model import TwoGroupModel, _components, lfdr, mixture_model, two_sided_pvalue
 from .oracle import oracle_lfdr_rule, oracle_pvalue_rule, oracle_sweep
 from .procedures import _k_smallest, confusion, decide, fdp_fnp, lfdr_stepup
 
@@ -66,6 +66,10 @@ class SimConfig:
     procedures: tuple = PROCEDURES
 
     def __post_init__(self):
+        if isinstance(self.procedures, str):
+            raise ValueError(
+                f"procedures must be a sequence of names, not the string {self.procedures!r}"
+            )
         self.procedures = tuple(self.procedures)
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
@@ -115,41 +119,30 @@ def rep_seed(master_seed: int, rep_index: int) -> int:
     return _splitmix64(state)
 
 
-def _component_arrays(model: TwoGroupModel):
-    weights = np.array([w for w, _ in model.components])
-    means = np.array([c.mean for _, c in model.components])
-    sds = np.array([c.sd for _, c in model.components])
-    return np.cumsum(weights), means, sds
-
-
 def sample_model(model: TwoGroupModel, m: int, seed: int):
     """Draw m independent z-values; returns (z, nonnull flags).
 
     Each hypothesis picks a component with the mixture probabilities, then
     draws z from it by inverse-CDF transform; a fixed draw order makes the
-    output a deterministic function of the seed.
+    output a deterministic function of the seed.  This is
+    ``sample_correlated`` at rho = 0.
     """
-    cum, means, sds = _component_arrays(model)
-    rng = np.random.default_rng(seed)
-    comp = np.searchsorted(cum, rng.random(m), side="right")
-    comp = np.minimum(comp, len(means) - 1)  # guard u == 1.0 edge
-    z = means[comp] + sds[comp] * ndtri(rng.random(m))
-    return z, comp > 0
+    return sample_correlated(model, m, 0.0, seed)
 
 
 def sample_correlated(model: TwoGroupModel, m: int, rho: float, seed: int):
     """Equicorrelated draw: z_i = mean_i + sd_i*(sqrt(1-rho)*e_i + sqrt(rho)*W)
     with one shared factor W per replication.
 
-    At rho = 0 the output equals sample_model's for the same seed (the same
-    uniforms feed the component and e draws, and the W term vanishes).
+    Components are drawn from the cumulative weights of the positive-weight
+    components, so a component of weight 0 is never drawn.
     """
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must be in [0, 1), got {rho}")
-    cum, means, sds = _component_arrays(model)
+    weights, means, sds = _components(model)[:3, :, 0]
     rng = np.random.default_rng(seed)
-    comp = np.searchsorted(cum, rng.random(m), side="right")
-    comp = np.minimum(comp, len(means) - 1)
+    comp = np.searchsorted(np.cumsum(weights), rng.random(m), side="right")
+    comp = np.minimum(comp, len(means) - 1)  # guard u >= the rounded total weight
     e = ndtri(rng.random(m))
     shared = ndtri(rng.random(1))[0]
     noise = math.sqrt(1.0 - rho) * e + math.sqrt(rho) * shared

@@ -342,6 +342,17 @@ class TestSimulate:
         assert "at least one procedure" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_string_procedures_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "p0": 0.8, "components": "0.2:4:1", "m": 100, "reps": 2,
+            "alpha": 0.1, "seed": 1, "procedures": "bh",
+        }))
+        outdir = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", outdir]) == 2
+        assert "not the string 'bh'" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_failed_run_removes_partial_outputs(self, tmp_path):
         # lfdr_estimated needs m >= 100; the run aborts and leaves no CSV
         cfg = tmp_path / "cfg.json"

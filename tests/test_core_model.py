@@ -11,7 +11,6 @@ from lfdr_lab import (
     GaussianComponent,
     InvalidModel,
     TwoGroupModel,
-    gaussian_cdf,
     gaussian_pdf,
     lfdr,
     marginal_density,
@@ -53,35 +52,6 @@ class TestGaussianPdf:
     def test_vectorized(self):
         z = np.array([-1.0, 0.0, 2.0])
         assert_allclose(gaussian_pdf(z, STD), [hand_phi(v) for v in z], rtol=1e-14)
-
-
-class TestGaussianCdf:
-    def test_center(self):
-        assert gaussian_cdf(0.0, STD) == 0.5
-
-    def test_normalization_limit(self):
-        assert gaussian_cdf(math.inf, STD) == 1.0
-        assert gaussian_cdf(40.0, STD) == 1.0
-
-    def test_against_erf_identity(self):
-        # oracle: Phi(x) = (1 + erf(x/sqrt(2)))/2 via the math module
-        for x in np.linspace(-8.0, 8.0, 97):
-            want = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-            assert abs(gaussian_cdf(x, STD) - want) <= 1e-12
-
-    def test_quantile_1_96(self):
-        # frozen via mpmath.ncdf(mpmath.mpf('1.96')) = 0.97500210485177952...
-        assert_allclose(gaussian_cdf(1.96, STD), 0.9750021048517795, atol=1e-12)
-
-    def test_monotone(self):
-        z = np.linspace(-10, 10, 2001)
-        assert np.all(np.diff(gaussian_cdf(z, STD)) >= 0.0)
-
-    def test_derivative_matches_pdf(self):
-        h = 1e-5
-        z = np.linspace(-8.0, 8.0, 161)
-        deriv = (gaussian_cdf(z + h, STD) - gaussian_cdf(z - h, STD)) / (2 * h)
-        assert np.max(np.abs(deriv - gaussian_pdf(z, STD))) <= 1e-6
 
 
 class TestMarginalDensity:
@@ -229,3 +199,51 @@ class TestModelTypes:
         assert np.all(f >= f0_scaled * (1.0 - 1e-12))
         values = lfdr(m, z)
         assert np.all((values >= 0.0) & (values <= 1.0))
+
+
+def loop_lfdr_and_density(m, z):
+    """lfdr and the marginal density by a loop over the components, in the
+    arithmetic core_model used before it kept a component table."""
+
+    def log_pdf(c):
+        u = (np.asarray(z, dtype=float) - c.mean) / c.sd
+        return -0.5 * u * u - math.log(c.sd) - 0.5 * math.log(2.0 * math.pi)
+
+    logs = np.stack([math.log(w) + log_pdf(c) for w, c in m.components if w > 0.0], axis=0)
+    peak = logs.max(axis=0)
+    log_f = peak + np.log(np.exp(logs - peak).sum(axis=0))
+    log_ratio = math.log(m.p0) + log_pdf(m.null) - log_f
+    return np.clip(np.exp(log_ratio), 0.0, 1.0), np.exp(log_f)
+
+
+@st.composite
+def mixtures(draw):
+    """0-3 nonnull components, some of weight 0, sd in [0.01, 3]."""
+    comps = draw(st.lists(
+        st.tuples(st.just(0.0) | st.floats(0.01, 1.0), st.floats(-8.0, 8.0), st.floats(0.01, 3.0)),
+        max_size=3,
+    ))
+    total = sum(r for r, _, _ in comps)
+    p0 = draw(st.floats(0.05, 0.95)) if total > 0.0 else 1.0
+    weights = [(1.0 - p0) * r / total if total else 0.0 for r, _, _ in comps]
+    return mixture_model(p0, [(w, mu, sd) for w, (_, mu, sd) in zip(weights, comps)])
+
+
+class TestComponentTable:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        m=mixtures(),
+        point=st.floats(-12.0, 12.0),
+        row=st.lists(st.floats(-12.0, 12.0), min_size=6, max_size=6),
+    )
+    @example(m=mixture_model(0.7, [(0.2, -1.0, 0.3), (0.0, 5.0, 1.0), (0.1, 2.0, 2.0)]),
+             point=5.0, row=[-3.0, -1.0, 0.0, 2.0, 5.0, 9.0])
+    def test_lfdr_and_density_match_component_loop(self, m, point, row):
+        row = np.array(row)
+        for z in (point, np.array(point), row, np.array([]), row.reshape(2, 3)):
+            for got, want in zip((lfdr(m, z), marginal_density(m, z)), loop_lfdr_and_density(m, z)):
+                if np.ndim(z) == 0:
+                    assert type(got) is float
+                else:
+                    assert isinstance(got, np.ndarray) and got.shape == np.shape(z)
+                assert np.array_equal(got, want)

@@ -26,7 +26,8 @@ from lfdr_lab import (
     region_from_pvalue_threshold,
     sample_model,
 )
-from lfdr_lab.oracle import _components, _log_lfdr_slope
+from lfdr_lab.core_model import _components
+from lfdr_lab.oracle import _log_lfdr_slope
 
 STD = GaussianComponent(0.0, 1.0)
 

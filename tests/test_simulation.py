@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import ndtri
 
 from lfdr_lab import (
     SimConfig,
@@ -21,6 +22,7 @@ from lfdr_lab import (
     sample_model,
     two_sided_pvalue,
 )
+from lfdr_lab import simulation
 from lfdr_lab.simulation import figure1_csv, simresult_csv
 
 PURE_NULL = mixture_model(1.0, [])
@@ -56,6 +58,26 @@ class TestSampleCorrelated:
             b_z, b_f = sample_correlated(eq1_default_model(), 500, 0.0, seed)
             assert_array_equal(a_z, b_z)
             assert_array_equal(a_f, b_f)
+
+    def test_zero_weight_component_is_never_drawn(self, monkeypatch):
+        # a uniform above the rounded total weight (1 - 9e-13 here) falls past
+        # the last cumulative weight; it must land on the last component of
+        # positive weight, N(3, 1), not on the trailing weight-0 N(50, 1)
+        top = 1.0 - 2.0**-53
+
+        class TopUniforms:
+            def random(self, n):
+                return np.full(n, top)
+
+        monkeypatch.setattr(simulation.np.random, "default_rng", lambda seed: TopUniforms())
+        m = mixture_model(0.5, [(0.5 - 9e-13, 3.0, 1.0), (0.0, 50.0, 1.0)])
+        q = ndtri(top)
+        for rho in (0.0, 0.5):
+            z, nonnull = sample_correlated(m, 4, rho, 1)
+            assert_array_equal(z, 3.0 + (math.sqrt(1.0 - rho) * q + math.sqrt(rho) * q))
+            assert nonnull.all()
+        z, _ = sample_model(m, 4, 1)
+        assert_array_equal(z, 3.0 + q)
 
     def test_unit_variance_any_rho(self):
         # the shared factor couples draws within a replication, so the
@@ -174,6 +196,8 @@ class TestRunReplicated:
             SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, procedures=("nope",))
         with pytest.raises(ValueError, match="at least one procedure"):
             SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, procedures=())
+        with pytest.raises(ValueError, match="not the string 'bh'"):
+            SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, procedures="bh")
 
     def test_csv_rendering(self):
         config = SimConfig(
