@@ -143,8 +143,10 @@ def sample_correlated(model: TwoGroupModel, m: int, rho: float, seed: int):
     rng = np.random.default_rng(seed)
     comp = np.searchsorted(np.cumsum(weights), rng.random(m), side="right")
     comp = np.minimum(comp, len(means) - 1)  # guard u >= the rounded total weight
-    e = ndtri(rng.random(m))
-    shared = ndtri(rng.random(1))[0]
+    # PCG64 can return exactly 0.0; its smallest nonzero double is 2^-53, so
+    # the clamp keeps ndtri finite and leaves every other draw unchanged
+    e = ndtri(np.maximum(rng.random(m), 2.0**-53))
+    shared = ndtri(np.maximum(rng.random(1), 2.0**-53))[0]
     noise = math.sqrt(1.0 - rho) * e + math.sqrt(rho) * shared
     z = means[comp] + sds[comp] * noise
     return z, comp > 0

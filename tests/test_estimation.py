@@ -1,6 +1,10 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import lfdr_lab
 from lfdr_lab import (
     DegenerateCF,
     DegenerateData,
@@ -22,7 +27,7 @@ from lfdr_lab import (
     mixture_model,
     sample_model,
 )
-from lfdr_lab.estimation import _ecf_scan, _kernel_sum
+from lfdr_lab.estimation import _ecf_scan, _kernel_sum, _median_filter
 
 
 def draw(model, m, seed):
@@ -108,8 +113,8 @@ class TestEstimateNullEcf:
 
     @pytest.mark.parametrize("scale", [0.05, 1.0, 50.0])
     def test_recurrence_matches_direct_sum(self, scale):
-        # the phase recurrence against the transcendental reference on the
-        # whole default grid, with no early stop
+        # the blocked matrix-product scan against the transcendental
+        # reference on the whole default grid, with no early stop
         z = scale * draw(eq1_default_model(), 5_000, 11)
         psi = _ecf_scan(z, DEFAULT_T_GRID)
         assert psi.size == DEFAULT_T_GRID.size
@@ -184,6 +189,82 @@ def test_ecf_scan_matches_empirical_cf(z, t0, dt, n, floor):
     mag = np.abs(psi)
     assert np.all(mag[:-1] >= floor)
     assert psi.size == n or mag[-1] < floor
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    x=st.lists(st.floats(-1e3, 1e3).map(lambda v: round(v, 1)), max_size=60),
+    width=st.sampled_from([3, 5, 9]),
+)
+def test_median_filter_matches_np_median(x, width):
+    # reference: np.median over the same edge-padded windows (rounded
+    # values give ties)
+    x = np.array(x, dtype=float)
+    got = _median_filter(x, width)
+    if x.size < width:
+        assert got is x
+        return
+    pad = width // 2
+    padded = np.concatenate([np.full(pad, x[0]), x, np.full(pad, x[-1])])
+    want = np.array([np.median(padded[i : i + width]) for i in range(x.size)])
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 255, 256, 257, 3000])
+@pytest.mark.parametrize("m", [100, 1023, 1024, 1025, 5000])
+def test_ecf_scan_block_edges(m, n):
+    # the scan works in passes of 256 frequencies over chunks of 1024
+    # observations; m and n sit on both sides of those edges
+    z = np.random.default_rng(m + n).normal(size=m)
+    ts = 0.01 * np.arange(1, n + 1)
+
+    def tolerance(z):
+        return 1e-14 * (n + ts[-1] * np.max(np.abs(z)))
+
+    def check(z, floor, stop):
+        psi = _ecf_scan(z, ts, floor)
+        assert psi.size == stop + 1
+        assert np.max(np.abs(psi - empirical_cf(z, ts[: psi.size]))) <= tolerance(z)
+        mag = np.abs(psi)
+        assert np.all(mag[:-1] >= floor)
+        assert psi.size == n or mag[-1] < floor
+
+    check(z, 0.0, n - 1)
+    # a sample whose range times t_max is below pi has |psi_m| strictly
+    # decreasing on the grid, so a floor between two neighbours stops the
+    # scan exactly at the second: in the first pass, at both sides of the
+    # first pass edge, and in later passes
+    narrow = z * (2.0 / (ts[-1] * np.ptp(z)))
+    mag = np.abs(empirical_cf(narrow, ts))
+    for stop in sorted({k for k in (0, 100, 255, 256, 1000, n - 1) if k < n}):
+        if stop:
+            assert mag[stop - 1] - mag[stop] > 4.0 * tolerance(narrow)
+        check(narrow, 1.0 if stop == 0 else 0.5 * (mag[stop - 1] + mag[stop]), stop)
+
+
+def test_ecf_scan_blas_thread_invariant():
+    # the scan's matrix products run in OpenBLAS; its thread count must not
+    # change a bit of psi_m or of the estimate
+    code = (
+        "import hashlib, numpy as np\n"
+        "from lfdr_lab import eq1_default_model, estimate_null_ecf, sample_model\n"
+        "from lfdr_lab.estimation import _ecf_scan\n"
+        "ts = 0.01 * np.arange(1, 3001)\n"
+        "for m in (5_000, 100_000):\n"
+        "    z = sample_model(eq1_default_model(), m, 21)[0]\n"
+        "    print(hashlib.sha256(_ecf_scan(z, ts).tobytes()).hexdigest())\n"
+        "    print(repr(estimate_null_ecf(z)))\n"
+    )
+    src = str(Path(lfdr_lab.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        outs.append(run.stdout)
+    assert outs[0].count("NullEstimate(") == 2
+    assert outs[0] == outs[1]
 
 
 class TestEstimateMarginalKde:

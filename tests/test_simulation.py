@@ -79,6 +79,21 @@ class TestSampleCorrelated:
         z, _ = sample_model(m, 4, 1)
         assert_array_equal(z, 3.0 + q)
 
+    def test_zero_uniform_gives_finite_draws(self, monkeypatch):
+        # PCG64 can return exactly 0.0, and ndtri(0) = -inf; a zero shared
+        # draw must not make every z NaN (rho 0) or -inf (rho > 0)
+        class ZeroShared:
+            def random(self, n):
+                self.calls = getattr(self, "calls", 0) + 1
+                return np.full(n, 0.0 if self.calls == 3 else 0.3)
+
+        monkeypatch.setattr(simulation.np.random, "default_rng", lambda seed: ZeroShared())
+        m = mixture_model(0.5, [(0.5, 3.0, 1.0)])  # u = 0.3 picks the null N(0, 1)
+        for rho in (0.0, 0.5):
+            z, _ = sample_correlated(m, 4, rho, 1)
+            assert np.all(np.isfinite(z))
+            assert_array_equal(z, math.sqrt(1.0 - rho) * ndtri(0.3) + math.sqrt(rho) * ndtri(2.0**-53))
+
     def test_unit_variance_any_rho(self):
         # the shared factor couples draws within a replication, so the
         # pooled variance estimate needs many replications to settle
