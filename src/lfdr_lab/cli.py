@@ -136,7 +136,7 @@ def parse_components(spec: str) -> list:
 
 def _build_model(p0: float, components: list) -> TwoGroupModel:
     total = p0 + sum(w for w, _, _ in components)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # true on nan
         raise CliError(EXIT_PARAMS, f"weights sum to {total!r}, must be 1 within 1e-9")
     # nudge p0 so the model invariant (1e-12) holds exactly
     p0_exact = 1.0 - sum(w for w, _, _ in components)
@@ -342,6 +342,12 @@ def cmd_simulate(args) -> int:
         raise CliError(EXIT_INPUT, f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_INPUT, f"config is not valid JSON: {exc}")
+    return _simulate(cfg, [args.config], Path(args.out))
+
+
+def _simulate(cfg, inputs: list, outdir: Path) -> int:
+    """Run the study or figure that the config ``cfg`` names, writing its
+    outputs and a manifest that records ``inputs`` under ``outdir``."""
     if not isinstance(cfg, dict):
         raise CliError(EXIT_INPUT, "config must be a JSON object")
 
@@ -358,7 +364,6 @@ def cmd_simulate(args) -> int:
         else:
             raise CliError(EXIT_INPUT, f"unknown figure {fig!r}")
 
-    outdir = Path(args.out)
     written = []
 
     def emit(name: str, text: str):
@@ -396,7 +401,7 @@ def cmd_simulate(args) -> int:
     manifest = RunManifest(
         command="simulate",
         parameters={"config": cfg},
-        inputs=[args.config],
+        inputs=inputs,
         outputs=written,
         seed=cfg.get("seed"),
     )
@@ -480,11 +485,8 @@ def cmd_replay(args) -> int:
         argv += ["--manifest", args.manifest_file]
     elif command == "simulate":
         config = _manifest_entry(params, "config", "parameters")
-        # rebuild the normalized config next to the manifest
-        cfg_path = Path(args.manifest_file).with_suffix(".replay.json")
-        cfg_path.write_text(json.dumps(config, sort_keys=True))
-        outdir = str(Path(outputs[0]).parent) if outputs else str(Path(args.manifest_file).parent)
-        argv = ["simulate", "--config", str(cfg_path), "--out", outdir]
+        outdir = Path(outputs[0]).parent if outputs else Path(args.manifest_file).parent
+        return _simulate(config, inputs, outdir)
     elif command == "estimate-null":
         argv = ["estimate-null", _manifest_entry(inputs, 0, "inputs"), "--manifest", args.manifest_file]
     else:

@@ -165,7 +165,8 @@ def two_sided_pvalue(z, null: GaussianComponent):
     """Two-sided p-value 2*(1 - Phi(|z - mean|/sd)) against a Gaussian null.
 
     Computed as erfc(|z - mean|/(sd*sqrt(2))) so that deep-tail values keep
-    full relative precision.  Always in (0, 1].
+    full relative precision.  Always in (0, 1]: beyond |z - mean|/sd ~ 37.7,
+    where erfc underflows to 0, the result is the smallest positive double.
     """
     u = np.abs(np.asarray(z, dtype=float) - null.mean) / null.sd
-    return _as_input(z, erfc(u / math.sqrt(2.0)))
+    return _as_input(z, np.maximum(erfc(u / math.sqrt(2.0)), math.ulp(0.0)))

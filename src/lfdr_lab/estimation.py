@@ -28,10 +28,14 @@ frequency window where the ECF is still well above sampling noise:
 Magnitudes are debiased for the sampling term E|psi_m|^2 = |psi|^2 +
 (1 - |psi|^2)/m and median-filtered before the envelope extraction.
 
-The frequency grid is arithmetic, t_k = t_0 + k*dt, so exp(i t_{s+qB+r} z) =
-exp(i t_{s+qB} z) * exp(i r dt z): psi_m is evaluated in passes of 256
-frequencies, each one complex matrix product (16 x chunk times chunk x 16)
-per chunk of 1024 observations, with both factors built by phase recurrence.
+The data are centred at their median and scanned on t_k = k*dt, k = 1..3000,
+with dt = 1/(75 s) for their spread s = min(sd, IQR/1.34).  Under
+z -> a*z + b the centred data scale by a and the grid by 1/|a|, so the
+estimate is affine-equivariant to rounding.  The grid is arithmetic, so
+exp(i t_{s+qB+r} z) = exp(i t_{s+qB} z) * exp(i r dt z): psi_m is
+evaluated in passes of 256 frequencies, each one complex matrix product
+(16 x chunk times chunk x 16) per chunk of 1024 observations, with both
+factors built by phase recurrence.
 The scan stops after the pass holding the first frequency where |psi_m|
 falls below the noise floor and returns psi_m up to that frequency.  The
 result matches the direct transcendental sum (``empirical_cf``) to rounding.
@@ -65,9 +69,10 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Default frequency grid: t_k = k * _T_STEP, k = 1.._T_COUNT.  The scan stops
-# at the noise floor, which for unit-width nulls comes before t ~ 3.
-_T_STEP = 0.01
+# Frequency grid: t_k = k * _T_STEP / s, k = 1.._T_COUNT, for the data's
+# spread s.  The scan stops at the noise floor, which for eq1 draws and pure
+# nulls comes 155-220 frequencies in, inside the first pass of 256.
+_T_STEP = 1.0 / 75.0
 _T_COUNT = 3000
 # ECF scan: each pass covers _ECF_ROWS * _ECF_COLS frequencies as one
 # complex matrix product per chunk of _ECF_CHUNK observations.
@@ -102,7 +107,7 @@ class NullEstimate:
     p0_hat: float
     u0_hat: float
     sigma0_hat: float
-    t_star: float
+    t_star: float  # in units of 1/z
     cf_magnitude_at_t_star: float
 
 
@@ -190,22 +195,26 @@ def _require_finite(z: np.ndarray, what: str) -> None:
         )
 
 
-def _grid_step(ts: np.ndarray) -> float:
-    """Spacing of an arithmetic frequency grid; ValueError if the grid is not
-    equally spaced to within the rounding of building it by repeated
-    addition."""
-    if ts.size == 1:
-        return 0.0
-    dt = (ts[-1] - ts[0]) / (ts.size - 1)
-    drift = np.max(np.abs(ts - (ts[0] + dt * np.arange(ts.size))))
-    if drift > ts.size * np.finfo(float).eps * ts[-1]:
-        raise ValueError("t_grid must be equally spaced")
-    return float(dt)
+def _center_spread(z: np.ndarray) -> tuple[float, float]:
+    """Median and spread min(sd, IQR/1.34) of ``z``, the spread falling back
+    to sd when the IQR is 0.  The quartiles are read off one sort with
+    np.percentile's linear interpolation, so they equal it bit for bit."""
+    s = np.sort(z)
+
+    def quantile(q: float):
+        pos = (s.size - 1) * q
+        i = int(pos)
+        a, b, g = s[i], s[min(i + 1, s.size - 1)], pos - i
+        return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+
+    sd = float(np.std(z, ddof=1))
+    spread = min(sd, float(quantile(0.75) - quantile(0.25)) / 1.34)
+    return float(quantile(0.5)), spread if spread > 0.0 else sd
 
 
-def _ecf_scan(z: np.ndarray, ts: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """psi_m on the arithmetic grid ``ts`` up to and including the first
-    frequency where |psi_m| < ``floor`` (the whole grid if it never does).
+def _ecf_scan(z: np.ndarray, t0: float, dt: float, n: int, floor: float) -> np.ndarray:
+    """psi_m at t_k = t0 + k*dt, k < n, up to and including the first
+    frequency where |psi_m| < ``floor`` (all n if it never does).
 
     The grid is scanned in passes of _ECF_ROWS * _ECF_COLS frequencies.
     Within a pass starting at s, t_{s+qB+r} z = t_{s+qB} z + r dt z, so the
@@ -215,8 +224,7 @@ def _ecf_scan(z: np.ndarray, ts: np.ndarray, floor: float = 0.0) -> np.ndarray:
     its phase from a direct exp, so recurrence error does not grow along
     the grid.
     """
-    dt = _grid_step(ts)
-    m, n = z.size, ts.size
+    m = z.size
     width = min(m, _ECF_CHUNK)
     a_full = np.empty((_ECF_ROWS, width), dtype=complex)
     r_full = np.empty((_ECF_COLS, width), dtype=complex)
@@ -231,7 +239,7 @@ def _ecf_scan(z: np.ndarray, ts: np.ndarray, floor: float = 0.0) -> np.ndarray:
             for k in range(2, _ECF_COLS):
                 np.multiply(r[k - 1], r[1], out=r[k])
             step = r[-1] * r[1]
-            a[0] = np.exp(1j * ts[s] * zc)
+            a[0] = np.exp(1j * (t0 + dt * s) * zc)
             for q in range(1, _ECF_ROWS):
                 np.multiply(a[q - 1], step, out=a[q])
             acc += a @ r.T
@@ -243,18 +251,16 @@ def _ecf_scan(z: np.ndarray, ts: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return out
 
 
-def estimate_null_ecf(z, t_grid=None) -> NullEstimate:
+def estimate_null_ecf(z) -> NullEstimate:
     """Estimate (p0, u0, sigma0) from z-values via the ECF envelope method.
 
-    ``t_grid`` overrides the default frequency grid 0.01*k, k = 1..3000.  It
-    must be positive, ascending and equally spaced (to rounding), because the
-    ECF is evaluated as blocks of 256 frequencies, each one matrix product
-    of phase recurrences along it; scaling the grid by 1/a makes the
-    estimate equivariant under z -> a*z + b.
+    The ECF of the median-centred data is scanned on t_k = k/(75 s),
+    k = 1..3000, for the spread s = min(sd, IQR/1.34), so the estimate is
+    equivariant under z -> a*z + b to rounding.
 
     Raises NonFiniteInput on nan or inf, NotEnoughData below 100
-    observations, and DegenerateCF when the ECF magnitude never falls below
-    the crossing level on the grid.
+    observations, and DegenerateCF on zero spread or when the ECF magnitude
+    never falls below the crossing level on the grid.
     """
     z = np.asarray(z, dtype=float)
     _require_finite(z, "null estimation")
@@ -263,16 +269,15 @@ def estimate_null_ecf(z, t_grid=None) -> NullEstimate:
         raise NotEnoughData(f"null estimation needs m >= {_MIN_OBS}, got {m}")
     level = _crossing_level(m)
     floor = min(level, _floor_level(m))
-    if t_grid is None:
-        ts = _T_STEP * np.arange(1, _T_COUNT + 1)
-    else:
-        ts = np.asarray(t_grid, dtype=float)
-        if ts.size == 0 or np.any(np.diff(ts) <= 0) or ts[0] <= 0:
-            raise ValueError("t_grid must be ascending and strictly positive")
+    center, spread = _center_spread(z)
+    if spread == 0.0:
+        raise DegenerateCF("the data have zero spread, so |ECF| is 1 at every t")
+    dt = _T_STEP / spread
 
     # The window runs from the level crossing k* to the first frequency below
     # the floor; floor <= level, so that frequency also ends the scan.
-    psi = _ecf_scan(z, ts, floor)
+    psi = _ecf_scan(z - center, dt, dt, _T_COUNT, floor)
+    ts = dt * np.arange(1, psi.size + 1)
     hits = np.nonzero(np.abs(psi) <= level)[0]
     if hits.size == 0:
         raise DegenerateCF(
@@ -290,11 +295,11 @@ def estimate_null_ecf(z, t_grid=None) -> NullEstimate:
     tw = ts[:k_end]
 
     decay = -2.0 * np.log(mag[k_star:k_end]) / tw[k_star:k_end] ** 2
-    sigma0_sq = max(1e-4, float(np.min(_median_filter(decay, _MEDFILT))))
+    sigma0_sq = max(1e-4 * spread * spread, float(np.min(_median_filter(decay, _MEDFILT))))
 
     phases = np.unwrap(np.concatenate([[0.0], np.angle(psi[:k_end])]))[1:]
     weights = (tw * np.abs(psi[:k_end])) ** 2
-    u0_hat = float(np.sum(weights * phases * tw) / np.sum(weights * tw * tw))
+    u0_hat = center + float(np.sum(weights * phases * tw) / np.sum(weights * tw * tw))
 
     envelope = _median_filter(mag * np.exp(0.5 * sigma0_sq * tw * tw), _MEDFILT)
     p0_hat = 0.5 * (float(np.min(envelope)) + min(1.0, float(np.max(envelope))))
@@ -350,41 +355,32 @@ def _binned_kernel_sum(data: np.ndarray, lo: float, step: float, bandwidth: floa
     return np.maximum(conv[:n_fine:r], 0.0)
 
 
-def silverman_bandwidth(z) -> float:
+def silverman_bandwidth(z: np.ndarray) -> float:
     """Silverman's rule of thumb 0.9 * min(sd, IQR/1.34) * m^(-1/5)."""
-    z = np.asarray(z, dtype=float)
-    sd = float(np.std(z, ddof=1))
-    q75, q25 = np.percentile(z, [75.0, 25.0])
-    spread = min(sd, (q75 - q25) / 1.34)
-    if spread <= 0.0:
-        spread = sd
-    return 0.9 * spread * z.size ** (-0.2)
+    return 0.9 * _center_spread(z)[1] * z.size ** (-0.2)
 
 
-def estimate_marginal_kde(z, bandwidth: float | None = None) -> MarginalDensityEstimate:
+def estimate_marginal_kde(z) -> MarginalDensityEstimate:
     """Gaussian-kernel density estimate on a 1024-point grid.
 
-    The grid spans [min(z) - 4h, max(z) + 4h]; grid values are computed by
-    linear binning and FFT convolution (see the module docstring) and
-    normalized so the trapezoid integral is exactly 1.  ``bandwidth``
-    overrides the Silverman default.  Raises NonFiniteInput on nan or inf.
+    The bandwidth h is Silverman's; the grid spans [min(z) - 4h,
+    max(z) + 4h]; grid values are computed by linear binning and FFT
+    convolution (see the module docstring) and normalized so the trapezoid
+    integral is exactly 1.  Raises NonFiniteInput on nan or inf.
     """
     z = np.asarray(z, dtype=float)
     _require_finite(z, "kernel density estimation")
     if z.size < 2:
         raise DegenerateData("kernel density estimation needs at least 2 points")
-    if float(np.std(z, ddof=1)) == 0.0:
+    bandwidth = silverman_bandwidth(z)
+    if bandwidth == 0.0:
         raise DegenerateData("sample standard deviation is zero")
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(z)
-    elif not bandwidth > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     lo, hi = z.min() - 4.0 * bandwidth, z.max() + 4.0 * bandwidth
     grid = np.linspace(lo, hi, _KDE_GRID)
     values = _binned_kernel_sum(z, lo, (hi - lo) / (_KDE_GRID - 1), bandwidth)
     values /= np.trapezoid(values, grid)
     return MarginalDensityEstimate(
-        grid=grid, values=values, bandwidth=float(bandwidth), data=z.copy()
+        grid=grid, values=values, bandwidth=bandwidth, data=z.copy()
     )
 
 

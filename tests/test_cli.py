@@ -139,6 +139,17 @@ class TestAnalyze:
         assert run(["analyze", path, "--manifest", tmp_path / "m.json"]) == 2
         assert "table.csv:4: non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("procedure", ["bh", "abh"])
+    def test_far_tail_z_is_rejected(self, null_file, tmp_path, procedure):
+        # the two-sided p-value of z = 40 underflows erfc; it is the
+        # smallest positive double, not 0
+        path = tmp_path / "z.txt"
+        path.write_text(null_file.read_text() + "40.0\n")
+        out = tmp_path / "dec.csv"
+        assert run(["analyze", path, "--procedure", procedure, "--out", out,
+                    "--manifest", tmp_path / "m.json"]) == 0
+        assert out.read_text().splitlines()[-1] == "1000,40.0,5e-324,,true"
+
     def test_bad_alpha(self, null_file, tmp_path):
         assert run(["analyze", null_file, "--alpha", "1.5",
                     "--manifest", tmp_path / "m.json"]) == 4
@@ -259,6 +270,13 @@ class TestOracle:
         assert run(["oracle", "--p0", "0.9", "--components", "0.2:3:1",
                     "--alpha", "0.10", "--manifest", tmp_path / "m.json"]) == 4
 
+    def test_nan_p0_is_invalid(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        assert run(["oracle", "--p0", "nan", "--components", "0.2:3:1",
+                    "--alpha", "0.10", "--manifest", manifest]) == 4
+        assert "weights sum to nan" in capsys.readouterr().err
+        assert not manifest.exists()
+
     def test_replay_byte_identical(self, tmp_path, capsys):
         csv_path = tmp_path / "rules.csv"
         manifest = tmp_path / "m.json"
@@ -378,6 +396,16 @@ class TestSimulate:
         assert "adaptive BH: tail p0 estimate is 0" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_nan_p0_is_invalid(self, tmp_path, capsys):
+        # json reads the NaN literal as a float
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"p0": NaN, "components": "0.2:3:1", "m": 100, "reps": 2, '
+                       '"alpha": 0.1, "seed": 1}')
+        outdir = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", outdir]) == 4
+        assert "weights sum to nan" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_simulate_replay(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -387,9 +415,15 @@ class TestSimulate:
         outdir = tmp_path / "out"
         assert run(["simulate", "--config", cfg, "--out", outdir]) == 0
         first = (outdir / "replication.csv").read_bytes()
+        manifest = (outdir / "manifest.json").read_bytes()
+        files = sorted(tmp_path.rglob("*"))
         (outdir / "replication.csv").unlink()
         assert run(["replay", outdir / "manifest.json"]) == 0
         assert (outdir / "replication.csv").read_bytes() == first
+        # replay leaves the directory as it found it: no extra file, and the
+        # manifest still names the original config
+        assert sorted(tmp_path.rglob("*")) == files
+        assert (outdir / "manifest.json").read_bytes() == manifest
 
 
 class TestReplay:

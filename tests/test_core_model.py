@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from lfdr_lab import (
     GaussianComponent,
@@ -154,6 +155,17 @@ class TestTwoSidedPvalue:
         z = np.linspace(-30, 30, 301)
         p = two_sided_pvalue(z, STD)
         assert np.all(p > 0.0) and np.all(p <= 1.0)
+
+    def test_underflow_clamped_to_smallest_double(self):
+        # erfc(|z|/sqrt 2) reaches 0 near |z| = 37.7; below that every value
+        # keeps erfc's bits, subnormals included
+        z = np.linspace(30.0, 60.0, 3001)
+        raw = erfc(z / math.sqrt(2.0))
+        assert raw[-1] == 0.0 and raw[0] > 0.0
+        p = two_sided_pvalue(np.concatenate([z, -z]), STD)
+        want = np.where(raw > 0.0, raw, math.ulp(0.0))
+        assert np.array_equal(p, np.concatenate([want, want]))
+        assert two_sided_pvalue(-40.0, STD) == math.ulp(0.0)
 
 
 class TestModelTypes:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -27,7 +27,7 @@ from lfdr_lab import (
     mixture_model,
     sample_model,
 )
-from lfdr_lab.estimation import _ecf_scan, _kernel_sum, _median_filter
+from lfdr_lab.estimation import _center_spread, _ecf_scan, _kernel_sum, _median_filter
 
 
 def draw(model, m, seed):
@@ -35,7 +35,8 @@ def draw(model, m, seed):
 
 
 PURE_NULL = mixture_model(1.0, [])
-DEFAULT_T_GRID = 0.01 * np.arange(1, 3001)
+# eq1 draws at the 100-observation floor and at the acceptance-4 size
+EQ1_SEED7 = {m: draw(eq1_default_model(), m, 7) for m in (100, 5_000)}
 
 
 class TestEmpiricalCf:
@@ -98,36 +99,38 @@ class TestEstimateNullEcf:
         with pytest.raises(DegenerateCF):
             estimate_null_ecf(np.full(1000, 2.5))
 
-    def test_affine_equivariance(self):
-        # scaling the frequency grid by 1/a matches grid indices exactly, so
-        # the estimate transforms exactly under z -> a*z + b
-        z = draw(PURE_NULL, 20_000, 5)
-        a, b = 0.5, 0.7
-        base_grid = 0.01 * np.arange(1, 3001)
-        est = estimate_null_ecf(z, t_grid=base_grid)
-        est2 = estimate_null_ecf(a * z + b, t_grid=base_grid / a)
-        assert_allclose(est2.u0_hat, a * est.u0_hat + b, atol=1e-9)
-        assert_allclose(est2.sigma0_hat, a * est.sigma0_hat, atol=1e-9)
-        assert_allclose(est2.p0_hat, est.p0_hat, atol=1e-9)
-        assert_allclose(est2.t_star, est.t_star / a, atol=1e-12)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        m=st.sampled_from(sorted(EQ1_SEED7)),
+        log10_a=st.floats(-3.0, 3.0),
+        negative=st.booleans(),
+        b=st.floats(-10.0, 10.0),
+    )
+    @example(m=100, log10_a=-3.0, negative=True, b=10.0)
+    def test_affine_equivariance(self, m, log10_a, negative, b):
+        # a in +-[1e-3, 1e3], b in [-10, 10], at the 100-observation floor
+        # and at m = 5000
+        a = -(10.0**log10_a) if negative else 10.0**log10_a
+        assert_affine_equivariant(EQ1_SEED7[m], a, b)
+
+    @pytest.mark.parametrize("b", [0.3, -10.0, 400.0])
+    @pytest.mark.parametrize("a", [-2.0, 1e-3, -1e-3, 0.05, 50.0, 1e3])
+    @pytest.mark.parametrize("m", [100, 5_000])
+    def test_affine_equivariance_far_scales_and_shifts(self, m, a, b):
+        # a fixed frequency grid truncates the window at small a, puts t*
+        # on the first grid points at large a, and aliases the phase step
+        # when b*dt exceeds pi
+        assert_affine_equivariant(EQ1_SEED7[m], a, b)
 
     @pytest.mark.parametrize("scale", [0.05, 1.0, 50.0])
     def test_recurrence_matches_direct_sum(self, scale):
         # the blocked matrix-product scan against the transcendental
-        # reference on the whole default grid, with no early stop
+        # reference on a whole 3000-point grid, with no early stop
         z = scale * draw(eq1_default_model(), 5_000, 11)
-        psi = _ecf_scan(z, DEFAULT_T_GRID)
-        assert psi.size == DEFAULT_T_GRID.size
-        assert np.max(np.abs(psi - empirical_cf(z, DEFAULT_T_GRID))) <= 1e-12
-
-    def test_non_arithmetic_grid_rejected(self):
-        z = draw(PURE_NULL, 1_000, 12)
-        with pytest.raises(ValueError, match="equally spaced"):
-            estimate_null_ecf(z, t_grid=np.geomspace(0.01, 30.0, 3000))
-        nudged = DEFAULT_T_GRID.copy()
-        nudged[1000] += 1e-9
-        with pytest.raises(ValueError, match="equally spaced"):
-            estimate_null_ecf(z, t_grid=nudged)
+        psi = _ecf_scan(z, 0.01, 0.01, 3000, 0.0)
+        assert psi.size == 3000
+        ts = 0.01 + 0.01 * np.arange(3000)
+        assert np.max(np.abs(psi - empirical_cf(z, ts))) <= 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -169,6 +172,32 @@ class TestEstimateNullEcf:
             assert med[1_000][j] >= med[10_000][j] >= med[100_000][j], name
 
 
+def assert_affine_equivariant(z, a, b):
+    # sigma0, p0, t* and |psi(t*)| transform to 1e-9 relative, u0 to 1e-9
+    # sigma0; the shift b costs z's low digits when |a z| << |b|
+    est = estimate_null_ecf(z)
+    got = estimate_null_ecf(a * z + b)
+    assert_allclose(got.sigma0_hat / abs(a), est.sigma0_hat, rtol=1e-9, atol=0)
+    assert_allclose(got.p0_hat, est.p0_hat, rtol=1e-9, atol=0)
+    assert_allclose(got.t_star * abs(a), est.t_star, rtol=1e-9, atol=0)
+    assert_allclose(got.cf_magnitude_at_t_star, est.cf_magnitude_at_t_star, rtol=1e-9, atol=0)
+    assert abs((got.u0_hat - b) / a - est.u0_hat) <= 1e-9 * est.sigma0_hat
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(z=st.lists(st.floats(-1e3, 1e3).map(lambda v: round(v, 1)), min_size=2, max_size=60))
+def test_center_spread_matches_np_percentile(z):
+    # reference: the median and Silverman's spread from np.percentile
+    # (rounded values give ties and zero IQRs)
+    z = np.array(z)
+    sd = float(np.std(z, ddof=1))
+    q75, q50, q25 = np.percentile(z, [75.0, 50.0, 25.0])
+    spread = min(sd, (q75 - q25) / 1.34)
+    center, got = _center_spread(z)
+    assert center == q50
+    assert got == (spread if spread > 0.0 else sd)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     z=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=300),
@@ -180,7 +209,7 @@ class TestEstimateNullEcf:
 def test_ecf_scan_matches_empirical_cf(z, t0, dt, n, floor):
     z = np.array(z)
     ts = t0 + dt * np.arange(n)
-    psi = _ecf_scan(z, ts, floor)
+    psi = _ecf_scan(z, t0, dt, n, floor)
     # both sides carry phase rounding ~ eps * |t z|, the recurrence also
     # ~ eps per step
     tol = 1e-14 * (n + ts[-1] * np.max(np.abs(z)))
@@ -216,13 +245,13 @@ def test_ecf_scan_block_edges(m, n):
     # the scan works in passes of 256 frequencies over chunks of 1024
     # observations; m and n sit on both sides of those edges
     z = np.random.default_rng(m + n).normal(size=m)
-    ts = 0.01 * np.arange(1, n + 1)
+    ts = 0.01 + 0.01 * np.arange(n)
 
     def tolerance(z):
         return 1e-14 * (n + ts[-1] * np.max(np.abs(z)))
 
     def check(z, floor, stop):
-        psi = _ecf_scan(z, ts, floor)
+        psi = _ecf_scan(z, 0.01, 0.01, n, floor)
         assert psi.size == stop + 1
         assert np.max(np.abs(psi - empirical_cf(z, ts[: psi.size]))) <= tolerance(z)
         mag = np.abs(psi)
@@ -249,10 +278,10 @@ def test_ecf_scan_blas_thread_invariant():
         "import hashlib, numpy as np\n"
         "from lfdr_lab import eq1_default_model, estimate_null_ecf, sample_model\n"
         "from lfdr_lab.estimation import _ecf_scan\n"
-        "ts = 0.01 * np.arange(1, 3001)\n"
+
         "for m in (5_000, 100_000):\n"
         "    z = sample_model(eq1_default_model(), m, 21)[0]\n"
-        "    print(hashlib.sha256(_ecf_scan(z, ts).tobytes()).hexdigest())\n"
+        "    print(hashlib.sha256(_ecf_scan(z, 0.01, 0.01, 3000, 0.0).tobytes()).hexdigest())\n"
         "    print(repr(estimate_null_ecf(z)))\n"
     )
     src = str(Path(lfdr_lab.__file__).resolve().parents[1])
@@ -290,13 +319,6 @@ class TestEstimateMarginalKde:
         # mirrored grid points: grid is symmetric about c by construction
         mirrored = est.evaluate(2 * c - est.grid)
         assert np.max(np.abs(mirrored - est.values)) <= 1e-10
-
-    def test_bandwidth_override(self):
-        z = draw(PURE_NULL, 500, 6)
-        est = estimate_marginal_kde(z, bandwidth=0.5)
-        assert est.bandwidth == 0.5
-        with pytest.raises(ValueError):
-            estimate_marginal_kde(z, bandwidth=-1.0)
 
     def test_grid_span(self):
         z = draw(PURE_NULL, 1_000, 7)

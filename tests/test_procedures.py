@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,7 +238,7 @@ class TestEstimatedLfdrValues:
     def test_degenerate_marginal_detected(self):
         m = mixture_model(0.8, [(0.2, 3.0, 1.0)])
         z, _ = sample_model(m, 500, 0)
-        marginal = estimate_marginal_kde(z, bandwidth=0.05)
+        marginal = estimate_marginal_kde(z)
         with pytest.raises(DegenerateMarginal):
             estimated_lfdr_values(np.array([80.0]), 0.8, STD, marginal)
 
@@ -356,9 +358,14 @@ class TestDecide:
     def test_bh_levels_share_one_checked_copy(self, eq1_z):
         tables = decide(eq1_z, ("adaptive_bh", "bh"), 0.1, STD)
         assert tables["bh"].pvalue is tables["adaptive_bh"].pvalue
-        # still checked: the two-sided p-value of z = 40 underflows to 0
-        with pytest.raises(InvalidPValue):
-            decide(np.append(eq1_z, 40.0), ("bh", "adaptive_bh"), 0.1, STD)
+
+    def test_far_tail_pvalue_is_positive_and_rejected(self, eq1_z):
+        # erfc underflows to 0 at z = 40; the p-value is the smallest
+        # positive double, which both BH levels reject
+        tables = decide(np.append(eq1_z, 40.0), ("bh", "adaptive_bh"), 0.1, STD)
+        for table in tables.values():
+            assert table.pvalue[-1] == math.ulp(0.0)
+            assert table.rejected[-1]
 
     def test_single_observation_lfdr_skips_tail_p0(self):
         # the tail p0 of [3.0] under N(0, 1) is 0, but one observation gets
