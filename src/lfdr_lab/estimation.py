@@ -40,12 +40,11 @@ The scan stops after the pass holding the first frequency where |psi_m|
 falls below the noise floor and returns psi_m up to that frequency.  The
 result matches the direct transcendental sum (``empirical_cf``) to rounding.
 
-The marginal density estimator is a plain Gaussian-kernel KDE with
-Silverman's rule-of-thumb bandwidth h, stored on a 1024-point grid and
-evaluated by linear interpolation (exact kernel sums off-grid).  The grid
-values come from linear binning (Silverman 1982; Wand 1994) onto an r-fold
-refinement of that grid with spacing at most h/200 (at most 2^18 points),
-followed by an FFT convolution with the Gaussian kernel truncated at 8h.
+The marginal density is a Gaussian-kernel KDE with Silverman's bandwidth h
+on uniform segments of spacing h/100, one per run of sorted data without a
+gap over 16h, reaching 8h past it.  B-spline binning and one FFT (Silverman
+1982, AS 176; Wand 1994) put the grid within 3e-7 of exact kernel sums, and
+the data within 1.1e-5, 5.3e-6, 2.3e-6 at m = 100, 5000, 10^5 (eq1 draws).
 """
 
 from __future__ import annotations
@@ -82,12 +81,9 @@ _ECF_CHUNK = 1024
 _MEDFILT = 9
 _MIN_OBS = 100
 
-# KDE: stored grid size, binning spacing at most h / _KDE_BINS_PER_H, the cap
-# on the binning grid, and the kernel truncation in bandwidths.
-_KDE_GRID = 1024
-_KDE_BINS_PER_H = 200
-_KDE_FINE_MAX = 2**18
-_KDE_CUTOFF = 8.0
+# KDE: grid spacing h / _KDE_BINS_PER_H; grids reach _KDE_REACH h past the data.
+_KDE_BINS_PER_H = 100
+_KDE_REACH = 8.0
 
 
 def _crossing_level(m: int) -> float:
@@ -115,9 +111,9 @@ class NullEstimate:
 class MarginalDensityEstimate:
     """Kernel estimate of the marginal z-density.
 
-    ``evaluate`` interpolates linearly on the stored grid and falls back to
-    exact kernel sums outside it.  Grid values must be nonnegative and
-    integrate (trapezoid) to 1 within 1 percent.
+    ``grid``: ascending segments of 2+ points sharing one spacing (to 0.1%),
+    over 1.5 spacings apart.  ``evaluate`` interpolates in cells found by
+    arithmetic, off them sums kernels exactly.  Values: >= 0, integral 1.
     """
 
     grid: np.ndarray
@@ -129,22 +125,36 @@ class MarginalDensityEstimate:
         self.grid = np.asarray(self.grid, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         self.data = np.asarray(self.data, dtype=float)
-        if self.grid.ndim != 1 or self.grid.size < 2 or np.any(np.diff(self.grid) <= 0):
+        gaps = np.diff(self.grid) if self.grid.ndim == 1 and self.grid.size >= 2 else None
+        if gaps is None or not gaps.min() > 0.0:
             raise ValueError("grid must be ascending with at least 2 points")
+        jumps = np.flatnonzero(gaps > 1.001 * gaps.min())
+        self._first = np.concatenate(([0], jumps + 1))
+        self._cells = np.concatenate((jumps, [gaps.size])) - self._first
+        if np.any(gaps[jumps] <= 1.5 * gaps.min()) or not self._cells.min() > 0:
+            raise ValueError("grid must be segments of at least 2 points sharing one spacing")
+        self._start = self.grid[self._first]
+        self._step = (self.grid[self._first + self._cells] - self._start) / self._cells
         if self.values.shape != self.grid.shape:
             raise ValueError("values must match the grid")
         if np.any(self.values < 0.0):
             raise ValueError("density values must be nonnegative")
         if not self.bandwidth > 0.0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        total = float(np.trapezoid(self.values, self.grid))
+        total = 0.5 * float(np.dot(gaps, self.values[1:] + self.values[:-1]))
         if not (0.99 <= total <= 1.01):
             raise ValueError(f"grid density integrates to {total:.4f}, not 1")
 
     def evaluate(self, z) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.interp(z, self.grid, self.values)
-        outside = (z < self.grid[0]) | (z > self.grid[-1])
+        seg = np.searchsorted(self._start[1:], z, side="right") if self._start.size > 1 else 0
+        pos = (z - self._start[seg]) / self._step[seg]
+        cells = self._cells[seg]
+        cell = np.fmin(np.fmax(pos, 0.0), cells - 1).astype(np.intp)  # nan: cell 0, no bad cast
+        frac = np.clip(pos - cell, 0.0, 1.0)
+        i = self._first[seg] + cell
+        out = self.values[i] + frac * (self.values[i + 1] - self.values[i])
+        outside = (pos < 0.0) | (pos > cells)
         if np.any(outside) and self.data.size:
             out[outside] = _kernel_sum(self.data, z[outside], self.bandwidth)
         return out
@@ -195,11 +205,11 @@ def _require_finite(z: np.ndarray, what: str) -> None:
         )
 
 
-def _center_spread(z: np.ndarray) -> tuple[float, float]:
+def _center_spread(z: np.ndarray, s: np.ndarray | None = None) -> tuple[float, float]:
     """Median and spread min(sd, IQR/1.34) of ``z``, the spread falling back
-    to sd when the IQR is 0.  The quartiles are read off one sort with
-    np.percentile's linear interpolation, so they equal it bit for bit."""
-    s = np.sort(z)
+    to sd when the IQR is 0.  The quartiles are read off one sort (or ``s``,
+    sorted z) with np.percentile's interpolation, equal to it bit for bit."""
+    s = np.sort(z) if s is None else s
 
     def quantile(q: float):
         pos = (s.size - 1) * q
@@ -323,65 +333,55 @@ def _kernel_sum(data: np.ndarray, at: np.ndarray, bandwidth: float) -> np.ndarra
     return out / (data.size * bandwidth * _SQRT_2PI)
 
 
-def _binned_kernel_sum(data: np.ndarray, lo: float, step: float, bandwidth: float) -> np.ndarray:
-    """Kernel sums, up to a constant factor, at lo + i*step, i < _KDE_GRID.
-
-    The data (all inside the grid) are linearly binned onto an r-fold
-    refinement with spacing at most bandwidth / _KDE_BINS_PER_H, capped at
-    _KDE_FINE_MAX points, and FFT-convolved with the Gaussian kernel
-    truncated at _KDE_CUTOFF bandwidths; every r-th point is kept.
-    """
-    r = min(
-        math.ceil(_KDE_BINS_PER_H * step / bandwidth),
-        (_KDE_FINE_MAX - 1) // (_KDE_GRID - 1),
-    )
-    n_fine = (_KDE_GRID - 1) * r + 1
-    fine = step / r
-    pos = (data - lo) / fine
-    left = np.minimum(pos.astype(np.intp), n_fine - 2)
-    frac = pos - left
-    bins = np.bincount(left, weights=1.0 - frac, minlength=n_fine)
-    bins += np.bincount(left + 1, weights=frac, minlength=n_fine)
-
-    half = min(n_fine - 1, int(_KDE_CUTOFF * bandwidth / fine))
-    taps = np.exp(-0.5 * (np.arange(half + 1) * (fine / bandwidth)) ** 2)
-    # wrap-around layout: taps at lags 0..half, mirrored at lags -half..-1;
-    # n_fft >= n_fine + half keeps the circular convolution linear
-    n_fft = 1 << (n_fine + half - 1).bit_length()
-    kernel = np.zeros(n_fft)
-    kernel[: half + 1] = taps
-    kernel[n_fft - half :] = taps[:0:-1]
-    conv = np.fft.irfft(np.fft.rfft(bins, n_fft) * np.fft.rfft(kernel), n_fft)
-    return np.maximum(conv[:n_fine:r], 0.0)
-
-
-def silverman_bandwidth(z: np.ndarray) -> float:
-    """Silverman's rule of thumb 0.9 * min(sd, IQR/1.34) * m^(-1/5)."""
-    return 0.9 * _center_spread(z)[1] * z.size ** (-0.2)
-
-
 def estimate_marginal_kde(z) -> MarginalDensityEstimate:
-    """Gaussian-kernel density estimate on a 1024-point grid.
+    """Gaussian-kernel density estimate on uniform segments of spacing h/100.
 
-    The bandwidth h is Silverman's; the grid spans [min(z) - 4h,
-    max(z) + 4h]; grid values are computed by linear binning and FFT
-    convolution (see the module docstring) and normalized so the trapezoid
-    integral is exactly 1.  Raises NonFiniteInput on nan or inf.
+    h is Silverman's bandwidth.  The sorted data split at gaps over 16h plus
+    6 steps; each segment's grid is centred on its midpoint and reaches 8h
+    plus 1 to 2 steps past its data.  One FFT convolves all segments' bins
+    with the kernel.  Raises NonFiniteInput on nan or inf, and DegenerateData
+    on fewer than 2 points, zero spread, or a spacing under 2^12 ulps of the
+    largest |z| (cell positions need 12 bits below a step).
     """
     z = np.asarray(z, dtype=float)
     _require_finite(z, "kernel density estimation")
     if z.size < 2:
         raise DegenerateData("kernel density estimation needs at least 2 points")
-    bandwidth = silverman_bandwidth(z)
+    s = np.sort(z)
+    bandwidth = 0.9 * _center_spread(z, s)[1] * z.size ** (-0.2)
     if bandwidth == 0.0:
         raise DegenerateData("sample standard deviation is zero")
-    lo, hi = z.min() - 4.0 * bandwidth, z.max() + 4.0 * bandwidth
-    grid = np.linspace(lo, hi, _KDE_GRID)
-    values = _binned_kernel_sum(z, lo, (hi - lo) / (_KDE_GRID - 1), bandwidth)
-    values /= np.trapezoid(values, grid)
-    return MarginalDensityEstimate(
-        grid=grid, values=values, bandwidth=bandwidth, data=z.copy()
-    )
+    step, pad = bandwidth / _KDE_BINS_PER_H, _KDE_REACH * bandwidth
+    magnitude = max(-s[0], s[-1])
+    if not step > 2**12 * math.ulp(magnitude):
+        raise DegenerateData(f"kernel density estimation: spacing h/{_KDE_BINS_PER_H} = {step:.3g} "
+                             f"cannot be represented at |z| up to {magnitude:.3g}")
+    # grids reach pad + 1..2 steps past their data, so gaps over 2 (pad + 3 steps) part them
+    cut = np.flatnonzero(np.diff(s) > 2.0 * (pad + 3.0 * step)) + 1
+    lo, hi = s[np.concatenate(([0], cut))], s[np.concatenate((cut - 1, [s.size - 1]))]
+    side = np.ceil((0.5 * (hi - lo) + pad) / step) + 1.0
+    counts = 2 * side.astype(np.intp) + 1
+    first, starts = np.cumsum(counts) - counts, 0.5 * (lo + hi) - side * step
+    n = int(counts.sum())
+    grid = np.repeat(starts, counts) + step * (np.arange(n) - np.repeat(first, counts))
+    # Quadratic B-spline binning adds step^2 / 4 to each datum's variance
+    # wherever it sits (linear binning adds f (1 - f) step^2), so a kernel
+    # narrowed to b^2 = h^2 - step^2 / 4 gives bandwidth h to third order.
+    members = np.diff(np.concatenate(([0], cut, [s.size])))
+    pos = (s - np.repeat(starts, members)) / step
+    near = np.rint(pos)
+    f = pos - near
+    near = near.astype(np.intp) + np.repeat(first, members)
+    bins = np.bincount(near, weights=0.75 - f * f, minlength=n)
+    bins += np.bincount(near - 1, weights=0.5 * (0.5 - f) ** 2, minlength=n)
+    bins += np.bincount(near + 1, weights=0.5 * (0.5 + f) ** 2, minlength=n)
+    # The sampled kernel's transform is b sqrt(2 pi) / step times exp(-2 pi^2
+    # (k b / (n_fft step))^2); grid ends lie over pad from data: wrap is negligible.
+    n_fft = 1 << (n - 1).bit_length()
+    freq = np.arange(n_fft // 2 + 1) * (math.sqrt(_KDE_BINS_PER_H**2 - 0.25) / n_fft)
+    conv = np.fft.irfft(np.fft.rfft(bins, n_fft) * np.exp(-2.0 * math.pi**2 * freq * freq), n_fft)
+    values = np.maximum(conv[:n], 0.0) / (z.size * step)
+    return MarginalDensityEstimate(grid=grid, values=values, bandwidth=bandwidth, data=s)
 
 
 def estimate_p0_tail(pvalues, lam: float = 0.5) -> float:

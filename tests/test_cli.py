@@ -171,6 +171,23 @@ class TestAnalyze:
         assert "lfdr rule: tail p0 estimate is 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_constant_file_lfdr_is_degenerate(self, tmp_path, capsys):
+        # the sd of 1000 copies of 0.1 is rounding noise, and so is the
+        # bandwidth: the KDE cannot space a grid h/100 at 0.1
+        path = tmp_path / "z.txt"
+        path.write_text("0.1\n" * 1_000)
+        assert run(["analyze", path, "--procedure", "lfdr",
+                    "--manifest", tmp_path / "m.json"]) == 5
+        assert "kernel density estimation: spacing h/100" in capsys.readouterr().err
+
+    def test_point_past_kde_resolution_is_degenerate(self, tmp_path, capsys):
+        # doubles near 1e16 are 2 apart, far coarser than h/100
+        path = tmp_path / "z.txt"
+        write_z_file(path, np.append(np.random.default_rng(1).normal(size=500), 1e16))
+        assert run(["analyze", path, "--null", "estimated", "--procedure", "lfdr",
+                    "--manifest", tmp_path / "m.json"]) == 5
+        assert "cannot be represented at |z| up to 1e+16" in capsys.readouterr().err
+
     @pytest.mark.parametrize("null", ["theoretical", "estimated"])
     @pytest.mark.parametrize("procedure", ["bh", "abh", "lfdr"])
     def test_columns_compose_public_functions(self, tmp_path, procedure, null):

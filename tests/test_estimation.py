@@ -17,6 +17,7 @@ from lfdr_lab import (
     DegenerateCF,
     DegenerateData,
     EmptyInput,
+    MarginalDensityEstimate,
     NonFiniteInput,
     NotEnoughData,
     empirical_cf,
@@ -321,11 +322,23 @@ class TestEstimateMarginalKde:
         assert np.max(np.abs(mirrored - est.values)) <= 1e-10
 
     def test_grid_span(self):
+        # one segment spaced h/100, centred on the data's midpoint and
+        # reaching 8h plus one to two steps past its extreme points; a point
+        # over 16h away gets its own segment, centred on it
         z = draw(PURE_NULL, 1_000, 7)
-        est = estimate_marginal_kde(z)
-        assert est.grid.size == 1024
-        assert_allclose(est.grid[0], z.min() - 4 * est.bandwidth)
-        assert_allclose(est.grid[-1], z.max() + 4 * est.bandwidth)
+        for data, centres in ((z, [0.5 * (z.min() + z.max())]),
+                              (np.append(z, 1e3), [0.5 * (z.min() + z.max()), 1e3])):
+            est = estimate_marginal_kde(data)
+            h, step = est.bandwidth, est.bandwidth / 100
+            gaps = np.diff(est.grid)
+            jumps = np.flatnonzero(gaps > 1.5 * step)
+            assert_allclose(np.delete(gaps, jumps), step, rtol=1e-9)
+            segments = np.split(est.grid, jumps + 1)
+            assert len(segments) == len(centres)
+            for seg, centre in zip(segments, centres):
+                assert_allclose(0.5 * (seg[0] + seg[-1]), centre, rtol=0, atol=1e-9)
+            steps_past = (np.array([data.min() - est.grid[0], est.grid[-1] - data.max()]) - 8 * h) / step
+            assert np.all((steps_past > 1.0 - 1e-6) & (steps_past < 2.0))
 
     def test_off_grid_fallback_continuous(self):
         z = draw(PURE_NULL, 2_000, 8)
@@ -336,16 +349,22 @@ class TestEstimateMarginalKde:
 
     @pytest.mark.parametrize("m", [5_000, 100_000])
     def test_binned_values_match_exact_kernel_sum(self, m):
+        # at the data and at grid points in [min - 4h, max + 4h]; further out
+        # the values fall towards 1e-14 of the peak, where relative error is
+        # FFT rounding
         z = draw(eq1_default_model(), m, 14)
         est = estimate_marginal_kde(z)
-        exact = _kernel_sum(z, est.grid, est.bandwidth)
-        exact /= np.trapezoid(exact, est.grid)
-        assert np.max(np.abs(est.values - exact) / exact) <= 1e-4
+        h = est.bandwidth
+        near = np.flatnonzero((est.grid >= z.min() - 4 * h) & (est.grid <= z.max() + 4 * h))
+        near = near[np.linspace(0, near.size - 1, 500).astype(int)]
+        at_data = z[:: m // 500]
+        for at, got in ((at_data, est.evaluate(at_data)), (est.grid[near], est.values[near])):
+            exact = _kernel_sum(z, at, h)
+            assert np.max(np.abs(got - exact) / exact) <= 5e-5
 
     def test_far_outlier_bounded_fine_grid(self):
-        # one point at 1e4 stretches the grid spacing to ~45 bandwidths; the
-        # binning grid stays at its 2^18-point cap (~2 MB per array) instead
-        # of ~9e6 points
+        # one point at 1e4 gets a short segment of its own; one grid spaced
+        # h/100 across the whole range would need ~6e6 points
         z = np.append(draw(eq1_default_model(), 5_000, 15), 1e4)
         tracemalloc.start()
         try:
@@ -357,6 +376,48 @@ class TestEstimateMarginalKde:
         assert np.all(np.isfinite(est.values))
         assert np.max(est.values) > 0.0
         assert_allclose(np.trapezoid(est.values, est.grid), 1.0)
+
+    def test_heavy_tails_bounded_memory(self):
+        # 10^5 standard Cauchy draws leave hundreds of tail points alone in
+        # their own segments; a grid across their whole range would be
+        # spaced hundreds of bandwidths apart
+        z = np.random.default_rng(19).standard_cauchy(100_000)
+        tracemalloc.start()
+        try:
+            est = estimate_marginal_kde(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
+        at = z[::200]
+        assert_allclose(est.evaluate(at), _kernel_sum(z, at, est.bandwidth), rtol=5e-5)
+
+    def test_million_point_build(self):
+        z = draw(eq1_default_model(), 1_000_000, 23)
+        tracemalloc.start()
+        try:
+            est = estimate_marginal_kde(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96e6
+        at = z[::20_000]
+        assert_allclose(est.evaluate(at), _kernel_sum(z, at, est.bandwidth), rtol=5e-5)
+
+    def test_spacing_below_resolution_is_degenerate(self):
+        # the sd of 1000 copies of 0.1 is rounding noise (1.4e-17), and
+        # doubles near 1e16 are 2 apart: neither holds a grid spaced h/100
+        with pytest.raises(DegenerateData, match="kernel density estimation: spacing h/100 = "):
+            estimate_marginal_kde(np.full(1_000, 0.1))
+        with pytest.raises(DegenerateData, match="cannot be represented at"):
+            estimate_marginal_kde(np.append(draw(PURE_NULL, 500, 3), 1e16))
+
+    def test_grid_segments_share_one_spacing(self):
+        values = np.full(4, 0.25)
+        with pytest.raises(ValueError, match="sharing one spacing"):
+            MarginalDensityEstimate(grid=[0.0, 1.0, 2.2, 3.2], values=values, bandwidth=1.0, data=[])
+        with pytest.raises(ValueError, match="segments of at least 2 points"):
+            MarginalDensityEstimate(grid=[0.0, 1.0, 2.0, 9.0], values=values, bandwidth=1.0, data=[])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):

@@ -17,6 +17,7 @@ from lfdr_lab import (
     bh_stepup,
     confusion,
     decide,
+    eq1_default_model,
     estimate_marginal_kde,
     estimated_lfdr_values,
     fdp_fnp,
@@ -366,6 +367,27 @@ class TestDecide:
         for table in tables.values():
             assert table.pvalue[-1] == math.ulp(0.0)
             assert table.rejected[-1]
+
+    @pytest.mark.parametrize("outlier", [None, 1e4, 1e6])
+    def test_far_outlier_keeps_estimated_lfdr_decisions(self, outlier):
+        # one grid spread over the whole range would space these data 45h
+        # and 4480h apart; such a grid moved k from 750 to 830 and 279
+        z = sample_model(eq1_default_model(), 5_000, 7)[0]
+        if outlier is not None:
+            z = np.append(z, outlier)
+        assert abs(decide(z, ("lfdr",), 0.1, None)["lfdr"].k - 750) <= 2
+
+    @pytest.mark.parametrize("a, b", [(-2.0, 0.3), (1e-3, -10.0), (50.0, 400.0)])
+    def test_estimated_lfdr_chain_is_affine_equivariant(self, a, b):
+        # the ECF null and p0 and the KDE all follow z -> a z + b, so
+        # lfdr_hat and the decisions do too
+        z = sample_model(eq1_default_model(), 5_000, 7)[0]
+        h = estimate_marginal_kde(z).bandwidth
+        assert_allclose(estimate_marginal_kde(a * z + b).bandwidth, abs(a) * h, rtol=1e-9)
+        base = decide(z, ("lfdr",), 0.1, None)["lfdr"]
+        moved = decide(a * z + b, ("lfdr",), 0.1, None)["lfdr"]
+        assert np.max(np.abs(moved.lfdr_hat - base.lfdr_hat)) <= 1e-9
+        assert np.array_equal(moved.rejected, base.rejected)
 
     def test_single_observation_lfdr_skips_tail_p0(self):
         # the tail p0 of [3.0] under N(0, 1) is 0, but one observation gets
