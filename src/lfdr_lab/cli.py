@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +42,9 @@ from .simulation import (
     PROCEDURES,
     SimConfig,
     concentrated_alternative_demo,
-    figure1_csv,
+    figure1_data,
     figure2_data,
     run_replicated,
-    simresult_csv,
 )
 
 EXIT_OK = 0
@@ -144,6 +143,12 @@ def _build_model(p0: float, components: list) -> TwoGroupModel:
         return mixture_model(p0_exact, components)
     except InvalidModel as exc:
         raise CliError(EXIT_PARAMS, str(exc))
+
+
+def _csv(header: str, rows) -> str:
+    """``header`` and one line per row of cells; str writes a float as its
+    repr, the shortest text that reads back to it."""
+    return "".join(f"{line}\n" for line in [header, *(",".join(map(str, row)) for row in rows)])
 
 
 def _csv_column(values, m: int):
@@ -254,16 +259,11 @@ def cmd_oracle(args) -> int:
 
     outputs = []
     if args.csv:
-        buf = io.StringIO()
-        buf.write("kind,threshold,mfdr,mfnr,region\n")
-        for kind in ("pvalue", "lfdr"):
-            rule = rules[kind]
-            if rule is None:
-                buf.write(f"{kind},,,,infeasible\n")
-            else:
-                region = ";".join(f"{lo!r}:{hi!r}" for lo, hi in rule.region.intervals)
-                buf.write(f"{kind},{rule.threshold!r},{rule.mfdr!r},{rule.mfnr!r},{region}\n")
-        Path(args.csv).write_text(buf.getvalue())
+        rows = [(kind, "", "", "", "infeasible") if rule is None else
+                (kind, rule.threshold, rule.mfdr, rule.mfnr,
+                 ";".join(f"{lo!r}:{hi!r}" for lo, hi in rule.region.intervals))
+                for kind, rule in rules.items()]
+        Path(args.csv).write_text(_csv("kind,threshold,mfdr,mfnr,region", rows))
         outputs.append(args.csv)
 
     manifest = RunManifest(
@@ -377,14 +377,12 @@ def _simulate(cfg, inputs: list, outdir: Path) -> int:
             panel = str(cfg["figure1"]).lower()
             if panel not in {"a", "b", "c", "d"}:
                 raise CliError(EXIT_INPUT, f"figure1 panel must be a..d, got {panel!r}")
-            emit(f"figure1_{panel}.csv", figure1_csv(panel))
+            rows = [(panel, r.sweep, r.mfnr_pvalue, r.mfnr_lfdr) for r in figure1_data(panel)]
+            emit(f"figure1_{panel}.csv", _csv("panel,sweep,mfnr_pvalue,mfnr_lfdr", rows))
         elif "figure2" in cfg and cfg["figure2"]:
             fig2 = figure2_data()
-            buf = io.StringIO()
-            buf.write("p1,mfnr_pvalue,mfnr_lfdr\n")
-            for row in fig2.curve:
-                buf.write(f"{row.sweep!r},{row.mfnr_pvalue!r},{row.mfnr_lfdr!r}\n")
-            emit("figure2_curve.csv", buf.getvalue())
+            rows = [(r.sweep, r.mfnr_pvalue, r.mfnr_lfdr) for r in fig2.curve]
+            emit("figure2_curve.csv", _csv("p1,mfnr_pvalue,mfnr_lfdr", rows))
             emit("figure2_report.txt", _figure2_report(fig2))
         elif "concentrated" in cfg and cfg["concentrated"]:
             demo = concentrated_alternative_demo()
@@ -392,7 +390,8 @@ def _simulate(cfg, inputs: list, outdir: Path) -> int:
         else:
             sim_config = _parse_sim_config(cfg)
             result = run_replicated(sim_config)
-            emit("replication.csv", simresult_csv(result))
+            rows = [(proc, *astuple(stats)) for proc, stats in result.per_procedure.items()]
+            emit("replication.csv", _csv("procedure,mfdr,mfdr_se,mfnr,mfnr_se,mean_rejections", rows))
     except (CliError, LfdrLabError):
         for path in written:
             Path(path).unlink(missing_ok=True)
@@ -422,11 +421,7 @@ def cmd_estimate_null(args) -> int:
         f"t_star     = {_fmt6(est.t_star)}\n"
         f"|psi(t*)|  = {_fmt6(est.cf_magnitude_at_t_star)}\n"
     )
-    sys.stdout.write("p0_hat,u0_hat,sigma0_hat,t_star,cf_magnitude_at_t_star\n")
-    sys.stdout.write(
-        f"{est.p0_hat!r},{est.u0_hat!r},{est.sigma0_hat!r},"
-        f"{est.t_star!r},{est.cf_magnitude_at_t_star!r}\n"
-    )
+    sys.stdout.write(_csv("p0_hat,u0_hat,sigma0_hat,t_star,cf_magnitude_at_t_star", [astuple(est)]))
     manifest = RunManifest(command="estimate-null", inputs=[args.input])
     manifest.write(Path(args.manifest or _default_manifest_path("estimate-null", None)))
     return EXIT_OK

@@ -31,11 +31,14 @@ Magnitudes are debiased for the sampling term E|psi_m|^2 = |psi|^2 +
 The data are centred at their median and scanned on t_k = k*dt, k = 1..3000,
 with dt = 1/(75 s) for their spread s = min(sd, IQR/1.34).  Under
 z -> a*z + b the centred data scale by a and the grid by 1/|a|, so the
-estimate is affine-equivariant to rounding.  The grid is arithmetic, so
-exp(i t_{s+qB+r} z) = exp(i t_{s+qB} z) * exp(i r dt z): psi_m is
-evaluated in passes of 256 frequencies, each one complex matrix product
-(16 x chunk times chunk x 16) per chunk of 1024 observations, with both
-factors built by phase recurrence.
+estimate is affine-equivariant to rounding.  The sd is taken of z over a
+power of two near max|z| and the scan of the centred data over one near s,
+which is exact in the normal range: no square overflows, and both
+estimators are scale-equivariant at every scale whose results are doubles.
+The grid is arithmetic, so exp(i t_{s+qB+r} z) = exp(i t_{s+qB} z) *
+exp(i r dt z): psi_m is evaluated in passes of 256 frequencies, each one
+complex matrix product (16 x chunk times chunk x 16) per chunk of 1024
+observations, with both factors built by phase recurrence.
 The scan stops after the pass holding the first frequency where |psi_m|
 falls below the noise floor and returns psi_m up to that frequency.  The
 result matches the direct transcendental sum (``empirical_cf``) to rounding.
@@ -45,12 +48,14 @@ on uniform segments of spacing h/100, one per run of sorted data without a
 gap over 16h, reaching 8h past it.  B-spline binning and one FFT (Silverman
 1982, AS 176; Wand 1994) put the grid within 3e-7 of exact kernel sums, and
 the data within 1.1e-5, 5.3e-6, 2.3e-6 at m = 100, 5000, 10^5 (eq1 draws).
+The estimate is that table: ``starts`` and ``cells`` per segment, ``values``,
+``bandwidth`` (spacing h/100) and ``data``; ``grid`` is derived from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -109,47 +114,57 @@ class NullEstimate:
 
 @dataclass
 class MarginalDensityEstimate:
-    """Kernel estimate of the marginal z-density.
+    """Kernel estimate of the marginal z-density on uniform segments.
 
-    ``grid``: ascending segments of 2+ points sharing one spacing (to 0.1%),
-    over 1.5 spacings apart.  ``evaluate`` interpolates in cells found by
-    arithmetic, off them sums kernels exactly.  Values: >= 0, integral 1.
+    Segment j is the ``cells[j] + 1`` points ``starts[j] + i * spacing``,
+    spacing = bandwidth / 100, and ``values`` holds each segment's points in
+    turn.  Segments ascend without overlap; values are >= 0 and integrate
+    to 1.  ``evaluate`` interpolates on them and sums kernels off them.
     """
 
-    grid: np.ndarray
+    starts: np.ndarray
+    cells: np.ndarray
     values: np.ndarray
     bandwidth: float
     data: np.ndarray
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
+        self.starts = np.asarray(self.starts, dtype=float)
+        self.cells = np.asarray(self.cells, dtype=np.intp)
         self.values = np.asarray(self.values, dtype=float)
         self.data = np.asarray(self.data, dtype=float)
-        gaps = np.diff(self.grid) if self.grid.ndim == 1 and self.grid.size >= 2 else None
-        if gaps is None or not gaps.min() > 0.0:
-            raise ValueError("grid must be ascending with at least 2 points")
-        jumps = np.flatnonzero(gaps > 1.001 * gaps.min())
-        self._first = np.concatenate(([0], jumps + 1))
-        self._cells = np.concatenate((jumps, [gaps.size])) - self._first
-        if np.any(gaps[jumps] <= 1.5 * gaps.min()) or not self._cells.min() > 0:
-            raise ValueError("grid must be segments of at least 2 points sharing one spacing")
-        self._start = self.grid[self._first]
-        self._step = (self.grid[self._first + self._cells] - self._start) / self._cells
-        if self.values.shape != self.grid.shape:
-            raise ValueError("values must match the grid")
-        if np.any(self.values < 0.0):
-            raise ValueError("density values must be nonnegative")
         if not self.bandwidth > 0.0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        total = 0.5 * float(np.dot(gaps, self.values[1:] + self.values[:-1]))
+        if self.starts.ndim != 1 or self.cells.shape != self.starts.shape or not np.all(self.cells > 0):
+            raise ValueError("each segment needs a start and at least one cell")
+        ends = self.starts + self.cells * self.spacing
+        if self.starts.size == 0 or np.any(self.starts[1:] <= ends[:-1]):
+            raise ValueError("segments must be one or more, ascending without overlap")
+        self._first = np.cumsum(self.cells + 1) - (self.cells + 1)
+        if self.values.shape != (self._first[-1] + self.cells[-1] + 1,):
+            raise ValueError("values must hold one value per segment point")
+        if np.any(self.values < 0.0):
+            raise ValueError("density values must be nonnegative")
+        rims = self.values[self._first] + self.values[self._first + self.cells]
+        total = self.spacing * float(self.values.sum() - 0.5 * rims.sum())
         if not (0.99 <= total <= 1.01):
             raise ValueError(f"grid density integrates to {total:.4f}, not 1")
 
+    @property
+    def spacing(self) -> float:
+        return self.bandwidth / _KDE_BINS_PER_H
+
+    @property
+    def grid(self) -> np.ndarray:
+        """Every segment's points in turn, aligned with ``values``."""
+        offsets = np.arange(self.values.size) - np.repeat(self._first, self.cells + 1)
+        return np.repeat(self.starts, self.cells + 1) + self.spacing * offsets
+
     def evaluate(self, z) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        seg = np.searchsorted(self._start[1:], z, side="right") if self._start.size > 1 else 0
-        pos = (z - self._start[seg]) / self._step[seg]
-        cells = self._cells[seg]
+        seg = np.searchsorted(self.starts[1:], z, side="right") if self.starts.size > 1 else 0
+        pos = (z - self.starts[seg]) / self.spacing
+        cells = self.cells[seg]
         cell = np.fmin(np.fmax(pos, 0.0), cells - 1).astype(np.intp)  # nan: cell 0, no bad cast
         frac = np.clip(pos - cell, 0.0, 1.0)
         i = self._first[seg] + cell
@@ -205,10 +220,16 @@ def _require_finite(z: np.ndarray, what: str) -> None:
         )
 
 
+def _binade(x: float) -> float:
+    """The power of two p with p <= |x| < 2p (0.5 at x = 0), for any finite x."""
+    return math.ldexp(0.5, math.frexp(x)[1])
+
+
 def _center_spread(z: np.ndarray, s: np.ndarray | None = None) -> tuple[float, float]:
     """Median and spread min(sd, IQR/1.34) of ``z``, the spread falling back
     to sd when the IQR is 0.  The quartiles are read off one sort (or ``s``,
-    sorted z) with np.percentile's interpolation, equal to it bit for bit."""
+    sorted z) with np.percentile's interpolation, equal to it bit for bit.
+    The sd is of z over a power of two near max|z|, so no square overflows."""
     s = np.sort(z) if s is None else s
 
     def quantile(q: float):
@@ -217,7 +238,8 @@ def _center_spread(z: np.ndarray, s: np.ndarray | None = None) -> tuple[float, f
         a, b, g = s[i], s[min(i + 1, s.size - 1)], pos - i
         return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
 
-    sd = float(np.std(z, ddof=1))
+    unit = _binade(max(-s[0], s[-1]))
+    sd = float(np.std(z / unit, ddof=1)) * unit
     spread = min(sd, float(quantile(0.75) - quantile(0.25)) / 1.34)
     return float(quantile(0.5)), spread if spread > 0.0 else sd
 
@@ -266,11 +288,12 @@ def estimate_null_ecf(z) -> NullEstimate:
 
     The ECF of the median-centred data is scanned on t_k = k/(75 s),
     k = 1..3000, for the spread s = min(sd, IQR/1.34), so the estimate is
-    equivariant under z -> a*z + b to rounding.
+    equivariant under z -> a*z + b to rounding at every finite scale: the
+    scan runs on the centred data over a power of two near s.
 
     Raises NonFiniteInput on nan or inf, NotEnoughData below 100
-    observations, and DegenerateCF on zero spread or when the ECF magnitude
-    never falls below the crossing level on the grid.
+    observations, and DegenerateCF on zero spread, on overflow at the data's
+    scale, or when the ECF magnitude never falls below the crossing level.
     """
     z = np.asarray(z, dtype=float)
     _require_finite(z, "null estimation")
@@ -282,21 +305,27 @@ def estimate_null_ecf(z) -> NullEstimate:
     center, spread = _center_spread(z)
     if spread == 0.0:
         raise DegenerateCF("the data have zero spread, so |ECF| is 1 at every t")
-    dt = _T_STEP / spread
+    unit = _binade(spread)
+    spread_x = spread / unit
+    with np.errstate(over="ignore"):
+        x = (z - center) / unit
+    if not np.isfinite(x).all():
+        raise DegenerateCF(f"null estimation: the data lie over {np.finfo(float).max:.3g} "
+                           f"spreads ({spread:.3g}) from their median, {center:.3g}")
+    dt = _T_STEP / spread_x
 
     # The window runs from the level crossing k* to the first frequency below
     # the floor; floor <= level, so that frequency also ends the scan.
-    psi = _ecf_scan(z - center, dt, dt, _T_COUNT, floor)
+    psi = _ecf_scan(x, dt, dt, _T_COUNT, floor)
     ts = dt * np.arange(1, psi.size + 1)
     hits = np.nonzero(np.abs(psi) <= level)[0]
     if hits.size == 0:
         raise DegenerateCF(
-            f"|ECF| never fell below {level:.4g} for t <= {ts[-1]:.4g}"
+            f"|ECF| never fell below {level:.4g} for t <= {float(ts[-1]) / unit:.4g}"
         )
     k_star = int(hits[0])
     k_end = psi.size - 1 if abs(psi[-1]) < floor else psi.size
     k_end = max(k_end, k_star + 1)
-    t_star = float(ts[k_star])
     mag_at_star = float(np.abs(psi[k_star]))
 
     # Sampling debias of |psi|^2; E|psi_m|^2 = |psi|^2 + (1 - |psi|^2)/m.
@@ -305,23 +334,26 @@ def estimate_null_ecf(z) -> NullEstimate:
     tw = ts[:k_end]
 
     decay = -2.0 * np.log(mag[k_star:k_end]) / tw[k_star:k_end] ** 2
-    sigma0_sq = max(1e-4 * spread * spread, float(np.min(_median_filter(decay, _MEDFILT))))
+    sigma0_sq = max(1e-4 * spread_x * spread_x, float(np.min(_median_filter(decay, _MEDFILT))))
 
     phases = np.unwrap(np.concatenate([[0.0], np.angle(psi[:k_end])]))[1:]
     weights = (tw * np.abs(psi[:k_end])) ** 2
-    u0_hat = center + float(np.sum(weights * phases * tw) / np.sum(weights * tw * tw))
+    u0_x = float(np.sum(weights * phases * tw) / np.sum(weights * tw * tw))
 
     envelope = _median_filter(mag * np.exp(0.5 * sigma0_sq * tw * tw), _MEDFILT)
     p0_hat = 0.5 * (float(np.min(envelope)) + min(1.0, float(np.max(envelope))))
     p0_hat = min(1.0, max(1e-6, p0_hat))
 
-    return NullEstimate(
+    est = NullEstimate(
         p0_hat=p0_hat,
-        u0_hat=u0_hat,
-        sigma0_hat=math.sqrt(sigma0_sq),
-        t_star=t_star,
+        u0_hat=center + u0_x * unit,
+        sigma0_hat=math.sqrt(sigma0_sq) * unit,
+        t_star=float(ts[k_star]) / unit,
         cf_magnitude_at_t_star=mag_at_star,
     )
+    if not all(map(math.isfinite, astuple(est))):
+        raise DegenerateCF(f"null estimation: an estimate overflows at spread {spread:.3g}: {est}")
+    return est
 
 
 def _kernel_sum(data: np.ndarray, at: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -363,7 +395,6 @@ def estimate_marginal_kde(z) -> MarginalDensityEstimate:
     counts = 2 * side.astype(np.intp) + 1
     first, starts = np.cumsum(counts) - counts, 0.5 * (lo + hi) - side * step
     n = int(counts.sum())
-    grid = np.repeat(starts, counts) + step * (np.arange(n) - np.repeat(first, counts))
     # Quadratic B-spline binning adds step^2 / 4 to each datum's variance
     # wherever it sits (linear binning adds f (1 - f) step^2), so a kernel
     # narrowed to b^2 = h^2 - step^2 / 4 gives bandwidth h to third order.
@@ -381,7 +412,8 @@ def estimate_marginal_kde(z) -> MarginalDensityEstimate:
     freq = np.arange(n_fft // 2 + 1) * (math.sqrt(_KDE_BINS_PER_H**2 - 0.25) / n_fft)
     conv = np.fft.irfft(np.fft.rfft(bins, n_fft) * np.exp(-2.0 * math.pi**2 * freq * freq), n_fft)
     values = np.maximum(conv[:n], 0.0) / (z.size * step)
-    return MarginalDensityEstimate(grid=grid, values=values, bandwidth=bandwidth, data=s)
+    return MarginalDensityEstimate(starts=starts, cells=counts - 1, values=values,
+                                   bandwidth=bandwidth, data=s)
 
 
 def estimate_p0_tail(pvalues, lam: float = 0.5) -> float:

@@ -9,7 +9,6 @@ results are bit-identical for a given config.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -30,19 +29,12 @@ __all__ = [
     "sample_correlated",
     "run_replicated",
     "figure1_data",
-    "figure1_csv",
     "figure2_data",
     "concentrated_alternative_demo",
-    "simresult_csv",
     "eq1_default_model",
-    "FIGURE1_CSV_HEADER",
-    "REPLICATION_CSV_HEADER",
 ]
 
 PROCEDURES = ("bh", "adaptive_bh", "lfdr_oracle_plugin", "lfdr_estimated")
-
-FIGURE1_CSV_HEADER = "panel,sweep,mfnr_pvalue,mfnr_lfdr"
-REPLICATION_CSV_HEADER = "procedure,mfdr,mfdr_se,mfnr,mfnr_se,mean_rejections"
 
 _DEMO_SEED = 20080101
 
@@ -188,18 +180,6 @@ def run_replicated(config: SimConfig) -> SimResult:
     return SimResult(per_procedure=per_procedure, reps=config.reps)
 
 
-def simresult_csv(result: SimResult) -> str:
-    """Render a SimResult as CSV with the documented header."""
-    buf = io.StringIO()
-    buf.write(REPLICATION_CSV_HEADER + "\n")
-    for proc, stats in result.per_procedure.items():
-        buf.write(
-            f"{proc},{stats.mfdr!r},{stats.mfdr_se!r},{stats.mfnr!r},"
-            f"{stats.mfnr_se!r},{stats.mean_rejections!r}\n"
-        )
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # Oracle comparison figures
 # ---------------------------------------------------------------------------
@@ -237,15 +217,6 @@ def figure1_data(panel: str) -> list:
     else:
         raise ValueError(f"panel must be one of a, b, c, d; got {panel!r}")
     return oracle_sweep(model_for, sweep, alpha)
-
-
-def figure1_csv(panel: str) -> str:
-    rows = figure1_data(panel)
-    buf = io.StringIO()
-    buf.write(FIGURE1_CSV_HEADER + "\n")
-    for row in rows:
-        buf.write(f"{panel.lower()},{row.sweep!r},{row.mfnr_pvalue!r},{row.mfnr_lfdr!r}\n")
-    return buf.getvalue()
 
 
 @dataclass(frozen=True)

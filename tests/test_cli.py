@@ -188,6 +188,25 @@ class TestAnalyze:
                     "--manifest", tmp_path / "m.json"]) == 5
         assert "cannot be represented at |z| up to 1e+16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale, procedure", [(1e300, "bh"), (1e-300, "lfdr")])
+    def test_estimated_null_at_extreme_scales(self, tmp_path, capsys, scale, procedure):
+        # squares of z overflow at 1e300 and underflow at 1e-300; the null
+        # estimate is taken at unit scale and mapped back
+        z = np.random.default_rng(1).normal(size=500)
+        path = tmp_path / "z.txt"
+        write_z_file(path, scale * z)
+        out = tmp_path / "dec.csv"
+        assert run(["analyze", path, "--null", "estimated", "--procedure", procedure,
+                    "--out", out, "--manifest", tmp_path / "m.json"]) == 0
+        column = {"bh": 2, "lfdr": 3}[procedure]
+        stats = np.array([float(ln.split(",")[column]) for ln in out.read_text().splitlines()[1:]])
+        assert stats.size == 500 and np.all((stats >= 0.0) & (stats <= 1.0))
+        capsys.readouterr()
+        assert run(["estimate-null", path, "--manifest", tmp_path / "e.json"]) == 0
+        values = np.array(capsys.readouterr().out.strip().split("\n")[-1].split(","), dtype=float)
+        assert values.size == 5 and np.all(np.isfinite(values))
+        assert abs(values[2] / (scale * estimate_null_ecf(z).sigma0_hat) - 1.0) <= 1e-9
+
     @pytest.mark.parametrize("null", ["theoretical", "estimated"])
     @pytest.mark.parametrize("procedure", ["bh", "abh", "lfdr"])
     def test_columns_compose_public_functions(self, tmp_path, procedure, null):

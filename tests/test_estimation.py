@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import lfdr_lab
 from lfdr_lab import (
@@ -114,14 +114,27 @@ class TestEstimateNullEcf:
         a = -(10.0**log10_a) if negative else 10.0**log10_a
         assert_affine_equivariant(EQ1_SEED7[m], a, b)
 
-    @pytest.mark.parametrize("b", [0.3, -10.0, 400.0])
-    @pytest.mark.parametrize("a", [-2.0, 1e-3, -1e-3, 0.05, 50.0, 1e3])
+    @pytest.mark.parametrize("a, b", [(a, b) for a in (-2.0, 1e-3, -1e-3, 0.05, 50.0, 1e3)
+                                      for b in (0.3, -10.0, 400.0)]
+                             + [(a, 0.0) for a in (1e-300, -1e-300, 1e-200, 1e200, 1e300, -1e300)])
     @pytest.mark.parametrize("m", [100, 5_000])
     def test_affine_equivariance_far_scales_and_shifts(self, m, a, b):
         # a fixed frequency grid truncates the window at small a, puts t*
         # on the first grid points at large a, and aliases the phase step
-        # when b*dt exceeds pi
+        # when b*dt exceeds pi; squares of z underflow at |a| <= 1e-200 and
+        # overflow at |a| >= 1e200
         assert_affine_equivariant(EQ1_SEED7[m], a, b)
+
+    def test_standardized_overflow_is_degenerate(self):
+        # the spread is ~1e-300, so the point at 1e10 lies ~1e310 spreads out
+        z = np.append(1e-300 * draw(PURE_NULL, 500, 3), 1e10)
+        with pytest.raises(DegenerateCF, match="null estimation: the data lie over 1.8e"):
+            estimate_null_ecf(z)
+
+    def test_estimate_overflow_is_degenerate(self):
+        # at a spread of ~1e-310 (subnormal) t* ~ 1e310 overflows
+        with pytest.raises(DegenerateCF, match="null estimation: an estimate overflows"):
+            estimate_null_ecf(1e-310 * draw(PURE_NULL, 500, 3))
 
     @pytest.mark.parametrize("scale", [0.05, 1.0, 50.0])
     def test_recurrence_matches_direct_sum(self, scale):
@@ -412,12 +425,31 @@ class TestEstimateMarginalKde:
         with pytest.raises(DegenerateData, match="cannot be represented at"):
             estimate_marginal_kde(np.append(draw(PURE_NULL, 500, 3), 1e16))
 
-    def test_grid_segments_share_one_spacing(self):
-        values = np.full(4, 0.25)
-        with pytest.raises(ValueError, match="sharing one spacing"):
-            MarginalDensityEstimate(grid=[0.0, 1.0, 2.2, 3.2], values=values, bandwidth=1.0, data=[])
-        with pytest.raises(ValueError, match="segments of at least 2 points"):
-            MarginalDensityEstimate(grid=[0.0, 1.0, 2.0, 9.0], values=values, bandwidth=1.0, data=[])
+    def test_segment_table_checked(self):
+        # two segments of 2 cells spaced 1 (bandwidth 100), from 0 and 5;
+        # each case breaks one field of that valid table
+        def build(starts=(0.0, 5.0), cells=(2, 2), values=(0.0, 0.5, 0.0) * 2, bandwidth=100.0):
+            return MarginalDensityEstimate(starts=starts, cells=cells, values=values,
+                                           bandwidth=bandwidth, data=[])
+
+        est = build()
+        assert est.spacing == 1.0
+        assert_array_equal(est.grid, [0.0, 1.0, 2.0, 5.0, 6.0, 7.0])
+        assert_allclose(est.evaluate([1.5, 5.5]), [0.25, 0.25])
+        for kwargs, message in (
+            ({"bandwidth": 0.0}, "bandwidth must be positive"),
+            ({"cells": (2,)}, "a start and at least one cell"),
+            ({"cells": (2, 0), "values": (0.0, 0.5, 0.0, 0.5)}, "a start and at least one cell"),
+            ({"starts": [[0.0, 5.0]]}, "a start and at least one cell"),
+            ({"starts": (), "cells": (), "values": ()}, "one or more"),
+            ({"starts": (0.0, 2.0)}, "ascending without overlap"),
+            ({"starts": (5.0, 0.0)}, "ascending without overlap"),
+            ({"values": (0.0, 0.5, 0.0, 0.5, 0.0)}, "one value per segment point"),
+            ({"values": (0.0, 0.5, 0.0, 0.0, 0.5, -0.01)}, "nonnegative"),
+            ({"values": (0.0, 1.0, 0.0) * 2}, "integrates to 2.0000"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build(**kwargs)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):

@@ -210,15 +210,16 @@ class TestEstimatedLfdrValues:
 
     def test_exact_inputs_reproduce_lfdr(self):
         # true null parameters plus the true marginal tabulated on a fine
-        # grid give back the exact lfdr up to interpolation error
+        # grid give back the exact lfdr up to interpolation error; one
+        # segment of 8000 cells from -9, spaced 0.225 / 100 = 18 / 8000
         from lfdr_lab import MarginalDensityEstimate, marginal_density
 
         model = mixture_model(0.8, [(0.1, -3.0, 1.0), (0.1, 3.0, 1.0)])
-        grid = np.linspace(-9.0, 9.0, 8001)
         marginal = MarginalDensityEstimate(
-            grid=grid,
-            values=marginal_density(model, grid),
-            bandwidth=0.1,
+            starts=[-9.0],
+            cells=[8000],
+            values=marginal_density(model, np.linspace(-9.0, 9.0, 8001)),
+            bandwidth=0.225,
             data=np.array([]),
         )
         z = np.linspace(-6.0, 6.0, 241)

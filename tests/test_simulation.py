@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -23,7 +24,7 @@ from lfdr_lab import (
     two_sided_pvalue,
 )
 from lfdr_lab import simulation
-from lfdr_lab.simulation import figure1_csv, simresult_csv
+from lfdr_lab.cli import main as cli_main
 
 PURE_NULL = mixture_model(1.0, [])
 
@@ -214,12 +215,12 @@ class TestRunReplicated:
         with pytest.raises(ValueError, match="not the string 'bh'"):
             SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, procedures="bh")
 
-    def test_csv_rendering(self):
-        config = SimConfig(
-            model=PURE_NULL, m=100, reps=5, alpha=0.1, seed=15, procedures=("bh",)
-        )
-        text = simresult_csv(run_replicated(config))
-        lines = text.strip().split("\n")
+    def test_csv_rendering(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p0": 1.0, "components": [], "m": 100, "reps": 5,
+                                   "alpha": 0.1, "seed": 15, "procedures": ["bh"]}))
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "replication.csv").read_text().strip().split("\n")
         assert lines[0] == "procedure,mfdr,mfdr_se,mfnr,mfnr_se,mean_rejections"
         assert lines[1].startswith("bh,")
 
@@ -239,9 +240,11 @@ class TestFigureData:
         mid = [r for r in rows if abs(r.sweep - 0.10) < 1e-9][0]
         assert abs(mid.mfnr_pvalue - mid.mfnr_lfdr) <= 1e-6  # symmetric point
 
-    def test_csv_header(self):
-        text = figure1_csv("d")
-        lines = text.strip().split("\n")
+    def test_csv_header(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"figure1": "d"}))
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "figure1_d.csv").read_text().strip().split("\n")
         assert lines[0] == "panel,sweep,mfnr_pvalue,mfnr_lfdr"
         assert len(lines) == 16
 
