@@ -6,8 +6,13 @@ studies and figure data from a JSON config), ``estimate-null`` (ECF null
 diagnostics) and ``replay`` (re-run a recorded manifest).
 
 Exit codes: 0 success, 2 input/config error, 3 insufficient data, 4
-invalid/infeasible parameters, 5 estimator degeneracy.  Every command writes
-a RunManifest JSON; replaying it reproduces the outputs byte-for-byte.
+invalid/infeasible parameters, 5 estimator degeneracy.
+
+A command computes all of its output first, then writes its files and last
+a JSON manifest that records them; replaying the manifest reproduces the
+outputs byte-for-byte.  Output directories are created.  A path that cannot
+be written exits 2 naming it, and the files the run already wrote are
+removed.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -60,22 +65,6 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to re-run a command and reproduce its outputs."""
-
-    command: str
-    parameters: dict = field(default_factory=dict)
-    inputs: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
-    seed: int | None = None
-    tool_version: str = __version__
-
-    def write(self, path: Path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
-
-
 def _fmt6(x: float) -> str:
     """Reports print 6 significant digits; CSV keeps full precision."""
     return f"{x:.6g}"
@@ -89,7 +78,7 @@ def read_z_file(path: str) -> np.ndarray:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}")
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -172,12 +161,36 @@ def decision_table_csv(z, table: DecisionTable) -> str:
     return "index,z,pvalue,lfdr_hat,reject\n" + "".join(map(",".join, columns))
 
 
-def _write_output(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text)
+def _write(path, text: str):
+    """Write ``text`` to ``path``, creating its directory; a path that
+    cannot be written is an input error naming it."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot write {path}: {exc}")
+
+
+def _finish(command: str, manifest, files: dict, parameters: dict, inputs: list, seed=None):
+    """Write ``files`` ({path: text}, in order), then the manifest that
+    records them at ``manifest``: by default beside the first file, else
+    ``<command>_manifest.json``.  A failed write removes every file this
+    run wrote."""
+    record = {"command": command, "inputs": inputs, "outputs": list(files),
+              "parameters": parameters, "seed": seed, "tool_version": __version__}
+    if manifest is None:
+        manifest = (f"{next(iter(files))}.manifest.json" if files
+                    else f"{command.replace('-', '_')}_manifest.json")
+    files = {**files, manifest: json.dumps(record, indent=2, sort_keys=True) + "\n"}
+    written = []
+    try:
+        for path, text in files.items():
+            _write(path, text)
+            written.append(path)
+    except CliError:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -192,23 +205,11 @@ def cmd_analyze(args) -> int:
     z = read_z_file(args.input)
     null = GaussianComponent(0.0, 1.0) if args.null == "theoretical" else None
     procedure = _ANALYZE_PROCEDURES[args.procedure]
-    try:
-        table = decide(z, (procedure,), args.alpha, null)[procedure]
-    except ValueError as exc:
-        raise CliError(EXIT_PARAMS, str(exc))
-
-    _write_output(decision_table_csv(z, table), args.out)
-    manifest = RunManifest(
-        command="analyze",
-        parameters={
-            "alpha": args.alpha,
-            "procedure": args.procedure,
-            "null": args.null,
-        },
-        inputs=[args.input],
-        outputs=[args.out] if args.out else [],
-    )
-    manifest.write(Path(args.manifest or _default_manifest_path("analyze", args.out)))
+    text = decision_table_csv(z, decide(z, (procedure,), args.alpha, null)[procedure])
+    _finish("analyze", args.manifest, {args.out: text} if args.out else {},
+            {"alpha": args.alpha, "procedure": args.procedure, "null": args.null}, [args.input])
+    if not args.out:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -236,9 +237,6 @@ def _rule_report(name: str, rule: OracleRule | None, note: str = "") -> str:
 def cmd_oracle(args) -> int:
     components = parse_components(args.components) if args.components else []
     model = _build_model(args.p0, components)
-    if not (0.0 < args.alpha < 1.0):
-        raise CliError(EXIT_PARAMS, f"alpha must be in (0, 1), got {args.alpha}")
-
     rules = {}
     notes = {}
     for kind, solver in (("pvalue", oracle_pvalue_rule), ("lfdr", oracle_lfdr_rule)):
@@ -255,23 +253,17 @@ def cmd_oracle(args) -> int:
     report.write(f"target mFDR = {_fmt6(args.alpha)}\n\n")
     report.write(_rule_report("p-value oracle rule", rules["pvalue"], notes.get("pvalue", "")))
     report.write(_rule_report("lfdr oracle rule", rules["lfdr"], notes.get("lfdr", "")))
-    sys.stdout.write(report.getvalue())
 
-    outputs = []
+    files = {}
     if args.csv:
         rows = [(kind, "", "", "", "infeasible") if rule is None else
                 (kind, rule.threshold, rule.mfdr, rule.mfnr,
                  ";".join(f"{lo!r}:{hi!r}" for lo, hi in rule.region.intervals))
                 for kind, rule in rules.items()]
-        Path(args.csv).write_text(_csv("kind,threshold,mfdr,mfnr,region", rows))
-        outputs.append(args.csv)
-
-    manifest = RunManifest(
-        command="oracle",
-        parameters={"p0": args.p0, "components": args.components, "alpha": args.alpha},
-        outputs=outputs,
-    )
-    manifest.write(Path(args.manifest or _default_manifest_path("oracle", args.csv)))
+        files[args.csv] = _csv("kind,threshold,mfdr,mfnr,region", rows)
+    _finish("oracle", args.manifest, files,
+            {"p0": args.p0, "components": args.components, "alpha": args.alpha}, [])
+    sys.stdout.write(report.getvalue())
     return EXIT_OK
 
 
@@ -338,7 +330,7 @@ def _parse_sim_config(cfg: dict) -> SimConfig:
 def cmd_simulate(args) -> int:
     try:
         cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_INPUT, f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_INPUT, f"config is not valid JSON: {exc}")
@@ -364,47 +356,25 @@ def _simulate(cfg, inputs: list, outdir: Path) -> int:
         else:
             raise CliError(EXIT_INPUT, f"unknown figure {fig!r}")
 
-    written = []
-
-    def emit(name: str, text: str):
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / name
-        path.write_text(text)
-        written.append(str(path))
-
-    try:
-        if "figure1" in cfg:
-            panel = str(cfg["figure1"]).lower()
-            if panel not in {"a", "b", "c", "d"}:
-                raise CliError(EXIT_INPUT, f"figure1 panel must be a..d, got {panel!r}")
-            rows = [(panel, r.sweep, r.mfnr_pvalue, r.mfnr_lfdr) for r in figure1_data(panel)]
-            emit(f"figure1_{panel}.csv", _csv("panel,sweep,mfnr_pvalue,mfnr_lfdr", rows))
-        elif "figure2" in cfg and cfg["figure2"]:
-            fig2 = figure2_data()
-            rows = [(r.sweep, r.mfnr_pvalue, r.mfnr_lfdr) for r in fig2.curve]
-            emit("figure2_curve.csv", _csv("p1,mfnr_pvalue,mfnr_lfdr", rows))
-            emit("figure2_report.txt", _figure2_report(fig2))
-        elif "concentrated" in cfg and cfg["concentrated"]:
-            demo = concentrated_alternative_demo()
-            emit("concentrated_report.txt", _concentrated_report(demo))
-        else:
-            sim_config = _parse_sim_config(cfg)
-            result = run_replicated(sim_config)
-            rows = [(proc, *astuple(stats)) for proc, stats in result.per_procedure.items()]
-            emit("replication.csv", _csv("procedure,mfdr,mfdr_se,mfnr,mfnr_se,mean_rejections", rows))
-    except (CliError, LfdrLabError):
-        for path in written:
-            Path(path).unlink(missing_ok=True)
-        raise
-
-    manifest = RunManifest(
-        command="simulate",
-        parameters={"config": cfg},
-        inputs=inputs,
-        outputs=written,
-        seed=cfg.get("seed"),
-    )
-    manifest.write(outdir / "manifest.json")
+    if "figure1" in cfg:
+        panel = str(cfg["figure1"]).lower()
+        if panel not in {"a", "b", "c", "d"}:
+            raise CliError(EXIT_INPUT, f"figure1 panel must be a..d, got {panel!r}")
+        rows = [(panel, r.sweep, r.mfnr_pvalue, r.mfnr_lfdr) for r in figure1_data(panel)]
+        files = {f"figure1_{panel}.csv": _csv("panel,sweep,mfnr_pvalue,mfnr_lfdr", rows)}
+    elif "figure2" in cfg and cfg["figure2"]:
+        fig2 = figure2_data()
+        rows = [(r.sweep, r.mfnr_pvalue, r.mfnr_lfdr) for r in fig2.curve]
+        files = {"figure2_curve.csv": _csv("p1,mfnr_pvalue,mfnr_lfdr", rows),
+                 "figure2_report.txt": _figure2_report(fig2)}
+    elif "concentrated" in cfg and cfg["concentrated"]:
+        files = {"concentrated_report.txt": _concentrated_report(concentrated_alternative_demo())}
+    else:
+        result = run_replicated(_parse_sim_config(cfg))
+        rows = [(proc, *astuple(stats)) for proc, stats in result.per_procedure.items()]
+        files = {"replication.csv": _csv("procedure,mfdr,mfdr_se,mfnr,mfnr_se,mean_rejections", rows)}
+    _finish("simulate", outdir / "manifest.json", {str(outdir / name): text for name, text in files.items()},
+            {"config": cfg}, inputs, cfg.get("seed"))
     return EXIT_OK
 
 
@@ -414,28 +384,21 @@ def _simulate(cfg, inputs: list, outdir: Path) -> int:
 
 def cmd_estimate_null(args) -> int:
     est = estimate_null_ecf(read_z_file(args.input))
-    sys.stdout.write(
+    text = (
         f"p0_hat     = {_fmt6(est.p0_hat)}\n"
         f"u0_hat     = {_fmt6(est.u0_hat)}\n"
         f"sigma0_hat = {_fmt6(est.sigma0_hat)}\n"
         f"t_star     = {_fmt6(est.t_star)}\n"
         f"|psi(t*)|  = {_fmt6(est.cf_magnitude_at_t_star)}\n"
-    )
-    sys.stdout.write(_csv("p0_hat,u0_hat,sigma0_hat,t_star,cf_magnitude_at_t_star", [astuple(est)]))
-    manifest = RunManifest(command="estimate-null", inputs=[args.input])
-    manifest.write(Path(args.manifest or _default_manifest_path("estimate-null", None)))
+    ) + _csv("p0_hat,u0_hat,sigma0_hat,t_star,cf_magnitude_at_t_star", [astuple(est)])
+    _finish("estimate-null", args.manifest, {}, {}, [args.input])
+    sys.stdout.write(text)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
-
-def _default_manifest_path(command: str, primary_out: str | None) -> str:
-    if primary_out:
-        return primary_out + ".manifest.json"
-    return f"{command.replace('-', '_')}_manifest.json"
-
 
 def _manifest_entry(entries, key, name: str):
     """``entries[key]``, where ``entries`` is the manifest's ``name``; a
@@ -449,7 +412,7 @@ def _manifest_entry(entries, key, name: str):
 def cmd_replay(args) -> int:
     try:
         data = json.loads(Path(args.manifest_file).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(EXIT_INPUT, f"cannot load manifest: {exc}")
     if not isinstance(data, dict):
         raise CliError(EXIT_INPUT, f"manifest must be a JSON object, got {type(data).__name__}")
@@ -542,7 +505,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except LfdrLabError as exc:
+    except (LfdrLabError, ValueError) as exc:
+        # a plain ValueError is a parameter the library refused
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NotEnoughData):
             return EXIT_DATA

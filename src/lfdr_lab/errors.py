@@ -5,6 +5,23 @@ CLI exit-code mapping) can tell input mistakes apart from estimator
 degeneracies.
 """
 
+__all__ = [
+    "LfdrLabError",
+    "InvalidModel",
+    "InvalidPValue",
+    "InvalidLfdr",
+    "LengthMismatch",
+    "EmptyRegion",
+    "FullRegion",
+    "Infeasible",
+    "EmptyInput",
+    "NonFiniteInput",
+    "NotEnoughData",
+    "DegenerateCF",
+    "DegenerateData",
+    "DegenerateMarginal",
+]
+
 
 class LfdrLabError(Exception):
     """Base error for this package."""

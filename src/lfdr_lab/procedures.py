@@ -185,12 +185,13 @@ def estimated_lfdr_values(z, p0_hat: float, null: GaussianComponent, marginal) -
     ``null`` is the null component f0 (known or estimated); ``marginal`` is
     a MarginalDensityEstimate.  Raises DegenerateMarginal when the marginal
     estimate vanishes at an evaluation point, which signals a bandwidth or
-    grid misconfiguration.
+    grid misconfiguration; the floor is 1e-300 on f_hat * bandwidth, so it
+    scales with the data.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     f0 = gaussian_pdf(z, null)
     fhat = marginal.evaluate(z)
-    if np.any(fhat < 1e-300):
+    if np.any(fhat * marginal.bandwidth < 1e-300):
         worst = float(z[np.argmin(fhat)])
         raise DegenerateMarginal(f"marginal estimate vanishes near z = {worst:.6g}")
     return np.minimum(1.0, p0_hat * f0 / fhat)

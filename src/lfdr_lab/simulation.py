@@ -24,6 +24,8 @@ __all__ = [
     "SimConfig",
     "ProcedureStats",
     "SimResult",
+    "Figure2Data",
+    "ConcentratedDemo",
     "rep_seed",
     "sample_model",
     "sample_correlated",

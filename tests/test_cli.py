@@ -117,6 +117,14 @@ class TestAnalyze:
         path.write_text("not,a,zfile\n1,2,3\n")
         assert run(["analyze", path, "--manifest", tmp_path / "m.json"]) == 2
 
+    def test_undecodable_file_is_input_error(self, tmp_path, capsys):
+        # UnicodeDecodeError is a ValueError, which would otherwise read as
+        # a refused parameter (exit 4)
+        path = tmp_path / "z.txt"
+        path.write_bytes(b"0.5\n\xff\xfe\n")
+        assert run(["analyze", path, "--manifest", tmp_path / "m.json"]) == 2
+        assert f"cannot read {path}: " in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         assert run(["analyze", tmp_path / "nope.txt"]) == 2
 
@@ -188,7 +196,7 @@ class TestAnalyze:
                     "--manifest", tmp_path / "m.json"]) == 5
         assert "cannot be represented at |z| up to 1e+16" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scale, procedure", [(1e300, "bh"), (1e-300, "lfdr")])
+    @pytest.mark.parametrize("scale, procedure", [(1e300, "bh"), (1e-300, "lfdr"), (1e300, "lfdr")])
     def test_estimated_null_at_extreme_scales(self, tmp_path, capsys, scale, procedure):
         # squares of z overflow at 1e300 and underflow at 1e-300; the null
         # estimate is taken at unit scale and mapped back
@@ -312,6 +320,22 @@ class TestOracle:
                     "--alpha", "0.10", "--manifest", manifest]) == 4
         assert "weights sum to nan" in capsys.readouterr().err
         assert not manifest.exists()
+
+    def test_bad_alpha_writes_nothing(self, tmp_path, capsys):
+        csv_path = tmp_path / "r.csv"
+        manifest = tmp_path / "m.json"
+        assert run(["oracle", "--p0", "0.8", "--components", "0.2:3:1", "--alpha", "0",
+                    "--csv", csv_path, "--manifest", manifest]) == 4
+        assert "alpha must be in (0, 1), got 0.0" in capsys.readouterr().err
+        assert not csv_path.exists() and not manifest.exists()
+
+    def test_csv_into_new_directory(self, tmp_path):
+        csv_path = tmp_path / "new" / "dir" / "r.csv"
+        assert run(["oracle", "--p0", "0.8", "--components", "0.2:3:1", "--alpha", "0.1",
+                    "--csv", csv_path]) == 0
+        assert csv_path.read_text().startswith("kind,threshold,mfdr,mfnr,region\n")
+        manifest = json.loads((tmp_path / "new" / "dir" / "r.csv.manifest.json").read_text())
+        assert manifest["outputs"] == [str(csv_path)]
 
     def test_replay_byte_identical(self, tmp_path, capsys):
         csv_path = tmp_path / "rules.csv"
@@ -460,6 +484,41 @@ class TestSimulate:
         # manifest still names the original config
         assert sorted(tmp_path.rglob("*")) == files
         assert (outdir / "manifest.json").read_bytes() == manifest
+
+
+class TestOutputPaths:
+    # a regular file where a directory should be makes every path under it
+    # unwritable
+    @pytest.mark.parametrize("command", ["analyze", "oracle", "simulate"])
+    def test_unwritable_output_is_input_error(self, null_file, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "p0": 0.8, "components": "0.2:4:1", "m": 100, "reps": 2,
+            "alpha": 0.1, "seed": 1, "procedures": ["bh"],
+        }))
+        argv, path = {
+            "analyze": (["analyze", null_file, "--out", blocker / "x.csv"], blocker / "x.csv"),
+            "oracle": (["oracle", "--p0", "0.8", "--components", "0.2:3:1", "--alpha", "0.1",
+                        "--csv", blocker / "r.csv"], blocker / "r.csv"),
+            "simulate": (["simulate", "--config", cfg, "--out", blocker],
+                         blocker / "replication.csv"),
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: cannot write {path}: " in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [cfg, blocker, null_file]
+
+    def test_unwritable_manifest_removes_outputs(self, null_file, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = tmp_path / "ok.csv"
+        assert run(["analyze", null_file, "--out", out, "--manifest", blocker / "m.json"]) == 2
+        assert f"cannot write {blocker / 'm.json'}: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReplay:

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import erfc
 
+import lfdr_lab
 from lfdr_lab import (
     GaussianComponent,
     InvalidModel,
@@ -18,6 +20,7 @@ from lfdr_lab import (
     mixture_model,
     two_sided_pvalue,
 )
+from lfdr_lab import core_model, errors, estimation, oracle, procedures, simulation
 
 STD = GaussianComponent(0.0, 1.0)
 
@@ -259,3 +262,15 @@ class TestComponentTable:
                 else:
                     assert isinstance(got, np.ndarray) and got.shape == np.shape(z)
                 assert np.array_equal(got, want)
+
+
+def test_package_exports_the_module_lists():
+    # each public name is listed once, in the __all__ of the module that
+    # defines it; another test may have imported lfdr_lab.cli as well
+    listed = set()
+    for module in (core_model, errors, estimation, oracle, procedures, simulation):
+        listed.update(module.__all__)
+    exported = {name for name, value in vars(lfdr_lab).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == listed
+    assert len(exported) == 60

@@ -378,7 +378,7 @@ class TestDecide:
             z = np.append(z, outlier)
         assert abs(decide(z, ("lfdr",), 0.1, None)["lfdr"].k - 750) <= 2
 
-    @pytest.mark.parametrize("a, b", [(-2.0, 0.3), (1e-3, -10.0), (50.0, 400.0)])
+    @pytest.mark.parametrize("a, b", [(-2.0, 0.3), (1e-3, -10.0), (50.0, 400.0), (1e300, 0.0)])
     def test_estimated_lfdr_chain_is_affine_equivariant(self, a, b):
         # the ECF null and p0 and the KDE all follow z -> a z + b, so
         # lfdr_hat and the decisions do too
