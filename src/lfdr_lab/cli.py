@@ -167,6 +167,8 @@ def _write(path, text: str):
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text(text)
+    except FileExistsError as exc:  # mkdir's report of a regular file on the path
+        raise CliError(EXIT_INPUT, f"cannot write {path}: {exc.filename} is not a directory")
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot write {path}: {exc}")
 
@@ -297,9 +299,13 @@ def _concentrated_report(demo) -> str:
     )
 
 
+# a replication study's required keys, and every key a simulate config may hold
+_STUDY_KEYS = {"p0", "components", "m", "reps", "alpha", "seed"}
+_SIM_KEYS = _STUDY_KEYS | {"rho", "procedures", "figure", "figure1", "figure2", "concentrated"}
+
+
 def _parse_sim_config(cfg: dict) -> SimConfig:
-    required = {"p0", "components", "m", "reps", "alpha", "seed"}
-    missing = required - set(cfg)
+    missing = _STUDY_KEYS - set(cfg)
     if missing:
         raise CliError(EXIT_INPUT, f"config missing keys: {sorted(missing)}")
     comps = cfg["components"]
@@ -342,6 +348,9 @@ def _simulate(cfg, inputs: list, outdir: Path) -> int:
     outputs and a manifest that records ``inputs`` under ``outdir``."""
     if not isinstance(cfg, dict):
         raise CliError(EXIT_INPUT, "config must be a JSON object")
+    unknown = set(cfg) - _SIM_KEYS
+    if unknown:
+        raise CliError(EXIT_INPUT, f"unknown config keys: {sorted(unknown)}")
 
     # normalize {"figure": "1a"} to the explicit figure keys
     fig = cfg.pop("figure", None)

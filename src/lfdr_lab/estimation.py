@@ -35,13 +35,15 @@ estimate is affine-equivariant to rounding.  The sd is taken of z over a
 power of two near max|z| and the scan of the centred data over one near s,
 which is exact in the normal range: no square overflows, and both
 estimators are scale-equivariant at every scale whose results are doubles.
-The grid is arithmetic, so exp(i t_{s+qB+r} z) = exp(i t_{s+qB} z) *
-exp(i r dt z): psi_m is evaluated in passes of 256 frequencies, each one
-complex matrix product (16 x chunk times chunk x 16) per chunk of 1024
-observations, with both factors built by phase recurrence.
-The scan stops after the pass holding the first frequency where |psi_m|
-falls below the noise floor and returns psi_m up to that frequency.  The
-result matches the direct transcendental sum (``empirical_cf``) to rounding.
+exp(i k dt z) has period L = 2 pi/dt in z, so the scan (a Taylor-series
+nonuniform DFT, Anderson & Dahleh 1996) reduces z by fmod(z, L), exact at any
+finite z.  A pass up to frequency K (256, then 4 times the last, at most
+3000) cuts one period into 4K cells, sums the offsets' powers w^p, p < 18,
+per cell and takes all K frequencies from one FFT of those moments, to a
+truncation error under (pi/4)^18 / 18! = 2e-18.  The scan stops after the
+pass holding the first frequency where |psi_m| falls below the noise floor
+and returns psi_m up to there, equal to the direct sum (``empirical_cf``) to
+rounding.
 
 The marginal density is a Gaussian-kernel KDE with Silverman's bandwidth h
 on uniform segments of spacing h/100, one per run of sorted data without a
@@ -78,11 +80,13 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # nulls comes 155-220 frequencies in, inside the first pass of 256.
 _T_STEP = 1.0 / 75.0
 _T_COUNT = 3000
-# ECF scan: each pass covers _ECF_ROWS * _ECF_COLS frequencies as one
-# complex matrix product per chunk of _ECF_CHUNK observations.
-_ECF_ROWS = 16
-_ECF_COLS = 16
-_ECF_CHUNK = 1024
+# ECF scan: passes up to frequency K = _ECF_FIRST, then 4 times the last (at
+# most n), each with _ECF_TERMS Taylor terms on _ECF_CELLS * K cells; weights
+# are (-i)^p / p! but for the factor -i of odd p.
+_ECF_TERMS = 18
+_ECF_CELLS = 4
+_ECF_FIRST = 256
+_ECF_WEIGHTS = np.array([(-1) ** (p // 2) / math.factorial(p) for p in range(_ECF_TERMS)])[:, None]
 _MEDFILT = 9
 _MIN_OBS = 100
 
@@ -244,42 +248,43 @@ def _center_spread(z: np.ndarray, s: np.ndarray | None = None) -> tuple[float, f
     return float(quantile(0.5)), spread if spread > 0.0 else sd
 
 
-def _ecf_scan(z: np.ndarray, t0: float, dt: float, n: int, floor: float) -> np.ndarray:
-    """psi_m at t_k = t0 + k*dt, k < n, up to and including the first
+def _ecf_scan(x: np.ndarray, dt: float, n: int, floor: float) -> np.ndarray:
+    """psi_m at t_k = k*dt, k = 1..n, up to and including the first
     frequency where |psi_m| < ``floor`` (all n if it never does).
 
-    The grid is scanned in passes of _ECF_ROWS * _ECF_COLS frequencies.
-    Within a pass starting at s, t_{s+qB+r} z = t_{s+qB} z + r dt z, so the
-    pass is the matrix product A @ R.T / m with A[q] = exp(i t_{s+qB} z) and
-    R[r] = exp(i r dt z), both built by phase recurrence from one direct
-    exp each, over chunks of _ECF_CHUNK observations.  Each pass restarts
-    its phase from a direct exp, so recurrence error does not grow along
-    the grid.
+    x is reduced mod L = 2 pi/dt.  A point w cells off the centre of cell l
+    of N = _ECF_CELLS * K per period has exp(i k dt x) = exp(2 pi i k l/N)
+    sum_p (i theta_k w)^p / p!, theta_k = 2 pi k/N, |theta_k w| <= pi/4 for
+    k <= K; so psi_m(t_k) = (1/m) sum_p (i theta_k)^p / p! F_p(k), F_p one FFT
+    of the cells' moments sum w^p.  Runs of x in one cell (few, for sorted x)
+    are summed by reduceat and folded onto their cell mod N by bincount.
     """
-    m = z.size
-    width = min(m, _ECF_CHUNK)
-    a_full = np.empty((_ECF_ROWS, width), dtype=complex)
-    r_full = np.empty((_ECF_COLS, width), dtype=complex)
+    m, period = x.size, 2.0 * math.pi / dt
+    x = np.fmod(x, period) if np.abs(x).max() >= period else x
     out = np.empty(n, dtype=complex)
-    for s in range(0, n, _ECF_ROWS * _ECF_COLS):
-        acc = np.zeros((_ECF_ROWS, _ECF_COLS), dtype=complex)
-        for c in range(0, m, width):
-            zc = z[c : c + width]
-            a, r = a_full[:, : zc.size], r_full[:, : zc.size]
-            r[0] = 1.0
-            r[1] = np.exp(1j * dt * zc)
-            for k in range(2, _ECF_COLS):
-                np.multiply(r[k - 1], r[1], out=r[k])
-            step = r[-1] * r[1]
-            a[0] = np.exp(1j * (t0 + dt * s) * zc)
-            for q in range(1, _ECF_ROWS):
-                np.multiply(a[q - 1], step, out=a[q])
-            acc += a @ r.T
-        block = (acc / m).ravel()[: n - s]
-        out[s : s + block.size] = block
+    done, top = 0, min(_ECF_FIRST, n)
+    while done < n:
+        cells = _ECF_CELLS * top
+        near = np.rint(x * (cells / period))
+        w = x * (cells / period) - near
+        starts = np.flatnonzero(np.concatenate(([True], near[1:] != near[:-1])))
+        moments, power = np.empty((_ECF_TERMS, starts.size)), np.ones(m)
+        for row in moments:
+            np.add.reduceat(power, starts, out=row)
+            power *= w
+        flat = near[starts].astype(np.intp) % cells + cells * np.arange(_ECF_TERMS)[:, None]
+        table = np.bincount(flat.ravel(), (moments * _ECF_WEIGHTS).ravel(), _ECF_TERMS * cells)
+        k = np.arange(done + 1, top + 1)
+        f = np.fft.rfft(table.reshape(_ECF_TERMS, cells))[:, k]
+        # conj(sum_p (-i theta)^p / p! F_p) / m, as a polynomial in theta^2
+        theta = k * (2.0 * math.pi / cells)
+        pairs = f[0::2] - 1j * theta * f[1::2]
+        block = np.conj((pairs * (theta * theta) ** np.arange(pairs.shape[0])[:, None]).sum(0)) / m
+        out[done : done + block.size] = block
         below = np.flatnonzero(np.abs(block) < floor)
         if below.size:
-            return out[: s + below[0] + 1]
+            return out[: done + below[0] + 1]
+        done, top = done + block.size, min(4 * top, n)
     return out
 
 
@@ -302,13 +307,14 @@ def estimate_null_ecf(z) -> NullEstimate:
         raise NotEnoughData(f"null estimation needs m >= {_MIN_OBS}, got {m}")
     level = _crossing_level(m)
     floor = min(level, _floor_level(m))
-    center, spread = _center_spread(z)
+    s = np.sort(z)
+    center, spread = _center_spread(z, s)
     if spread == 0.0:
         raise DegenerateCF("the data have zero spread, so |ECF| is 1 at every t")
     unit = _binade(spread)
     spread_x = spread / unit
     with np.errstate(over="ignore"):
-        x = (z - center) / unit
+        x = (s - center) / unit
     if not np.isfinite(x).all():
         raise DegenerateCF(f"null estimation: the data lie over {np.finfo(float).max:.3g} "
                            f"spreads ({spread:.3g}) from their median, {center:.3g}")
@@ -316,7 +322,7 @@ def estimate_null_ecf(z) -> NullEstimate:
 
     # The window runs from the level crossing k* to the first frequency below
     # the floor; floor <= level, so that frequency also ends the scan.
-    psi = _ecf_scan(x, dt, dt, _T_COUNT, floor)
+    psi = _ecf_scan(x, dt, _T_COUNT, floor)
     ts = dt * np.arange(1, psi.size + 1)
     hits = np.nonzero(np.abs(psi) <= level)[0]
     if hits.size == 0:

@@ -409,6 +409,18 @@ class TestSimulate:
         cfg.write_text(json.dumps({"p0": 0.8}))
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        # a misspelt "rho" would otherwise run an independent study
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "p0": 0.8, "components": "0.2:4:1", "m": 100, "reps": 2,
+            "alpha": 0.1, "seed": 1, "rh0": 0.5, "procedures": ["bh"],
+        }))
+        outdir = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", outdir]) == 2
+        assert "unknown config keys: ['rh0']" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_empty_procedures_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -511,6 +523,16 @@ class TestOutputPaths:
         assert f"error: cannot write {path}: " in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
         assert sorted(tmp_path.iterdir()) == [cfg, blocker, null_file]
+
+    @pytest.mark.parametrize("under", [(), ("sub",)])
+    def test_file_on_output_path_is_not_a_directory(self, null_file, capsys, under):
+        # the input file itself stands where a directory should be, directly
+        # above the output or further up
+        out = null_file.joinpath(*under, "x.csv")
+        assert run(["analyze", null_file, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}: " in err
+        assert "not a directory" in err.lower() and "File exists" not in err
 
     def test_unwritable_manifest_removes_outputs(self, null_file, tmp_path, capsys):
         blocker = tmp_path / "file"

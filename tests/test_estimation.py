@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -137,13 +139,13 @@ class TestEstimateNullEcf:
             estimate_null_ecf(1e-310 * draw(PURE_NULL, 500, 3))
 
     @pytest.mark.parametrize("scale", [0.05, 1.0, 50.0])
-    def test_recurrence_matches_direct_sum(self, scale):
-        # the blocked matrix-product scan against the transcendental
-        # reference on a whole 3000-point grid, with no early stop
+    def test_scan_matches_direct_sum(self, scale):
+        # the Taylor-moment scan against the transcendental reference on a
+        # whole 3000-point grid (all three passes), with no early stop
         z = scale * draw(eq1_default_model(), 5_000, 11)
-        psi = _ecf_scan(z, 0.01, 0.01, 3000, 0.0)
+        psi = _ecf_scan(z, 0.01, 3000, 0.0)
         assert psi.size == 3000
-        ts = 0.01 + 0.01 * np.arange(3000)
+        ts = 0.01 * np.arange(1, 3001)
         assert np.max(np.abs(psi - empirical_cf(z, ts))) <= 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -215,17 +217,17 @@ def test_center_spread_matches_np_percentile(z):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     z=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=300),
-    t0=st.floats(1e-3, 5.0),
     dt=st.floats(1e-4, 1.0),
     n=st.integers(1, 400),
     floor=st.floats(0.0, 1.0),
 )
-def test_ecf_scan_matches_empirical_cf(z, t0, dt, n, floor):
+def test_ecf_scan_matches_empirical_cf(z, dt, n, floor):
+    # unsorted z, spanning up to 16 periods 2 pi/dt at dt = 1
     z = np.array(z)
-    ts = t0 + dt * np.arange(n)
-    psi = _ecf_scan(z, t0, dt, n, floor)
-    # both sides carry phase rounding ~ eps * |t z|, the recurrence also
-    # ~ eps per step
+    ts = dt * np.arange(1, n + 1)
+    psi = _ecf_scan(z, dt, n, floor)
+    # both sides carry phase rounding ~ eps * |t z|, the Taylor sums also
+    # ~ eps per term
     tol = 1e-14 * (n + ts[-1] * np.max(np.abs(z)))
     assert np.max(np.abs(psi - empirical_cf(z, ts[: psi.size]))) <= tol
     # the scan stops at the first frequency below the floor, or at the end
@@ -253,19 +255,19 @@ def test_median_filter_matches_np_median(x, width):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("n", [1, 15, 16, 255, 256, 257, 3000])
+@pytest.mark.parametrize("n", [1, 15, 16, 255, 256, 257, 1024, 1025, 3000])
 @pytest.mark.parametrize("m", [100, 1023, 1024, 1025, 5000])
 def test_ecf_scan_block_edges(m, n):
-    # the scan works in passes of 256 frequencies over chunks of 1024
-    # observations; m and n sit on both sides of those edges
+    # the scan works in passes up to frequencies 256, 1024 and 4096; n sits
+    # on both sides of those edges
     z = np.random.default_rng(m + n).normal(size=m)
-    ts = 0.01 + 0.01 * np.arange(n)
+    ts = 0.01 * np.arange(1, n + 1)
 
     def tolerance(z):
         return 1e-14 * (n + ts[-1] * np.max(np.abs(z)))
 
     def check(z, floor, stop):
-        psi = _ecf_scan(z, 0.01, 0.01, n, floor)
+        psi = _ecf_scan(z, 0.01, n, floor)
         assert psi.size == stop + 1
         assert np.max(np.abs(psi - empirical_cf(z, ts[: psi.size]))) <= tolerance(z)
         mag = np.abs(psi)
@@ -279,15 +281,51 @@ def test_ecf_scan_block_edges(m, n):
     # first pass edge, and in later passes
     narrow = z * (2.0 / (ts[-1] * np.ptp(z)))
     mag = np.abs(empirical_cf(narrow, ts))
-    for stop in sorted({k for k in (0, 100, 255, 256, 1000, n - 1) if k < n}):
+    for stop in sorted({k for k in (0, 100, 255, 256, 1000, 1023, 1024, n - 1) if k < n}):
         if stop:
             assert mag[stop - 1] - mag[stop] > 4.0 * tolerance(narrow)
         check(narrow, 1.0 if stop == 0 else 0.5 * (mag[stop - 1] + mag[stop]), stop)
 
 
+@pytest.mark.parametrize("m", [100, 5_000])
+def test_ecf_scan_over_many_periods(m):
+    # at dt = 1 the period is 2 pi, so z in [-50, 50] spans 16 periods and
+    # every pass folds cells from several of them
+    z = np.random.default_rng(m).uniform(-50.0, 50.0, size=m)
+    ts = np.arange(1.0, 3001.0)
+    psi = _ecf_scan(z, 1.0, 3000, 0.0)
+    assert np.max(np.abs(psi - empirical_cf(z, ts))) <= 1e-14 * (3000 + ts[-1] * np.max(np.abs(z)))
+
+
+def test_ecf_scan_stop_past_first_pass_on_ties():
+    # 5000 draws from 5 values: long runs share a cell, and |psi_m| falls
+    # below the floor only in the second pass
+    z = np.sort(np.random.default_rng(4).integers(0, 5, size=5_000).astype(float))
+    dt, n, floor = 0.002, 3000, 0.5
+    ts = dt * np.arange(1, n + 1)
+    mag = np.abs(empirical_cf(z, ts))
+    stop = int(np.flatnonzero(mag < floor)[0])
+    assert 256 <= stop < 1024 and mag[stop - 1] - floor > 1e-9 and floor - mag[stop] > 1e-9
+    psi = _ecf_scan(z, dt, n, floor)
+    assert psi.size == stop + 1
+    assert np.max(np.abs(psi - empirical_cf(z, ts[: psi.size]))) <= 1e-14 * (n + ts[-1] * 4.0)
+
+
+@pytest.mark.parametrize("far", [1e4, 1e12, 1e300])
+def test_far_point_estimate_is_finite(far):
+    # the scan reduces z modulo its period, so a point at any finite
+    # distance leaves every Taylor power bounded
+    z = np.append(draw(PURE_NULL, 500, 3), far)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = estimate_null_ecf(z)
+    assert all(map(math.isfinite, astuple(est)))
+    assert abs(est.sigma0_hat - 1.0) <= 0.2 and 0.9 <= est.p0_hat <= 1.0
+
+
 def test_ecf_scan_blas_thread_invariant():
-    # the scan's matrix products run in OpenBLAS; its thread count must not
-    # change a bit of psi_m or of the estimate
+    # no stage of the scan or of the estimate may depend on the BLAS thread
+    # count: not a bit of psi_m or of the estimate may change
     code = (
         "import hashlib, numpy as np\n"
         "from lfdr_lab import eq1_default_model, estimate_null_ecf, sample_model\n"
@@ -295,7 +333,7 @@ def test_ecf_scan_blas_thread_invariant():
 
         "for m in (5_000, 100_000):\n"
         "    z = sample_model(eq1_default_model(), m, 21)[0]\n"
-        "    print(hashlib.sha256(_ecf_scan(z, 0.01, 0.01, 3000, 0.0).tobytes()).hexdigest())\n"
+        "    print(hashlib.sha256(_ecf_scan(z, 0.01, 3000, 0.0).tobytes()).hexdigest())\n"
         "    print(repr(estimate_null_ecf(z)))\n"
     )
     src = str(Path(lfdr_lab.__file__).resolve().parents[1])
