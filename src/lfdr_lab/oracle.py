@@ -25,10 +25,11 @@ the optimal lfdr rule is the adaptive step-up (Sun & Cai 2007) applied to
 the known mixture: one scan grid and one lfdr and density profile per
 rule, grid points sorted by lfdr, the longest prefix whose cumulative
 null/total density stays <= alpha, then a safeguarded Newton finish on
-lambda over the exact region masses.  Sublevel-set boundaries
-are refined the same way, by Newton steps on log lfdr (whose z-derivative
-is closed form) kept inside their grid cell.  Masses, densities and slopes
-all read the mixture's component table from ``core_model._components``.
+lambda over the exact region masses.  Each sublevel-set boundary is
+refined the same way inside its grid cell, by Newton steps on log lfdr
+(whose z-derivative is closed form).  Both searches run on Python floats:
+NumPy's per-call cost outweighed the arithmetic on a few points.  Masses,
+densities and slopes all read the component table ``core_model._components``.
 """
 
 from __future__ import annotations
@@ -41,11 +42,10 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .core_model import (
+    _LOG_SQRT_2PI,
     GaussianComponent,
     TwoGroupModel,
     _components,
-    _log_terms,
-    _logsumexp,
     gaussian_pdf,
     lfdr,
     marginal_density,
@@ -204,57 +204,56 @@ def _scan_grid(m: TwoGroupModel) -> np.ndarray:
     return np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1)
 
 
-def _bracketed_newton(fun, lo, hi, lo_low, tol):
-    """Shrink root brackets [lo, hi] of ``fun`` to width <= tol, elementwise.
+def _bracketed_newton(fun, lo: float, hi: float, lo_low: bool, tol: float) -> tuple:
+    """Shrink the root bracket [lo, hi] of ``fun`` to width <= tol.
 
-    ``fun(x)`` returns (g, dg/dx).  g <= 0 at ``lo`` where ``lo_low`` is
-    true, at ``hi`` elsewhere, and g > 0 at the other end.  A Newton step is
-    taken when it is at most half the step before last (as in Numerical
-    Recipes' rtsafe) and overshoots the bracket by at most half its own
-    length, otherwise the bracket is bisected.  Steps shorter than tol/2
-    are carried tol/2 further and every point is kept tol/4 inside the
-    bracket, so a root on a bracket end (a grid point whose lfdr equals the
-    cutoff) closes the bracket as fast as an interior one.  Returns the
-    final (lo, hi).
+    ``fun(x)`` returns floats (g, dg/dx); g <= 0 at ``lo`` if ``lo_low``, else
+    at ``hi``, and g > 0 at the other end.  A Newton step is taken when it
+    is at most half the step before last (as in Numerical Recipes' rtsafe)
+    and overshoots the bracket by at most half its own length; otherwise,
+    or if dg is zero or not finite, the bracket is bisected.  Steps shorter
+    than tol/2 are carried tol/2 further and every point is kept tol/4
+    inside the bracket, so a root on a bracket end (a grid point whose lfdr
+    equals the cutoff) closes as fast as an interior one.  Returns (lo, hi).
     """
     x = 0.5 * (lo + hi)
     prev = older = hi - lo
     for _ in range(_MAX_STEPS):
         g, dg = fun(x)
-        to_lo = (g <= 0.0) == lo_low
-        lo = np.where(to_lo, x, lo)
-        hi = np.where(to_lo, hi, x)
-        if np.all(hi - lo <= tol):
+        lo, hi = (x, hi) if (g <= 0.0) == lo_low else (lo, x)
+        if hi - lo <= tol:
             break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.divide(-g, dg)
+        step = -g / dg if 0.0 < abs(dg) < math.inf else math.nan
         newton = x + step
-        reach = 0.5 * np.abs(step)
-        ok = (lo - reach <= newton) & (newton <= hi + reach) & (np.abs(step) <= 0.5 * np.abs(older))
-        newton += np.where(np.abs(step) < 0.5 * tol, np.copysign(0.5 * tol, step), 0.0)
-        newton = np.clip(newton, lo + 0.25 * tol, hi - 0.25 * tol)
-        nxt = np.where(ok, newton, 0.5 * (lo + hi))
+        if lo - 0.5 * abs(step) <= newton <= hi + 0.5 * abs(step) and abs(step) <= 0.5 * abs(older):
+            newton += math.copysign(0.5 * tol, step) if abs(step) < 0.5 * tol else 0.0
+            nxt = min(max(newton, lo + 0.25 * tol), hi - 0.25 * tol)
+        else:
+            nxt = 0.5 * (lo + hi)
         older, prev, x = prev, nxt - x, nxt
     return lo, hi
 
 
-def _log_lfdr_slope(comps: np.ndarray, z):
-    """log lfdr(z) and its derivative in z, for a 1-d array ``z`` and the
-    mixture ``comps``.
+def _log_lfdr_slope(rows, z: float) -> tuple:
+    """log lfdr(z) and its derivative in z at one point ``z``, for the
+    component table as lists, ``rows = _components(m)[:, :, 0].tolist()``.
 
     Computed as -log(1 + odds) with odds = sum_c w_c f_c(z) / (p0 f0(z))
     over the nonnull components, which keeps relative precision where lfdr
     is near 1.  With posterior weights pi_c(z) = w_c f_c(z)/f(z) and scores
     s_c(z) = (u_c - z)/s_c^2, d log lfdr/dz = -sum_c pi_c(z) (s_c - s_null).
     """
-    _, mean, sd, _, _ = comps
-    z = np.asarray(z, dtype=float)
-    logs = _log_terms(comps, z)
-    log_odds = logs[1:] - logs[0]  # per nonnull component
-    log_lfdr = -np.logaddexp(0.0, _logsumexp(log_odds))
-    scores = (mean - z) / (sd * sd)
-    posterior = np.exp(log_odds + log_lfdr)
-    return log_lfdr, -(posterior * (scores[1:] - scores[0])).sum(axis=0)
+    logs, scores = [], []
+    for _, mean, sd, log_w, log_sd in zip(*rows):
+        u = (z - mean) / sd  # as core_model._log_terms
+        logs.append(log_w + (-0.5 * u * u - log_sd - _LOG_SQRT_2PI))
+        scores.append((mean - z) / (sd * sd))
+    log_odds = [log - logs[0] for log in logs[1:]]  # per nonnull component
+    peak = max(log_odds)
+    log_sum = peak + math.log(math.fsum([math.exp(log - peak) for log in log_odds]))
+    log_lfdr = -(max(log_sum, 0.0) + math.log1p(math.exp(-abs(log_sum))))  # -logaddexp(0, log_sum)
+    return log_lfdr, -math.fsum([math.exp(log + log_lfdr) * (score - scores[0])
+                                 for log, score in zip(log_odds, scores[1:])])
 
 
 def _sublevel_region(comps: np.ndarray, zs: np.ndarray, profile: np.ndarray,
@@ -272,15 +271,17 @@ def _sublevel_region(comps: np.ndarray, zs: np.ndarray, profile: np.ndarray,
     entries = np.flatnonzero(flips == 1)  # boundary in (zs[i], zs[i + 1]), zs[i] outside
     exits = np.flatnonzero(flips == -1)  # boundary in (zs[i], zs[i + 1]), zs[i] inside
     cells = np.concatenate([entries, exits])
+    rows = comps[:, :, 0].tolist()
     log_lam = math.log(lam)
 
     def level(z):
-        value, slope = _log_lfdr_slope(comps, z)
+        value, slope = _log_lfdr_slope(rows, z)
         return value - log_lam, slope
 
-    lo, hi = _bracketed_newton(level, zs[cells], zs[cells + 1],
-                               np.arange(cells.size) >= entries.size, _EDGE_TOL)
-    edges = (0.5 * (lo + hi)).tolist()
+    edges = []
+    for i, (a, b) in enumerate(zip(zs[cells].tolist(), zs[cells + 1].tolist())):
+        lo, hi = _bracketed_newton(level, a, b, i >= entries.size, _EDGE_TOL)  # exits: g <= 0 at a
+        edges.append(0.5 * (lo + hi))
     lefts = [-math.inf] * bool(inside[0]) + edges[: entries.size]
     rights = edges[entries.size:] + [math.inf] * bool(inside[-1])
     return RejectionRegion(tuple(zip(lefts, rights)))
@@ -369,10 +370,9 @@ def _lfdr_excess(m: TwoGroupModel, comps: np.ndarray, region: RejectionRegion,
     if total < _MASS_FLOOR:
         return -alpha, 0.0
     rate = null / total  # as mfdr_of_region computes it
-    ends = np.array([e for iv in region.intervals for e in iv if math.isfinite(e)])
-    _, slope = _log_lfdr_slope(comps, ends)
-    density = m.p0 * gaussian_pdf(ends, m.null) / lam
-    growth = float(np.sum(density / (lam * np.abs(slope))))
+    rows = comps[:, :, 0].tolist()
+    growth = math.fsum(m.p0 * gaussian_pdf(e, m.null) / lam / (lam * abs(_log_lfdr_slope(rows, e)[1]))
+                       for iv in region.intervals for e in iv if math.isfinite(e))
     return rate - alpha, growth * (lam - rate) / total
 
 
@@ -391,15 +391,14 @@ def _lfdr_cutoff(excess, profile: np.ndarray, density: np.ndarray, alpha: float,
     # the prefix brackets lambda* between neighbouring ranked lfdr values;
     # widen by doubling strides if a sign check fails (cells are not exact
     # sublevel sets, and their weights are not exact masses)
-    cuts = np.append(np.minimum(profile[order], lam_hi), lam_hi)
+    cuts = np.append(np.minimum(profile[order], lam_hi), lam_hi).tolist()
     lo, stride = k - 1, 1
     while lo >= 0 and excess(cuts[lo])[0] > 0.0:
         lo, stride = lo - stride, 2 * stride
     hi, stride = k, 1
     while hi < profile.size and excess(cuts[hi])[0] <= 0.0:
         hi, stride = min(hi + stride, profile.size), 2 * stride
-    lam_lo, _ = _bracketed_newton(excess, cuts[lo] if lo >= 0 else 0.0, cuts[hi], True, _LAMBDA_TOL)
-    return float(lam_lo)
+    return _bracketed_newton(excess, cuts[lo] if lo >= 0 else 0.0, cuts[hi], True, _LAMBDA_TOL)[0]
 
 
 def oracle_lfdr_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
@@ -424,7 +423,6 @@ def oracle_lfdr_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     regions = {}
 
     def excess(lam):
-        lam = float(lam)
         regions[lam] = _sublevel_region(comps, zs, profile, lam)
         return _lfdr_excess(m, comps, regions[lam], lam, alpha)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lfdr_lab import (
     GaussianComponent,
     Infeasible,
     RejectionRegion,
+    figure2_data,
     lfdr,
     marginal_density,
     mixture_model,
@@ -27,7 +29,7 @@ from lfdr_lab import (
     sample_model,
 )
 from lfdr_lab.core_model import _components
-from lfdr_lab.oracle import _log_lfdr_slope
+from lfdr_lab.oracle import _MAX_STEPS, _bracketed_newton, _log_lfdr_slope
 
 STD = GaussianComponent(0.0, 1.0)
 
@@ -470,19 +472,21 @@ class TestPvalueScanMatchesExhaustive:
 
 
 def loop_log_lfdr_slope(m, z):
-    """log lfdr and its z-derivative by a loop over components, in the
-    arithmetic of core_model's densities."""
+    """log lfdr and its z-derivative at one float z by a loop over
+    components, in scalar ``math`` arithmetic with correctly rounded sums."""
     logs, scores = [], []
     for w, c in m.components:
         if w > 0.0:
             u = (z - c.mean) / c.sd
             logs.append(math.log(w) + (-0.5 * u * u - math.log(c.sd) - 0.5 * math.log(2.0 * math.pi)))
             scores.append((c.mean - z) / (c.sd * c.sd))
-    odds = np.stack(logs[1:]) - logs[0]
-    peak = odds.max(axis=0)
-    log_lfdr = -np.logaddexp(0.0, peak + np.log(np.exp(odds - peak).sum(axis=0)))
-    posterior = np.exp(odds + log_lfdr)
-    return log_lfdr, -(posterior * (np.stack(scores[1:]) - scores[0])).sum(axis=0)
+    odds = [log - logs[0] for log in logs[1:]]
+    peak = max(odds)
+    log_odds = peak + math.log(math.fsum(math.exp(log - peak) for log in odds))
+    log_lfdr = -(log_odds + math.log1p(math.exp(-log_odds)) if log_odds > 0.0
+                 else math.log1p(math.exp(log_odds)))
+    posterior = [math.exp(log + log_lfdr) for log in odds]
+    return log_lfdr, -math.fsum(p * (score - scores[0]) for p, score in zip(posterior, scores[1:]))
 
 
 def test_log_lfdr_slope_matches_component_loop():
@@ -492,10 +496,68 @@ def test_log_lfdr_slope_matches_component_loop():
     ]
     z = np.linspace(-8.0, 9.0, 69)
     for m in models:
-        value, slope = _log_lfdr_slope(_components(m), z)
-        want_value, want_slope = loop_log_lfdr_slope(m, z)
+        rows = _components(m)[:, :, 0].tolist()
+        value, slope = np.array([_log_lfdr_slope(rows, x) for x in z.tolist()]).T
+        want_value, want_slope = np.array([loop_log_lfdr_slope(m, x) for x in z.tolist()]).T
         assert np.array_equal(value, want_value) and np.array_equal(slope, want_slope)
         assert_allclose(np.exp(value), lfdr(m, z), rtol=1e-12, atol=1e-300)
+
+
+class TestBracketedNewton:
+    """The scalar root search behind region edges and the lfdr cutoff."""
+
+    @staticmethod
+    def search(fun, lo, hi, lo_low, tol=1e-13):
+        calls = []
+
+        def traced(x):
+            calls.append(x)
+            return fun(x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = _bracketed_newton(traced, lo, hi, lo_low, tol)
+        assert isinstance(lo, float) and isinstance(hi, float)
+        assert hi - lo <= tol and len(calls) < _MAX_STEPS
+        return lo, hi, calls
+
+    @pytest.mark.parametrize("slope_at_mid", [0.0, -0.0, math.nan, math.inf])
+    def test_flat_or_nonfinite_slope_bisects(self, slope_at_mid):
+        # g(0.5) = 0.2 > 0 with no usable slope: the next point bisects
+        # [0, 0.5]; Newton then lands on the root 0.3
+        lo, hi, calls = self.search(lambda x: (x - 0.3, slope_at_mid if x == 0.5 else 1.0), 0.0, 1.0, True)
+        assert calls[:2] == [0.5, 0.25]
+        assert lo <= 0.3 <= hi
+
+    def test_zero_over_zero_at_a_triple_root(self):
+        # g = (x - 0.5)^3 has g = dg = 0 at the midpoint; no ZeroDivisionError
+        lo, hi, calls = self.search(lambda x: ((x - 0.5) ** 3, 3.0 * (x - 0.5) ** 2), 0.0, 1.0, True)
+        assert calls[:2] == [0.5, 0.75]
+        assert lo == 0.5
+
+    @pytest.mark.parametrize("fun, lo, hi, lo_low, root", [
+        (lambda x: (x, 1.0), 0.0, 1.0, True, 0.0),
+        (lambda x: (1.0 - x, -1.0), 0.0, 1.0, False, 1.0),
+        (lambda x: (math.expm1(x), math.exp(x)), 0.0, 2.0, True, 0.0),
+        (lambda x: (-math.log(x), -1.0 / x), 0.5, 1.0, False, 1.0),
+    ])
+    def test_root_on_a_bracket_end(self, fun, lo, hi, lo_low, root):
+        lo, hi, calls = self.search(fun, lo, hi, lo_low)
+        assert lo <= root <= hi
+        # bisection alone would take ~43 steps to reach 1e-13
+        assert len(calls) <= 10
+
+
+def test_figure2_rules_frozen():
+    data = figure2_data()
+    rule = data.lfdr_rule
+    (lo0, hi0), (lo1, hi1) = rule.region.intervals
+    assert lo0 == -math.inf and hi1 == math.inf
+    for got, want in [(rule.threshold, 0.5025981828238999), (rule.mfnr, 0.037684280875078406),
+                      (hi0, -2.0545278676727006), (lo1, 2.690548810042233)]:
+        assert abs(got - want) <= 1e-12
+    assert data.pvalue_rule.threshold == 0.02256425475985649
+    assert data.pvalue_rule.mfnr == 0.04580598705830405
 
 
 def test_lfdr_rule_returns_the_region_it_searched():
