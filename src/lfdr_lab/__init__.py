@@ -36,7 +36,6 @@ from .errors import (
 from .estimation import (
     MarginalDensityEstimate,
     NullEstimate,
-    empirical_cf,
     estimate_marginal_kde,
     estimate_null_ecf,
     estimate_p0_tail,

@@ -42,8 +42,8 @@ finite z.  A pass up to frequency K (256, then 4 times the last, at most
 per cell and takes all K frequencies from one FFT of those moments, to a
 truncation error under (pi/4)^18 / 18! = 2e-18.  The scan stops after the
 pass holding the first frequency where |psi_m| falls below the noise floor
-and returns psi_m up to there, equal to the direct sum (``empirical_cf``) to
-rounding.
+and returns psi_m up to there, equal to the direct sum (1/m) sum_j
+exp(i t z_j) to rounding.
 
 The marginal density is a Gaussian-kernel KDE with Silverman's bandwidth h
 on uniform segments of spacing h/100, one per run of sorted data without a
@@ -67,7 +67,6 @@ from .errors import DegenerateCF, DegenerateData, EmptyInput, NonFiniteInput, No
 __all__ = [
     "MarginalDensityEstimate",
     "NullEstimate",
-    "empirical_cf",
     "estimate_null_ecf",
     "estimate_marginal_kde",
     "estimate_p0_tail",
@@ -177,32 +176,6 @@ class MarginalDensityEstimate:
         if np.any(outside) and self.data.size:
             out[outside] = _kernel_sum(self.data, z[outside], self.bandwidth)
         return out
-
-
-def empirical_cf(z, t):
-    """Empirical characteristic function (1/m) * sum_j exp(i t z_j).
-
-    ``t`` may be a scalar or an array; the modulus never exceeds 1.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.size == 0:
-        raise EmptyInput("empirical_cf needs at least one observation")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = _ecf(z, t_arr)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return complex(out[0])
-    return out
-
-
-def _ecf(z: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """ECF on a frequency grid, chunked to bound memory; fixed summation
-    order keeps results bit-identical across runs."""
-    out = np.empty(ts.size, dtype=complex)
-    chunk = max(1, int(4_000_000 // max(1, z.size)))
-    for i in range(0, ts.size, chunk):
-        arg = np.multiply.outer(ts[i : i + chunk], z)
-        out[i : i + chunk] = np.cos(arg).mean(axis=1) + 1j * np.sin(arg).mean(axis=1)
-    return out
 
 
 def _median_filter(x: np.ndarray, width: int) -> np.ndarray:

@@ -11,8 +11,11 @@ Two families of rejection rules are compared:
 mFDR of a region R is (null mass in R)/(total mass in R); mFNR is the
 nonnull fraction of the complement.  Because every density involved is a
 finite Gaussian mixture, interval masses are computed in closed form from
-Gaussian distribution functions.  The tests cross-check these masses
-against adaptive quadrature and Monte Carlo.
+Gaussian distribution functions (``_interval_mass``).  A region holds a few
+intervals, so its masses are taken on Python floats with scalar ``ndtr``;
+only the p-value rule's scan over chunks of its t-grid takes them on
+arrays.  Both paths sum in NumPy's order and agree bit for bit.  The tests
+cross-check these masses against adaptive quadrature and Monte Carlo.
 
 The p-value rule bisects to 1e-9 above the largest feasible point of a log
 grid in t, scanned top down in chunks; a chunk is evaluated only if its
@@ -28,7 +31,9 @@ null/total density stays <= alpha, then a safeguarded Newton finish on
 lambda over the exact region masses.  Each sublevel-set boundary is
 refined the same way inside its grid cell, by Newton steps on log lfdr
 (whose z-derivative is closed form).  Both searches run on Python floats:
-NumPy's per-call cost outweighed the arithmetic on a few points.  Masses,
+NumPy's per-call cost outweighed the arithmetic on a few points.  The scan
+grid steps 0.01, and sd/10 within 12 sd of each component narrower than
+0.1; the step-up weighs each grid point by its cell width.  Masses,
 densities and slopes all read the component table ``core_model._components``.
 """
 
@@ -77,6 +82,9 @@ _CHUNK = 64
 _EDGE_TOL = 1e-13
 _LAMBDA_TOL = 1e-12
 _MAX_STEPS = 200
+# Step of the lfdr scan grid; components narrower than 10 steps get a finer
+# grid of their own (see _scan_grid).
+_GRID_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -140,31 +148,64 @@ class SweepRow:
     error: str | None = None
 
 
+def _interval_mass(w: float, mean: float, sd: float, lo: float, hi: float):
+    """w * (mass of [lo, hi] under N(mean, sd^2)), on Python floats.
+
+    This is the oracle's one mass formula; ``_interval_masses`` evaluates
+    it elementwise on arrays, bit for bit, since ``ndtr`` on a float runs
+    the same code as on an array.  An interval above the mean (a > 0) is
+    measured from the upper tail, so far-tail masses keep full relative
+    precision instead of cancelling in 1 - Phi.
+    """
+    a = (lo - mean) / sd
+    b = (hi - mean) / sd
+    return w * (ndtr(-a) - ndtr(-b) if a > 0.0 else ndtr(b) - ndtr(a))
+
+
 def _interval_masses(comps: np.ndarray, lo, hi) -> np.ndarray:
-    """w_c * (mass of [lo_i, hi_i] under component c): one row per
-    component of ``comps`` (see ``core_model._components``).  Intervals
-    above a component's mean are measured from its upper tail, so far-tail
-    masses keep full relative precision instead of cancelling in 1 - Phi."""
+    """``_interval_mass`` for arrays of interval ends: one row per
+    component of ``comps`` (see ``core_model._components``)."""
     w, mean, sd = comps[:3]
     a = (np.asarray(lo, dtype=float) - mean) / sd
     b = (np.asarray(hi, dtype=float) - mean) / sd
     return w * np.where(a > 0.0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
 
 
-def _region_masses(comps: np.ndarray, region: RejectionRegion) -> tuple:
-    """(null mass, total mass) of ``region``."""
-    if region.is_empty:
+def _sum(values) -> float:
+    """Sum of floats in the order NumPy sums a 1-D array, so that scalar
+    sums equal array sums bit for bit.  NumPy adds fewer than 8 terms left
+    to right and switches to a pairwise sum from 8, where this defers to it."""
+    if len(values) >= 8:
+        return float(np.sum(values))
+    total = -0.0
+    for value in values:
+        total += value
+    return float(total)
+
+
+def _component_rows(m: TwoGroupModel) -> list:
+    """The component table ``_components(m)`` as five lists (w, mean, sd,
+    log w, log sd), for the oracle's scalar arithmetic."""
+    return _components(m)[:, :, 0].tolist()
+
+
+def _region_masses(rows: list, intervals) -> tuple:
+    """(null mass, total mass) of a union of ``intervals`` on Python
+    floats, for the component ``rows`` of ``_component_rows``.  Each
+    component's masses are summed over the intervals, then over the
+    components, both as NumPy sums these arrays would."""
+    if not intervals:
         return 0.0, 0.0
-    lo, hi = zip(*region.intervals)
-    per_component = _interval_masses(comps, lo, hi).sum(axis=1)
-    return float(per_component[0]), float(per_component.sum())
+    per_component = [_sum([_interval_mass(w, mean, sd, lo, hi) for lo, hi in intervals])
+                     for w, mean, sd in zip(*rows[:3])]
+    return per_component[0], _sum(per_component)
 
 
 def mfdr_of_region(m: TwoGroupModel, r: RejectionRegion) -> float:
     """Marginal FDR of region ``r``: E(N10)/E(R) = null mass / total mass."""
     if r.is_empty:
         raise EmptyRegion("mFDR is undefined for an empty rejection region")
-    null, total = _region_masses(_components(m), r)
+    null, total = _region_masses(_component_rows(m), r.intervals)
     if total < _MASS_FLOOR:
         raise EmptyRegion("rejection region carries no probability mass")
     return null / total
@@ -175,33 +216,51 @@ def mfnr_of_region(m: TwoGroupModel, r: RejectionRegion) -> float:
     comp = r.complement()
     if comp.is_empty:
         raise FullRegion("mFNR is undefined when everything is rejected")
-    null, total = _region_masses(_components(m), comp)
+    null, total = _region_masses(_component_rows(m), comp.intervals)
     if total < _MASS_FLOOR:
         raise FullRegion("acceptance set carries no probability mass")
     nonnull = total - null
     return max(0.0, nonnull) / total
 
 
+def _pvalue_tails(null: GaussianComponent, t: float) -> tuple:
+    """The intervals of {z : |z - mean|/sd >= Phi^-1(1 - t/2)}."""
+    q = -float(ndtri(t / 2.0))  # Phi^-1(1 - t/2)
+    return (-math.inf, null.mean - q * null.sd), (null.mean + q * null.sd, math.inf)
+
+
 def region_from_pvalue_threshold(null: GaussianComponent, t: float) -> RejectionRegion:
     """Two symmetric tails {z : |z - mean|/sd >= Phi^-1(1 - t/2)}."""
     if not (0.0 < t < 1.0):
         raise ValueError(f"p-value threshold must be in (0, 1), got {t}")
-    q = -float(ndtri(t / 2.0))  # Phi^-1(1 - t/2)
-    return RejectionRegion(
-        (
-            (-math.inf, null.mean - q * null.sd),
-            (null.mean + q * null.sd, math.inf),
-        )
-    )
+    return RejectionRegion(_pvalue_tails(null, t))
 
 
-def _scan_grid(m: TwoGroupModel) -> np.ndarray:
-    """Grid over all component means +- 12 max sd, step min(0.01, min sd/10)."""
+def _scan_grid(m: TwoGroupModel) -> tuple:
+    """The lfdr scan grid and each point's cell width.
+
+    The grid spans all component means +- 12 max sd in steps of about
+    _GRID_STEP.  Within +- 12 sd of each component with sd < 10 _GRID_STEP
+    the points give way to steps of sd/10, so a sublevel set as narrow as
+    that component still holds grid points.  Widths are in units of the
+    coarse step: 1 at every coarse point, so a model without narrow
+    components gets the plain grid and unit weights.
+    """
     means = [c.mean for _, c in m.components]
     sds = [c.sd for _, c in m.components]
     lo, hi = min(means) - 12.0 * max(sds), max(means) + 12.0 * max(sds)
-    step = min(0.01, min(sds) / 10.0)
-    return np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1)
+    zs = np.linspace(lo, hi, int(math.ceil((hi - lo) / _GRID_STEP)) + 1)
+    width = np.ones_like(zs)
+    fine = [np.linspace(mean - 12.0 * sd, mean + 12.0 * sd, 241)
+            for mean, sd in zip(means, sds) if sd < 10.0 * _GRID_STEP]
+    if not fine:
+        return zs, width
+    coarse = zs[1] - zs[0]
+    outside = np.all([(zs < f[0]) | (zs > f[-1]) for f in fine], axis=0)
+    zs = np.concatenate([zs[outside]] + fine)
+    width = np.concatenate([width[outside]] + [np.full(f.size, (f[1] - f[0]) / coarse) for f in fine])
+    order = np.argsort(zs, kind="stable")
+    return zs[order], width[order]
 
 
 def _bracketed_newton(fun, lo: float, hi: float, lo_low: bool, tol: float) -> tuple:
@@ -236,7 +295,7 @@ def _bracketed_newton(fun, lo: float, hi: float, lo_low: bool, tol: float) -> tu
 
 def _log_lfdr_slope(rows, z: float) -> tuple:
     """log lfdr(z) and its derivative in z at one point ``z``, for the
-    component table as lists, ``rows = _components(m)[:, :, 0].tolist()``.
+    component table as lists, ``rows = _component_rows(m)``.
 
     Computed as -log(1 + odds) with odds = sum_c w_c f_c(z) / (p0 f0(z))
     over the nonnull components, which keeps relative precision where lfdr
@@ -256,7 +315,7 @@ def _log_lfdr_slope(rows, z: float) -> tuple:
                                  for log, score in zip(log_odds, scores[1:])])
 
 
-def _sublevel_region(comps: np.ndarray, zs: np.ndarray, profile: np.ndarray,
+def _sublevel_region(rows: list, zs: np.ndarray, profile: np.ndarray,
                      lam: float) -> RejectionRegion:
     """{z : lfdr(z) <= lam} from the lfdr ``profile`` on the grid ``zs``.
 
@@ -271,7 +330,6 @@ def _sublevel_region(comps: np.ndarray, zs: np.ndarray, profile: np.ndarray,
     entries = np.flatnonzero(flips == 1)  # boundary in (zs[i], zs[i + 1]), zs[i] outside
     exits = np.flatnonzero(flips == -1)  # boundary in (zs[i], zs[i + 1]), zs[i] inside
     cells = np.concatenate([entries, exits])
-    rows = comps[:, :, 0].tolist()
     log_lam = math.log(lam)
 
     def level(z):
@@ -290,15 +348,16 @@ def _sublevel_region(comps: np.ndarray, zs: np.ndarray, profile: np.ndarray,
 def region_from_lfdr_threshold(m: TwoGroupModel, lam: float) -> RejectionRegion:
     """Sublevel set {z : lfdr(m, z) <= lam} as a union of closed intervals.
 
-    Boundaries are located by a sign-change scan on a grid covering all
-    component means plus 12 sd, then refined inside their grid cell by
-    safeguarded Newton steps on log lfdr to |dz| <= 1e-13.  Grid ends whose
-    lfdr is already below the threshold extend to infinity.
+    Boundaries are located by a sign-change scan on the grid of
+    ``_scan_grid`` (all component means plus 12 sd, finer near narrow
+    components), then refined inside their grid cell by safeguarded Newton
+    steps on log lfdr to |dz| <= 1e-13.  Grid ends whose lfdr is already
+    below the threshold extend to infinity.
     """
     if not (0.0 < lam < 1.0):
         raise ValueError(f"lfdr threshold must be in (0, 1), got {lam}")
-    zs = _scan_grid(m)
-    return _sublevel_region(_components(m), zs, lfdr(m, zs), lam)
+    zs, _ = _scan_grid(m)
+    return _sublevel_region(_component_rows(m), zs, lfdr(m, zs), lam)
 
 
 def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
@@ -310,13 +369,15 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     total mass T(t) both grow with t, so a chunk [t_a, t_b] of 64 grid
     points holds a feasible point only if N(t_a) <= alpha * T(t_b); chunks
     are checked top down on that bound, and only admitted ones point by
-    point.  All steps share the tail masses of ``mfdr_of_region``.  The
-    result is the bisection's feasible end, not the root: a Newton finish
-    onto the root would move the figures' mFNR by up to 5e-9.
+    point.  All steps share the tail masses of ``mfdr_of_region``: the
+    grid chunks through ``_interval_masses``, the bisection on Python
+    floats.  The result is the bisection's feasible end, not the root: a
+    Newton finish onto the root would move the figures' mFNR by up to 5e-9.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     comps = _components(m)
+    rows = comps[:, :, 0].tolist()
 
     def tail_masses(ts):
         # as mfdr_of_region computes them for region_from_pvalue_threshold
@@ -327,6 +388,10 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
 
     def feasible(ts):
         null, total = tail_masses(ts)
+        return null / total <= alpha
+
+    def feasible_at(t):
+        null, total = _region_masses(rows, _pvalue_tails(m.null, t))
         return null / total <= alpha
 
     ts = np.exp(np.linspace(math.log(1e-10), math.log(1.0 - 1e-12), 10_000))
@@ -342,23 +407,23 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
             f"no p-value threshold attains mFDR <= {alpha}; "
             f"tail mFDR is {null[0] / total[0]:.6g} at t = {ts[0]:.3g}"
         )
-    t_star = ts[i]
+    t_star = float(ts[i])
     if i < ts.size - 1:
-        b = ts[i + 1]
+        b = float(ts[i + 1])
         while b - t_star > _SEARCH_TOL:
             c = 0.5 * (t_star + b)
-            t_star, b = (c, b) if feasible(c) else (t_star, c)
+            t_star, b = (c, b) if feasible_at(c) else (t_star, c)
     region = region_from_pvalue_threshold(m.null, t_star)
     return OracleRule(
         kind="pvalue",
-        threshold=float(t_star),
+        threshold=t_star,
         region=region,
         mfdr=mfdr_of_region(m, region),
         mfnr=mfnr_of_region(m, region),
     )
 
 
-def _lfdr_excess(m: TwoGroupModel, comps: np.ndarray, region: RejectionRegion,
+def _lfdr_excess(m: TwoGroupModel, rows: list, region: RejectionRegion,
                  lam: float, alpha: float) -> tuple:
     """mFDR(region) - alpha and its derivative in lam, for region = R(lam).
 
@@ -366,25 +431,25 @@ def _lfdr_excess(m: TwoGroupModel, comps: np.ndarray, region: RejectionRegion,
     finite boundary b by dz/dlam = 1/|lfdr'(b)| and adds mass f(b) there, so
     d mFDR/dlam = sum_b f(b)/|lfdr'(b)| * (lam - mFDR)/total.
     """
-    null, total = _region_masses(comps, region)
+    null, total = _region_masses(rows, region.intervals)
     if total < _MASS_FLOOR:
         return -alpha, 0.0
     rate = null / total  # as mfdr_of_region computes it
-    rows = comps[:, :, 0].tolist()
     growth = math.fsum(m.p0 * gaussian_pdf(e, m.null) / lam / (lam * abs(_log_lfdr_slope(rows, e)[1]))
                        for iv in region.intervals for e in iv if math.isfinite(e))
     return rate - alpha, growth * (lam - rate) / total
 
 
-def _lfdr_cutoff(excess, profile: np.ndarray, density: np.ndarray, alpha: float,
+def _lfdr_cutoff(excess, profile: np.ndarray, cell_mass: np.ndarray, alpha: float,
                  lam_hi: float) -> float:
     """Largest lambda < lam_hi with ``excess(lambda)[0] <= 0``, given that
     lam_hi itself is infeasible; within _LAMBDA_TOL below the root, and a
-    lambda that ``excess`` was evaluated at (or 0)."""
+    lambda that ``excess`` was evaluated at (or 0).  ``cell_mass`` is the
+    density times the cell width at each grid point."""
     # step-up over the grid cells ranked by lfdr, weighted by the midpoint
-    # rule: null weight lfdr * f and total weight f at each grid point
+    # rule: null weight lfdr * f * width and total weight f * width
     order = np.argsort(profile, kind="stable")
-    f = density[order]
+    f = cell_mass[order]
     passing = np.flatnonzero(np.cumsum(profile[order] * f) <= alpha * np.cumsum(f))
     k = int(passing[-1]) + 1 if passing.size else 0
 
@@ -408,8 +473,8 @@ def oracle_lfdr_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     sublevel set), and equals the mass-weighted mean of lfdr there, so the
     rule is a population step-up: lfdr and the density f are profiled once
     on the scan grid, grid points are ranked by lfdr, and the longest prefix
-    whose cumulative lfdr * f stays <= alpha times its cumulative f brackets
-    lambda between two ranked values.  A safeguarded Newton search then
+    whose cumulative lfdr * f * (cell width) stays <= alpha times its
+    cumulative f * (cell width) brackets lambda between two ranked values.  A safeguarded Newton search then
     closes that bracket to 1e-12 on the exact sublevel-set masses and
     returns its feasible end with the region evaluated there, so the
     reported mFDR is <= alpha exactly.  Empty regions count as feasible; if
@@ -417,18 +482,18 @@ def oracle_lfdr_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    comps = _components(m)
-    zs = _scan_grid(m)
+    rows = _component_rows(m)
+    zs, width = _scan_grid(m)
     profile = lfdr(m, zs)
     regions = {}
 
     def excess(lam):
-        regions[lam] = _sublevel_region(comps, zs, profile, lam)
-        return _lfdr_excess(m, comps, regions[lam], lam, alpha)
+        regions[lam] = _sublevel_region(rows, zs, profile, lam)
+        return _lfdr_excess(m, rows, regions[lam], lam, alpha)
 
     lam_star = 1.0 - 1e-12
     if excess(lam_star)[0] > 0.0:
-        lam_star = _lfdr_cutoff(excess, profile, marginal_density(m, zs), alpha, lam_star)
+        lam_star = _lfdr_cutoff(excess, profile, marginal_density(m, zs) * width, alpha, lam_star)
     region = regions.get(lam_star, RejectionRegion(()))
     if region.is_empty:
         raise Infeasible(

@@ -273,4 +273,4 @@ def test_package_exports_the_module_lists():
     exported = {name for name, value in vars(lfdr_lab).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == listed
-    assert len(exported) == 60
+    assert len(exported) == 59

@@ -22,7 +22,6 @@ from lfdr_lab import (
     MarginalDensityEstimate,
     NonFiniteInput,
     NotEnoughData,
-    empirical_cf,
     estimate_marginal_kde,
     estimate_null_ecf,
     estimate_p0_tail,
@@ -31,6 +30,22 @@ from lfdr_lab import (
     sample_model,
 )
 from lfdr_lab.estimation import _center_spread, _ecf_scan, _kernel_sum, _median_filter
+
+
+def empirical_cf(z, t):
+    """Empirical characteristic function (1/m) * sum_j exp(i t z_j) by the
+    direct sum, the reference for the ECF scan.  ``t`` may be a scalar or
+    an array; the frequencies are taken in chunks to bound memory."""
+    z = np.asarray(z, dtype=float)
+    if z.size == 0:
+        raise EmptyInput("empirical_cf needs at least one observation")
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty(ts.size, dtype=complex)
+    chunk = max(1, int(4_000_000 // z.size))
+    for i in range(0, ts.size, chunk):
+        arg = np.multiply.outer(ts[i : i + chunk], z)
+        out[i : i + chunk] = np.cos(arg).mean(axis=1) + 1j * np.sin(arg).mean(axis=1)
+    return complex(out[0]) if np.ndim(t) == 0 else out
 
 
 def draw(model, m, seed):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -28,8 +29,18 @@ from lfdr_lab import (
     region_from_pvalue_threshold,
     sample_model,
 )
+from lfdr_lab import oracle
 from lfdr_lab.core_model import _components
-from lfdr_lab.oracle import _MAX_STEPS, _bracketed_newton, _log_lfdr_slope
+from lfdr_lab.oracle import (
+    _MAX_STEPS,
+    _bracketed_newton,
+    _interval_mass,
+    _interval_masses,
+    _log_lfdr_slope,
+    _pvalue_tails,
+    _region_masses,
+    _scan_grid,
+)
 
 STD = GaussianComponent(0.0, 1.0)
 
@@ -286,13 +297,18 @@ class TestMonteCarloAgreement:
 # 31-step bisection on lambda over regions whose boundaries are bisected
 # to 1e-9 on the same scan grid (region rates from the library's
 # mfdr_of_region and mfnr_of_region).
-def reference_region(m, lam):
+def uniform_scan_grid(m):
+    """All component means +- 12 max sd in steps of min(0.01, min sd/10)."""
     means = [c.mean for _, c in m.components]
     sds = [c.sd for _, c in m.components]
     lo, hi = min(means) - 12.0 * max(sds), max(means) + 12.0 * max(sds)
     step = min(0.01, min(sds) / 10.0)
-    n = int(math.ceil((hi - lo) / step)) + 1
-    zs = np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1)
+
+
+def reference_region(m, lam):
+    zs = uniform_scan_grid(m)
+    n = zs.size
     inside = lfdr(m, zs) <= lam
     if not inside.any():
         return RejectionRegion(())
@@ -546,6 +562,112 @@ class TestBracketedNewton:
         assert lo <= root <= hi
         # bisection alone would take ~43 steps to reach 1e-13
         assert len(calls) <= 10
+
+
+@st.composite
+def models_and_intervals(draw):
+    """A mixture of 1-8 nonnull components with sds from 0.001 to 3, and
+    either the two tails of a p-value rule or a union of up to 11
+    intervals, which may reach -inf or +inf, whose finite ends lie on
+    either side of a component's mean, out to 40 of its sd."""
+    k = draw(st.integers(1, 8))
+    p0 = draw(st.floats(0.05, 0.95))
+    m = mixture_model(p0, [((1.0 - p0) / k, draw(st.floats(-5.0, 5.0)), draw(st.floats(0.001, 3.0)))
+                           for _ in range(k)])
+    t = draw(st.none() | st.floats(1e-10, 1.0 - 1e-12))
+    if t is not None:
+        return m, _pvalue_tails(m.null, t)
+    ends = set()
+    for _ in range(draw(st.integers(0, 20))):
+        _, c = draw(st.sampled_from(m.components))
+        offset = draw(st.sampled_from([-40.0, -1e-9, 0.0, 1e-9, 40.0]) | st.floats(-40.0, 40.0))
+        ends.add(c.mean + offset * c.sd)
+    ends = [-math.inf] * draw(st.booleans()) + sorted(ends) + [math.inf] * draw(st.booleans())
+    ends = ends[: len(ends) // 2 * 2]
+    return m, tuple(zip(ends[::2], ends[1::2]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(models_and_intervals())
+@example((mixture_model(1.0, []), ((-math.inf, -40.0), (40.0, math.inf))))
+@example((fig2_model(), ()))
+def test_scalar_masses_equal_array_masses(case):
+    # region rates, the lfdr search and the p-value bisection use the scalar
+    # masses, the p-value scan the array ones: equal bit for bit, one by one
+    # and summed over intervals and then components
+    m, intervals = case
+    comps = _components(m)
+    rows = comps[:, :, 0].tolist()
+    null, total = _region_masses(rows, intervals)
+    if not intervals:
+        assert (null, total) == (0.0, 0.0)
+        return
+    want = _interval_masses(comps, *zip(*intervals))
+    got = [[_interval_mass(w, mean, sd, lo, hi) for lo, hi in intervals] for w, mean, sd in zip(*rows[:3])]
+    assert [[float(x).hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want.tolist()]
+    per_component = want.sum(axis=1)
+    assert type(null) is float and type(total) is float
+    assert (null.hex(), total.hex()) == (float(per_component[0]).hex(), float(per_component.sum()).hex())
+
+
+def test_pvalue_rules_frozen_at_every_figure_point():
+    # (threshold, mFDR, mFNR) by repr at the 93 sweep points of figures 1a-d
+    # and 2, and of figure 2's p1 = 0.15 rule; the digest is of the values
+    # the rule gave with array masses throughout
+    rules = [oracle_pvalue_rule(m, alpha) for m, alpha in FIGURE_MODELS] + [figure2_data().pvalue_rule]
+    text = "\n".join(repr((r.threshold, r.mfdr, r.mfnr)) for r in rules)
+    assert len(rules) == 94
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f49393ba49cfff6cbf40b278f69ef7423cf6fec2665279cb8ff41040b350a8e4")
+
+
+class TestScanGrid:
+    def test_wide_components_keep_the_uniform_grid(self):
+        # every sd >= 0.1: the grid of step min(0.01, min sd/10) over the
+        # whole span, bit for bit, and unit cell widths
+        models = [m for m, _ in FIGURE_MODELS[::10]] + [
+            mixture_model(0.9, [(0.1, 2.5, 0.1)]),
+            mixture_model(0.7, [(0.2, -1.0, 0.3), (0.1, 2.0, 2.0)]),
+        ]
+        for m in models:
+            zs, width = _scan_grid(m)
+            assert np.array_equal(zs, uniform_scan_grid(m))
+            assert np.all(width == 1.0)
+
+    def test_narrow_component_refined_locally(self):
+        m = mixture_model(0.9, [(0.1, 2.5, 0.001)])
+        zs, width = _scan_grid(m)
+        assert zs.size < 10_000
+        steps = np.diff(zs)
+        near = np.abs(zs[:-1] - 2.5) < 0.012
+        assert steps.min() > 0.0 and steps[near].max() <= 1e-4 * (1 + 1e-9)
+        assert steps.max() <= 0.01 * (1 + 1e-9)
+        assert_allclose(width[np.abs(zs - 2.5) <= 0.012], 1e-4 / (zs[1] - zs[0]), rtol=1e-9)
+        rule = oracle_lfdr_rule(m, 0.10)
+        assert rule.region == region_from_lfdr_threshold(m, rule.threshold)
+
+    def test_cell_widths_keep_the_initial_bracket(self, monkeypatch):
+        # a narrow component beside a wide one: the step-up sums weigh each
+        # grid point by its cell width, so the first sign checks already
+        # straddle lambda*; with unit weights the fine points outweigh the
+        # coarse ones and the first three cutoffs tried are all feasible
+        cutoff, tried = oracle._lfdr_cutoff, []
+
+        def traced(excess, *args):
+            def logged(lam):
+                tried.append(lam)
+                return excess(lam)
+            return cutoff(logged, *args)
+
+        monkeypatch.setattr(oracle, "_lfdr_cutoff", traced)
+        for comps, alpha in [([(0.15, 3.0, 1.0), (0.05, -2.0, 0.05)], 0.10),
+                             ([(0.15, 3.0, 1.0), (0.05, 0.0, 0.01)], 0.10),
+                             ([(0.1, -3.0, 1.0), (0.1, 2.0, 0.03)], 0.05)]:
+            m = mixture_model(0.8, comps)
+            tried.clear()
+            rule = oracle_lfdr_rule(m, alpha)
+            assert {lam <= rule.threshold for lam in tried[:3]} == {True, False}
+            assert rule.region == region_from_lfdr_threshold(m, rule.threshold)
 
 
 def test_figure2_rules_frozen():
