@@ -299,9 +299,11 @@ def _concentrated_report(demo) -> str:
     )
 
 
-# a replication study's required keys, and every key a simulate config may hold
+# a replication study's required keys, and every key its config may hold
 _STUDY_KEYS = {"p0", "components", "m", "reps", "alpha", "seed"}
-_SIM_KEYS = _STUDY_KEYS | {"rho", "procedures", "figure", "figure1", "figure2", "concentrated"}
+_SIM_KEYS = _STUDY_KEYS | {"rho", "procedures"}
+# the values of a figure config's only key, "figure"
+_FIGURES = ("1a", "1b", "1c", "1d", "2", "concentrated")
 
 
 def _parse_sim_config(cfg: dict) -> SimConfig:
@@ -319,6 +321,9 @@ def _parse_sim_config(cfg: dict) -> SimConfig:
         if any(len(c) != 3 for c in comps):
             raise CliError(EXIT_INPUT, "each component needs exactly (w, mean, sd)")
     model = _build_model(float(cfg["p0"]), comps)
+    for key in ("m", "reps", "seed"):  # int() would truncate a fraction and pass a boolean
+        if isinstance(cfg[key], bool) or (isinstance(cfg[key], float) and not cfg[key].is_integer()):
+            raise CliError(EXIT_INPUT, f"{key} must be a whole number, got {cfg[key]!r}")
     try:
         return SimConfig(
             model=model,
@@ -345,43 +350,33 @@ def cmd_simulate(args) -> int:
 
 def _simulate(cfg, inputs: list, outdir: Path) -> int:
     """Run the study or figure that the config ``cfg`` names, writing its
-    outputs and a manifest that records ``inputs`` under ``outdir``."""
+    outputs and a manifest that records ``inputs`` and ``cfg`` as written
+    under ``outdir``.  A figure config holds one key, ``figure``."""
     if not isinstance(cfg, dict):
         raise CliError(EXIT_INPUT, "config must be a JSON object")
-    unknown = set(cfg) - _SIM_KEYS
-    if unknown:
-        raise CliError(EXIT_INPUT, f"unknown config keys: {sorted(unknown)}")
-
-    # normalize {"figure": "1a"} to the explicit figure keys
-    fig = cfg.pop("figure", None)
-    if isinstance(fig, str):
-        fig = fig.lower()
-        if fig in {"1a", "1b", "1c", "1d"}:
-            cfg.setdefault("figure1", fig[1])
-        elif fig == "2":
-            cfg.setdefault("figure2", True)
-        elif fig == "concentrated":
-            cfg.setdefault("concentrated", True)
-        else:
-            raise CliError(EXIT_INPUT, f"unknown figure {fig!r}")
-
-    if "figure1" in cfg:
-        panel = str(cfg["figure1"]).lower()
-        if panel not in {"a", "b", "c", "d"}:
-            raise CliError(EXIT_INPUT, f"figure1 panel must be a..d, got {panel!r}")
-        rows = [(panel, r.sweep, r.mfnr_pvalue, r.mfnr_lfdr) for r in figure1_data(panel)]
-        files = {f"figure1_{panel}.csv": _csv("panel,sweep,mfnr_pvalue,mfnr_lfdr", rows)}
-    elif "figure2" in cfg and cfg["figure2"]:
+    figure = cfg.get("figure")
+    if "figure" not in cfg:
+        unknown = set(cfg) - _SIM_KEYS
+        if unknown:
+            raise CliError(EXIT_INPUT, f"unknown config keys: {sorted(unknown)}")
+        result = run_replicated(_parse_sim_config(cfg))
+        rows = [(proc, *astuple(stats)) for proc, stats in result.per_procedure.items()]
+        files = {"replication.csv": _csv("procedure,mfdr,mfdr_se,mfnr,mfnr_se,mean_rejections", rows)}
+    elif len(cfg) > 1:
+        raise CliError(EXIT_INPUT, f"a figure config holds no other key: {sorted(set(cfg) - {'figure'})}")
+    elif figure not in _FIGURES:
+        raise CliError(EXIT_INPUT, f"figure must be one of {', '.join(_FIGURES)}; got {figure!r}")
+    elif figure == "2":
         fig2 = figure2_data()
         rows = [(r.sweep, r.mfnr_pvalue, r.mfnr_lfdr) for r in fig2.curve]
         files = {"figure2_curve.csv": _csv("p1,mfnr_pvalue,mfnr_lfdr", rows),
                  "figure2_report.txt": _figure2_report(fig2)}
-    elif "concentrated" in cfg and cfg["concentrated"]:
+    elif figure == "concentrated":
         files = {"concentrated_report.txt": _concentrated_report(concentrated_alternative_demo())}
     else:
-        result = run_replicated(_parse_sim_config(cfg))
-        rows = [(proc, *astuple(stats)) for proc, stats in result.per_procedure.items()]
-        files = {"replication.csv": _csv("procedure,mfdr,mfdr_se,mfnr,mfnr_se,mean_rejections", rows)}
+        panel = figure[1]
+        rows = [(panel, r.sweep, r.mfnr_pvalue, r.mfnr_lfdr) for r in figure1_data(panel)]
+        files = {f"figure1_{panel}.csv": _csv("panel,sweep,mfnr_pvalue,mfnr_lfdr", rows)}
     _finish("simulate", outdir / "manifest.json", {str(outdir / name): text for name, text in files.items()},
             {"config": cfg}, inputs, cfg.get("seed"))
     return EXIT_OK

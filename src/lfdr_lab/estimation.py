@@ -93,6 +93,9 @@ _MIN_OBS = 100
 _KDE_BINS_PER_H = 100
 _KDE_REACH = 8.0
 
+# Tail p0 estimate: p-values above this cutoff count as null.
+_P0_LAMBDA = 0.5
+
 
 def _crossing_level(m: int) -> float:
     """|ECF| level whose first crossing defines t*."""
@@ -202,12 +205,11 @@ def _binade(x: float) -> float:
     return math.ldexp(0.5, math.frexp(x)[1])
 
 
-def _center_spread(z: np.ndarray, s: np.ndarray | None = None) -> tuple[float, float]:
+def _center_spread(z: np.ndarray, s: np.ndarray) -> tuple[float, float]:
     """Median and spread min(sd, IQR/1.34) of ``z``, the spread falling back
-    to sd when the IQR is 0.  The quartiles are read off one sort (or ``s``,
-    sorted z) with np.percentile's interpolation, equal to it bit for bit.
-    The sd is of z over a power of two near max|z|, so no square overflows."""
-    s = np.sort(z) if s is None else s
+    to sd when the IQR is 0.  The quartiles are read off ``s``, sorted z,
+    with np.percentile's interpolation, equal to it bit for bit.  The sd is
+    of z over a power of two near max|z|, so no square overflows."""
 
     def quantile(q: float):
         pos = (s.size - 1) * q
@@ -395,16 +397,15 @@ def estimate_marginal_kde(z) -> MarginalDensityEstimate:
                                    bandwidth=bandwidth, data=s)
 
 
-def estimate_p0_tail(pvalues, lam: float = 0.5) -> float:
-    """Tail-based null-proportion estimate min(1, #{p > lam}/((1 - lam) m)).
+def estimate_p0_tail(pvalues) -> float:
+    """Tail-based null-proportion estimate min(1, #{p > lam}/((1 - lam) m))
+    at lam = 0.5.
 
     Follows Storey (2002): under the mixture, p-values above a moderate
     cutoff lam come almost entirely from the null, whose p-values are
     uniform.
     """
-    if not (0.0 < lam < 1.0):
-        raise ValueError(f"lambda must be in (0, 1), got {lam}")
     p = np.asarray(pvalues, dtype=float)
     if p.size == 0:
         raise EmptyInput("estimate_p0_tail needs at least one p-value")
-    return min(1.0, float(np.sum(p > lam)) / ((1.0 - lam) * p.size))
+    return min(1.0, float(np.sum(p > _P0_LAMBDA)) / ((1.0 - _P0_LAMBDA) * p.size))

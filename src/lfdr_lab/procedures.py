@@ -30,6 +30,7 @@ from .core_model import GaussianComponent, gaussian_pdf, two_sided_pvalue
 from .errors import (
     DegenerateData,
     DegenerateMarginal,
+    EmptyInput,
     InvalidLfdr,
     InvalidPValue,
     LengthMismatch,
@@ -210,14 +211,16 @@ def decide(z, procedures: tuple, alpha: float, null: GaussianComponent | None) -
     piece is computed once, and only if a requested procedure needs it;
     both BH levels share one checked copy of the p-values and one sort.
 
-    Raises NotEnoughData and DegenerateCF from null estimation, and
-    DegenerateData, naming the first requested rule that needs p0, when
-    the tail p0 estimate is 0.
+    Raises EmptyInput on empty z, NotEnoughData and DegenerateCF from null
+    estimation, and DegenerateData, naming the first requested rule that
+    needs p0, when the tail p0 estimate is 0.
     """
     if not procedures or not set(procedures) <= {"bh", "adaptive_bh", "lfdr"}:
         raise ValueError(f"procedures must be a tuple of bh, adaptive_bh, lfdr; got {procedures!r}")
     _check_alpha(alpha)
     z = np.asarray(z, dtype=float)
+    if z.size == 0:
+        raise EmptyInput("decide needs at least one z-value")
     p0_hat = None
     if null is None:
         est = estimate_null_ecf(z)

@@ -39,6 +39,8 @@ __all__ = [
 PROCEDURES = ("bh", "adaptive_bh", "lfdr_oracle_plugin", "lfdr_estimated")
 
 _DEMO_SEED = 20080101
+# the mFDR level of figure 1's panels a-c and of figure 2
+_FIGURE_ALPHA = 0.10
 
 
 def eq1_default_model() -> TwoGroupModel:
@@ -203,15 +205,15 @@ def figure1_data(panel: str) -> list:
     if panel == "a":
         sweep = _p1_grid()
         model_for = lambda p1: mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 3.0, 1.0)])
-        alpha = 0.10
+        alpha = _FIGURE_ALPHA
     elif panel == "b":
         sweep = _p1_grid()
         model_for = lambda p1: mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 6.0, 1.0)])
-        alpha = 0.10
+        alpha = _FIGURE_ALPHA
     elif panel == "c":
         sweep = [1.0 + 0.25 * k for k in range(21)]
         model_for = lambda mu2: mixture_model(0.8, [(0.18, -3.0, 1.0), (0.02, mu2, 1.0)])
-        alpha = 0.10
+        alpha = _FIGURE_ALPHA
     elif panel == "d":
         sweep = [round(0.02 * k, 2) for k in range(1, 16)]
         model_for = lambda _: mixture_model(0.8, [(0.02, -3.0, 1.0), (0.18, 1.0, 1.0)])
@@ -247,13 +249,13 @@ def _figure2_model(p1: float) -> TwoGroupModel:
     return mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 4.0, 1.0)])
 
 
-def figure2_data(alpha: float = 0.10) -> Figure2Data:
-    """Sweep p1 for the mu = (-3, 4) mixture and report both rules' regions
-    and the probe decisions at z = -2 and z = 3 for p1 = 0.15."""
-    curve = oracle_sweep(_figure2_model, _p1_grid(), alpha)
+def figure2_data() -> Figure2Data:
+    """Sweep p1 for the mu = (-3, 4) mixture at mFDR 0.10 and report both
+    rules' regions and the probe decisions at z = -2 and z = 3 for p1 = 0.15."""
+    curve = oracle_sweep(_figure2_model, _p1_grid(), _FIGURE_ALPHA)
     model = _figure2_model(0.15)
-    p_rule = oracle_pvalue_rule(model, alpha)
-    l_rule = oracle_lfdr_rule(model, alpha)
+    p_rule = oracle_pvalue_rule(model, _FIGURE_ALPHA)
+    l_rule = oracle_lfdr_rule(model, _FIGURE_ALPHA)
     probes = []
     for z in (-2.0, 3.0):
         probes.append(
@@ -281,10 +283,10 @@ class ConcentratedDemo:
     lfdr_at_far_tail: float
 
 
-def concentrated_alternative_demo(p0: float = 0.9, seed: int = _DEMO_SEED) -> ConcentratedDemo:
-    """Rank hypotheses by p-value and by exact lfdr under a concentrated
-    alternative N(1.5, 0.1^2) and compare the nonnull fraction among the 100
-    top-ranked hypotheses of each ordering.
+def concentrated_alternative_demo() -> ConcentratedDemo:
+    """Rank 10^4 hypotheses drawn with p0 = 0.9 by p-value and by exact lfdr
+    under a concentrated alternative N(1.5, 0.1^2) and compare the nonnull
+    fraction among the 100 top-ranked hypotheses of each ordering.
 
     With the alternative concentrated near 1.5, the most extreme z-values
     (smallest p-values) are mostly nulls, while the smallest lfdr values sit
@@ -292,11 +294,9 @@ def concentrated_alternative_demo(p0: float = 0.9, seed: int = _DEMO_SEED) -> Co
     """
     m = 10_000
     top = 100
-    if p0 >= 1.0:
-        model = mixture_model(1.0, [])
-    else:
-        model = mixture_model(p0, [(1.0 - p0, 1.5, 0.1)])
-    z, nonnull = sample_model(model, m, seed)
+    p0 = 0.9
+    model = mixture_model(p0, [(1.0 - p0, 1.5, 0.1)])
+    z, nonnull = sample_model(model, m, _DEMO_SEED)
     pvalues = two_sided_pvalue(z, model.null)
     lfdr_values = lfdr(model, z)
     by_p = _k_smallest(pvalues, np.sort(pvalues), top)

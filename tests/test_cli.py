@@ -351,7 +351,7 @@ class TestOracle:
 class TestSimulate:
     def test_figure1_panel_a(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"figure1": "a"}))
+        cfg.write_text(json.dumps({"figure": "1a"}))
         outdir = tmp_path / "out"
         assert run(["simulate", "--config", cfg, "--out", outdir]) == 0
         lines = (outdir / "figure1_a.csv").read_text().strip().split("\n")
@@ -395,12 +395,66 @@ class TestSimulate:
 
     def test_figure2_outputs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"figure2": True}))
+        cfg.write_text(json.dumps({"figure": "2"}))
         outdir = tmp_path / "out"
         assert run(["simulate", "--config", cfg, "--out", outdir]) == 0
         assert (outdir / "figure2_curve.csv").exists()
         report = (outdir / "figure2_report.txt").read_text()
         assert "z = -2" in report and "z = 3" in report
+
+    @pytest.mark.parametrize("figure, names", [
+        ("1a", ["figure1_a.csv"]),
+        ("2", ["figure2_curve.csv", "figure2_report.txt"]),
+    ])
+    def test_figure_replay(self, tmp_path, figure, names):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"figure": figure}))
+        outdir = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", outdir]) == 0
+        paths = [outdir / name for name in names] + [outdir / "manifest.json"]
+        first = [path.read_bytes() for path in paths]
+        assert json.loads(first[-1])["parameters"] == {"config": {"figure": figure}}
+        for path in paths[:-1]:
+            path.unlink()
+        assert run(["replay", outdir / "manifest.json"]) == 0
+        assert [path.read_bytes() for path in paths] == first
+
+    @pytest.mark.parametrize("config, names", [
+        ({"figure": "1e"}, "figure must be one of"),
+        ({"figure": "1A"}, "figure must be one of"),
+        ({"figure": 2}, "got 2"),
+        ({"figure": "2", "m": 100}, "a figure config holds no other key: ['m']"),
+        ({"figure": "1a", "figure1": "b"}, "no other key: ['figure1']"),
+        ({"figure": 2, "p0": 0.8, "components": "0.2:4:1", "m": 100, "reps": 2,
+          "alpha": 0.1, "seed": 1}, "no other key: ['alpha', 'components'"),
+        ({"figure1": "a"}, "unknown config keys: ['figure1']"),
+        ({"figure1": "a", "figure2": True}, "unknown config keys: ['figure1', 'figure2']"),
+        ({"concentrated": True}, "unknown config keys: ['concentrated']"),
+    ], ids=["unknown-value", "upper-case", "number", "study-key", "two-figures",
+            "figure-and-study", "figure1", "figure1-and-figure2", "concentrated"])
+    def test_figure_config_errors(self, tmp_path, capsys, config, names):
+        # one key asks for one job; anything else runs nothing
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        outdir = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", outdir]) == 2
+        assert names in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("m", 100.7), ("reps", 2.9), ("seed", 3.5), ("m", True), ("reps", True), ("seed", False),
+    ])
+    def test_fractional_or_boolean_count_is_config_error(self, tmp_path, capsys, key, value):
+        # int() would run m = 100, 2 reps or seed 3 and record the unused value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "p0": 0.8, "components": "0.2:4:1", "m": 100, "reps": 2,
+            "alpha": 0.1, "seed": 1, "procedures": ["bh"], key: value,
+        }))
+        outdir = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", outdir]) == 2
+        assert f"{key} must be a whole number, got {value!r}" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_bad_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -224,7 +224,7 @@ def test_center_spread_matches_np_percentile(z):
     sd = float(np.std(z, ddof=1))
     q75, q50, q25 = np.percentile(z, [75.0, 50.0, 25.0])
     spread = min(sd, (q75 - q25) / 1.34)
-    center, got = _center_spread(z)
+    center, got = _center_spread(z, np.sort(z))
     assert center == q50
     assert got == (spread if spread > 0.0 else sd)
 
@@ -526,7 +526,7 @@ class TestEstimateP0Tail:
         assert estimate_p0_tail([0.1, 0.2, 0.3]) == 0.0
 
     def test_hand_count(self):
-        assert estimate_p0_tail([0.1, 0.6, 0.7, 0.9], 0.5) == 1.0  # min(1, 3/2)
+        assert estimate_p0_tail([0.1, 0.6, 0.7, 0.9]) == 1.0  # min(1, 3/2)
 
     def test_unbiased_under_uniform(self):
         rng = np.random.default_rng(9)
@@ -543,10 +543,6 @@ class TestEstimateP0Tail:
         p = two_sided_pvalue(z, model.null)
         est = estimate_p0_tail(p)
         assert 0.75 <= est <= 0.88
-
-    def test_invalid_lambda(self):
-        with pytest.raises(ValueError):
-            estimate_p0_tail([0.5], 1.0)
 
     def test_empty(self):
         with pytest.raises(EmptyInput):

@@ -29,7 +29,7 @@ from lfdr_lab import (
     two_sided_pvalue,
 )
 from lfdr_lab import procedures as procedures_module
-from lfdr_lab.errors import DegenerateData, DegenerateMarginal
+from lfdr_lab.errors import DegenerateData, DegenerateMarginal, EmptyInput
 
 
 STD = GaussianComponent(0.0, 1.0)
@@ -356,6 +356,13 @@ class TestDecide:
         expected = {"two_sided_pvalue": 1, "estimate_marginal_kde": 1}
         expected.update({"estimate_p0_tail": 1} if null is STD else {"estimate_null_ecf": 1})
         assert calls == expected
+
+    @pytest.mark.parametrize("null", [STD, None], ids=["known", "estimated"])
+    @pytest.mark.parametrize("procedure", DECIDE_PROCEDURES)
+    def test_empty_z_is_empty_input(self, procedure, null):
+        # one error for every procedure, raised before any stage runs
+        with pytest.raises(EmptyInput, match="decide needs at least one z-value"):
+            decide([], (procedure,), 0.1, null)
 
     def test_bh_levels_share_one_checked_copy(self, eq1_z):
         tables = decide(eq1_z, ("adaptive_bh", "bh"), 0.1, STD)

@@ -242,7 +242,7 @@ class TestFigureData:
 
     def test_csv_header(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"figure1": "d"}))
+        cfg.write_text(json.dumps({"figure": "1d"}))
         assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "figure1_d.csv").read_text().strip().split("\n")
         assert lines[0] == "panel,sweep,mfnr_pvalue,mfnr_lfdr"
@@ -275,8 +275,3 @@ class TestConcentratedDemo:
     def test_moderate_z_scores_better_than_extreme(self):
         demo = concentrated_alternative_demo()
         assert demo.lfdr_at_mode < demo.lfdr_at_far_tail
-
-    def test_pure_null_variant(self):
-        demo = concentrated_alternative_demo(p0=1.0)
-        assert demo.capture_by_pvalue == 0.0
-        assert demo.capture_by_lfdr == 0.0
