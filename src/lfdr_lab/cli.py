@@ -80,12 +80,13 @@ def read_z_file(path: str) -> np.ndarray:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}")
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    if "#" in text:
+        lines = [ln for ln in lines if not ln.startswith("#")]
     if not lines:
         raise CliError(EXIT_INPUT, f"{path}: no data lines")
     try:
-        z = np.array([float(ln) for ln in lines])
+        z = np.array(lines, dtype=float)  # float() on each line, in C
         header = 0
     except ValueError:
         reader = csv.DictReader(io.StringIO("\n".join(lines)))
@@ -140,8 +141,25 @@ def _csv(header: str, rows) -> str:
     return "".join(f"{line}\n" for line in [header, *(",".join(map(str, row)) for row in rows)])
 
 
-def _csv_column(values, m: int):
-    return [""] * m if values is None else map(repr, values.tolist())
+# rows per chunk of a decision CSV: each chunk's cells are formatted and
+# joined on their own, so at most this many row strings exist at once
+_CSV_CHUNK = 8192
+
+
+def _cells(values: np.ndarray) -> list:
+    """The CSV cells of a contiguous int64 or float64 array: ``str`` of each
+    int and ``repr`` of each float, the shortest text that reads back to it."""
+    import orjson  # loaded on first use, so that importing the CLI stays cheap
+
+    cells = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    if values.dtype.kind == "f":
+        # orjson prints repr's shortest round-trip digits, but lays them out
+        # otherwise below 1e-4 (0.00005 for 5e-05), from 1e16 up (1e16 for
+        # 1e+16), and at nan and inf (null); repr writes those cells
+        mag = np.abs(values)
+        for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16))).tolist():
+            cells[i] = repr(float(values[i]))
+    return cells
 
 
 def decision_table_csv(z, table: DecisionTable) -> str:
@@ -151,14 +169,16 @@ def decision_table_csv(z, table: DecisionTable) -> str:
     m = table.rejected.size
     if len(z) != m:
         raise LengthMismatch(f"{len(z)} z-values for {m} decisions")
-    columns = zip(
-        map(str, range(m)),
-        _csv_column(np.asarray(z, dtype=float), m),
-        _csv_column(table.pvalue, m),
-        _csv_column(table.lfdr_hat, m),
-        np.where(table.rejected, "true\n", "false\n").tolist(),
-    )
-    return "index,z,pvalue,lfdr_hat,reject\n" + "".join(map(",".join, columns))
+    columns = [np.asarray(z, dtype=float), table.pvalue, table.lfdr_hat]
+    chunks = ["index,z,pvalue,lfdr_hat,reject\n"]
+    for lo in range(0, m, _CSV_CHUNK):
+        hi = min(lo + _CSV_CHUNK, m)
+        cells = [_cells(np.arange(lo, hi))]
+        cells += [[""] * (hi - lo) if col is None else
+                  _cells(np.ascontiguousarray(col[lo:hi], dtype=float)) for col in columns]
+        cells.append(np.where(table.rejected[lo:hi], "true\n", "false\n").tolist())
+        chunks.append("".join(map(",".join, zip(*cells))))
+    return "".join(chunks)
 
 
 def _write(path, text: str):
@@ -320,10 +340,15 @@ def _parse_sim_config(cfg: dict) -> SimConfig:
             raise CliError(EXIT_INPUT, "components must be [[w, mean, sd], ...] or 'w:mean:sd,...'")
         if any(len(c) != 3 for c in comps):
             raise CliError(EXIT_INPUT, "each component needs exactly (w, mean, sd)")
+    # int() and float() would read a string such as "100", truncate a
+    # fraction and pass a boolean
+    for key in ("p0", "m", "reps", "alpha", "seed", "rho"):
+        value = cfg.get(key, 0.0)
+        whole = key in ("m", "reps", "seed")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or (whole and isinstance(value, float) and not value.is_integer())):
+            raise CliError(EXIT_INPUT, f"{key} must be a {'whole ' if whole else ''}number, got {value!r}")
     model = _build_model(float(cfg["p0"]), comps)
-    for key in ("m", "reps", "seed"):  # int() would truncate a fraction and pass a boolean
-        if isinstance(cfg[key], bool) or (isinstance(cfg[key], float) and not cfg[key].is_integer()):
-            raise CliError(EXIT_INPUT, f"{key} must be a whole number, got {cfg[key]!r}")
     try:
         return SimConfig(
             model=model,

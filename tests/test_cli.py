@@ -1,9 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lfdr_lab import (
     GaussianComponent,
@@ -18,7 +21,9 @@ from lfdr_lab import (
     sample_model,
     two_sided_pvalue,
 )
-from lfdr_lab.cli import main
+from lfdr_lab.cli import _CSV_CHUNK, _cells, decision_table_csv, main, read_z_file
+from lfdr_lab.procedures import DecisionTable, decide
+from lfdr_lab.simulation import eq1_default_model
 
 
 def write_z_file(path, z):
@@ -264,6 +269,90 @@ class TestAnalyze:
         assert out.read_bytes() == first
 
 
+# the edges of the layout orjson shares with repr: the zeros, the smallest
+# subnormal, 1e-4 and 1e16 with their neighbours, and the largest double
+_FORMAT_EDGES = [0.0, 5e-324, 1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0),
+                 math.nextafter(1e16, 0.0), 1e16, sys.float_info.max]
+
+
+def _repr_csv(z, table) -> bytes:
+    """The decision CSV written cell by cell with repr, str and true/false."""
+    def column(values):
+        return [""] * z.size if values is None else [repr(v) for v in values.tolist()]
+
+    rows = zip([str(i) for i in range(z.size)], [repr(v) for v in z.tolist()],
+               column(table.pvalue), column(table.lfdr_hat),
+               ["true" if r else "false" for r in table.rejected.tolist()])
+    return ("index,z,pvalue,lfdr_hat,reject\n" + "".join(",".join(row) + "\n" for row in rows)).encode()
+
+
+class TestCsvNumbers:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    @example([x for v in _FORMAT_EDGES for x in (v, -v)])
+    def test_float_cells_are_repr(self, values):
+        assert _cells(np.array(values)) == [repr(v) for v in values]
+
+    @pytest.mark.parametrize("null", ["theoretical", "estimated"])
+    @pytest.mark.parametrize("procedure", ["bh", "abh", "lfdr"])
+    @pytest.mark.parametrize("m", [2_000, 2 * _CSV_CHUNK + 3])
+    def test_analyze_csv_is_repr(self, tmp_path, procedure, null, m):
+        z, _ = sample_model(eq1_default_model(), m, 25)
+        self._check(tmp_path, z, procedure, null)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    @pytest.mark.parametrize("procedure", ["bh", "abh", "lfdr"])
+    def test_analyze_csv_is_repr_at_extreme_scales(self, tmp_path, procedure, scale):
+        # every z cell lies outside the layout orjson shares with repr
+        self._check(tmp_path, scale * np.random.default_rng(1).normal(size=500), procedure, "estimated")
+
+    def test_strided_columns(self):
+        # orjson refuses an array that is not contiguous
+        z = np.random.default_rng(3).normal(size=40)[::2]
+        table = decide(z, ("bh",), 0.1, GaussianComponent(0.0, 1.0))["bh"]
+        strided = DecisionTable(table.rejected, table.k, pvalue=np.repeat(table.pvalue, 2)[::2])
+        assert decision_table_csv(z, strided).encode() == _repr_csv(z, table)
+
+    @staticmethod
+    def _check(tmp_path, z, procedure, null):
+        path = tmp_path / "z.txt"
+        write_z_file(path, z)
+        out = tmp_path / "dec.csv"
+        assert run(["analyze", path, "--alpha", "0.1", "--procedure", procedure, "--null", null,
+                    "--out", out, "--manifest", tmp_path / "m.json"]) == 0
+        name = {"bh": "bh", "abh": "adaptive_bh", "lfdr": "lfdr"}[procedure]
+        table = decide(z, (name,), 0.1, GaussianComponent(0.0, 1.0) if null == "theoretical" else None)[name]
+        assert out.read_bytes() == _repr_csv(z, table)
+
+
+class TestReadZFile:
+    def test_lines_read_as_float_reads_them(self, tmp_path):
+        path = tmp_path / "z.txt"
+        path.write_text("# comment\n1_0\n\n  +1.5 \n  # indented comment\n\u0661\u0662\n-0.0\n",
+                        encoding="utf-8")
+        z = read_z_file(path)
+        assert z.tolist() == [10.0, 1.5, 12.0, 0.0] and math.copysign(1.0, z[3]) == -1.0
+
+    def test_infinity_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "z.txt"
+        path.write_text("# comment\n0.5\n\n-1.0\ninfinity\n2.0\n")
+        assert run(["analyze", path, "--manifest", tmp_path / "m.json"]) == 2
+        assert capsys.readouterr().err == f"error: {path}:5: non-finite z value inf\n"
+
+    def test_hex_line_is_not_a_z_column(self, tmp_path, capsys):
+        # float() refuses 0x10, so the file is read as CSV, which has no z column
+        path = tmp_path / "z.txt"
+        path.write_text("0.5\n0x10\n")
+        assert run(["analyze", path, "--manifest", tmp_path / "m.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: expected one z per line or a 'z' CSV column\n")
+
+    def test_z_column(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("# genes\ngene,z\ng1, 0.5\n\ng2,-4.2\ng3,1_0\n")
+        assert read_z_file(path).tolist() == [0.5, -4.2, 10.0]
+
+
 class TestOracle:
     def test_report_and_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "rules.csv"
@@ -456,6 +545,24 @@ class TestSimulate:
         assert f"{key} must be a whole number, got {value!r}" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("p0", "0.8"), ("m", "100"), ("m", "100.7"), ("reps", "2"), ("alpha", "0.1"),
+        ("seed", "1"), ("rho", "0.5"), ("p0", True), ("alpha", False), ("rho", True), ("alpha", None),
+    ])
+    def test_non_number_is_config_error(self, tmp_path, capsys, key, value):
+        # float() and int() would run "0.1" or "100" and record the string;
+        # a boolean or null is no number either
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "p0": 0.8, "components": "0.2:4:1", "m": 100, "reps": 2,
+            "alpha": 0.1, "seed": 1, "procedures": ["bh"], key: value,
+        }))
+        outdir = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", outdir]) == 2
+        kind = "a whole number" if key in ("m", "reps", "seed") else "a number"
+        assert f"{key} must be {kind}, got {value!r}" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_bad_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -646,8 +753,9 @@ class TestEstimateNull:
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # importing these costs ~0.3 s and ~20 MB at every CLI start
+    # and orjson, which only the decision CSV writer needs, ~9 ms
     code = ("import sys, lfdr_lab, lfdr_lab.cli; "
-            "print(' '.join(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.stats') "
-            "if m in sys.modules)))")
+            "print(' '.join(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.stats', "
+            "'orjson') if m in sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ""
