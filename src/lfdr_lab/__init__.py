@@ -4,6 +4,13 @@ Exact oracle p-value and local-fdr procedures under a known Gaussian
 mixture, data-driven FDR procedures including the adaptive lfdr step-up,
 frequency-domain estimation of the null distribution and null proportion,
 and a seeded Monte Carlo harness.
+
+Importing the package loads numpy and the four modules that need no scipy:
+``core_model``, ``errors``, ``estimation`` and ``procedures``.  ``oracle``
+and ``simulation`` import ``scipy.special``, about 60% of the package's
+import time and ~25 MB; they and the names they export load on first
+access, through the module ``__getattr__``.  So an analysis under an
+estimated null never imports scipy.  ``__all__`` lists all 59 exports.
 """
 
 __version__ = "0.1.0"
@@ -40,18 +47,6 @@ from .estimation import (
     estimate_null_ecf,
     estimate_p0_tail,
 )
-from .oracle import (
-    OracleRule,
-    RejectionRegion,
-    SweepRow,
-    mfdr_of_region,
-    mfnr_of_region,
-    oracle_lfdr_rule,
-    oracle_pvalue_rule,
-    oracle_sweep,
-    region_from_lfdr_threshold,
-    region_from_pvalue_threshold,
-)
 from .procedures import (
     ConfusionCounts,
     DecisionTable,
@@ -63,19 +58,116 @@ from .procedures import (
     fdp_fnp,
     lfdr_stepup,
 )
-from .simulation import (
-    PROCEDURES,
-    ConcentratedDemo,
-    Figure2Data,
-    ProcedureStats,
-    SimConfig,
-    SimResult,
-    concentrated_alternative_demo,
-    eq1_default_model,
-    figure1_data,
-    figure2_data,
-    rep_seed,
-    run_replicated,
-    sample_correlated,
-    sample_model,
-)
+
+# the exports of the two modules that import scipy.special, by name: the
+# modules and their names load on first access through __getattr__
+_LAZY = dict.fromkeys((
+    "OracleRule",
+    "RejectionRegion",
+    "SweepRow",
+    "mfdr_of_region",
+    "mfnr_of_region",
+    "oracle_lfdr_rule",
+    "oracle_pvalue_rule",
+    "oracle_sweep",
+    "region_from_lfdr_threshold",
+    "region_from_pvalue_threshold",
+), "oracle") | dict.fromkeys((
+    "PROCEDURES",
+    "ConcentratedDemo",
+    "Figure2Data",
+    "ProcedureStats",
+    "SimConfig",
+    "SimResult",
+    "concentrated_alternative_demo",
+    "eq1_default_model",
+    "figure1_data",
+    "figure2_data",
+    "rep_seed",
+    "run_replicated",
+    "sample_correlated",
+    "sample_model",
+), "simulation")
+
+__all__ = [
+    # core_model
+    "GaussianComponent",
+    "TwoGroupModel",
+    "gaussian_pdf",
+    "lfdr",
+    "marginal_density",
+    "mixture_model",
+    "two_sided_pvalue",
+    # errors
+    "DegenerateCF",
+    "DegenerateData",
+    "DegenerateMarginal",
+    "EmptyInput",
+    "EmptyRegion",
+    "FullRegion",
+    "Infeasible",
+    "InvalidLfdr",
+    "InvalidModel",
+    "InvalidPValue",
+    "LengthMismatch",
+    "LfdrLabError",
+    "NonFiniteInput",
+    "NotEnoughData",
+    # estimation
+    "MarginalDensityEstimate",
+    "NullEstimate",
+    "estimate_marginal_kde",
+    "estimate_null_ecf",
+    "estimate_p0_tail",
+    # oracle
+    "OracleRule",
+    "RejectionRegion",
+    "SweepRow",
+    "mfdr_of_region",
+    "mfnr_of_region",
+    "oracle_lfdr_rule",
+    "oracle_pvalue_rule",
+    "oracle_sweep",
+    "region_from_lfdr_threshold",
+    "region_from_pvalue_threshold",
+    # procedures
+    "ConfusionCounts",
+    "DecisionTable",
+    "adaptive_bh",
+    "bh_stepup",
+    "confusion",
+    "decide",
+    "estimated_lfdr_values",
+    "fdp_fnp",
+    "lfdr_stepup",
+    # simulation
+    "PROCEDURES",
+    "ConcentratedDemo",
+    "Figure2Data",
+    "ProcedureStats",
+    "SimConfig",
+    "SimResult",
+    "concentrated_alternative_demo",
+    "eq1_default_model",
+    "figure1_data",
+    "figure2_data",
+    "rep_seed",
+    "run_replicated",
+    "sample_correlated",
+    "sample_model",
+]
+
+
+def __getattr__(name):
+    import importlib
+
+    if name in _LAZY.values():
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})

@@ -24,6 +24,7 @@ import json
 import sys
 from dataclasses import astuple
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,16 +42,14 @@ from .errors import (
     NotEnoughData,
 )
 from .estimation import estimate_null_ecf
-from .oracle import OracleRule, oracle_lfdr_rule, oracle_pvalue_rule
 from .procedures import DecisionTable, decide
-from .simulation import (
-    PROCEDURES,
-    SimConfig,
-    concentrated_alternative_demo,
-    figure1_data,
-    figure2_data,
-    run_replicated,
-)
+
+# oracle and simulation import scipy.special: the commands that need them
+# import them when they run, so that analyze under an estimated null and
+# estimate-null never load scipy
+if TYPE_CHECKING:
+    from .oracle import OracleRule
+    from .simulation import SimConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -257,6 +256,8 @@ def _rule_report(name: str, rule: OracleRule | None, note: str = "") -> str:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import oracle_lfdr_rule, oracle_pvalue_rule
+
     components = parse_components(args.components) if args.components else []
     model = _build_model(args.p0, components)
     rules = {}
@@ -327,6 +328,8 @@ _FIGURES = ("1a", "1b", "1c", "1d", "2", "concentrated")
 
 
 def _parse_sim_config(cfg: dict) -> SimConfig:
+    from .simulation import PROCEDURES, SimConfig
+
     missing = _STUDY_KEYS - set(cfg)
     if missing:
         raise CliError(EXIT_INPUT, f"config missing keys: {sorted(missing)}")
@@ -377,6 +380,8 @@ def _simulate(cfg, inputs: list, outdir: Path) -> int:
     """Run the study or figure that the config ``cfg`` names, writing its
     outputs and a manifest that records ``inputs`` and ``cfg`` as written
     under ``outdir``.  A figure config holds one key, ``figure``."""
+    from .simulation import concentrated_alternative_demo, figure1_data, figure2_data, run_replicated
+
     if not isinstance(cfg, dict):
         raise CliError(EXIT_INPUT, "config must be a JSON object")
     figure = cfg.get("figure")

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import InvalidModel
 
@@ -168,5 +167,7 @@ def two_sided_pvalue(z, null: GaussianComponent):
     full relative precision.  Always in (0, 1]: beyond |z - mean|/sd ~ 37.7,
     where erfc underflows to 0, the result is the smallest positive double.
     """
+    from scipy.special import erfc  # loaded on first use, not at package import
+
     u = np.abs(np.asarray(z, dtype=float) - null.mean) / null.sd
     return _as_input(z, np.maximum(erfc(u / math.sqrt(2.0)), math.ulp(0.0)))

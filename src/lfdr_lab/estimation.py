@@ -193,11 +193,12 @@ def _median_filter(x: np.ndarray, width: int) -> np.ndarray:
 
 
 def _require_finite(z: np.ndarray, what: str) -> None:
+    if np.isfinite(z).all():
+        return
     bad = np.flatnonzero(~np.isfinite(z))
-    if bad.size:
-        raise NonFiniteInput(
-            f"{what}: {bad.size} non-finite z value(s), first {float(z[bad[0]])!r} at index {bad[0]}"
-        )
+    raise NonFiniteInput(
+        f"{what}: {bad.size} non-finite z value(s), first {float(z[bad[0]])!r} at index {bad[0]}"
+    )
 
 
 def _binade(x: float) -> float:

@@ -35,7 +35,7 @@ from .errors import (
     InvalidPValue,
     LengthMismatch,
 )
-from .estimation import estimate_marginal_kde, estimate_null_ecf, estimate_p0_tail
+from .estimation import _require_finite, estimate_marginal_kde, estimate_null_ecf, estimate_p0_tail
 
 __all__ = [
     "DecisionTable",
@@ -211,8 +211,9 @@ def decide(z, procedures: tuple, alpha: float, null: GaussianComponent | None) -
     piece is computed once, and only if a requested procedure needs it;
     both BH levels share one checked copy of the p-values and one sort.
 
-    Raises EmptyInput on empty z, NotEnoughData and DegenerateCF from null
-    estimation, and DegenerateData, naming the first requested rule that
+    Raises EmptyInput on empty z and NonFiniteInput on nan or inf, both
+    before any stage runs; NotEnoughData and DegenerateCF from null
+    estimation; and DegenerateData, naming the first requested rule that
     needs p0, when the tail p0 estimate is 0.
     """
     if not procedures or not set(procedures) <= {"bh", "adaptive_bh", "lfdr"}:
@@ -221,6 +222,7 @@ def decide(z, procedures: tuple, alpha: float, null: GaussianComponent | None) -
     z = np.asarray(z, dtype=float)
     if z.size == 0:
         raise EmptyInput("decide needs at least one z-value")
+    _require_finite(z, "decide")
     p0_hat = None
     if null is None:
         est = estimate_null_ecf(z)

@@ -10,6 +10,7 @@ results are bit-identical for a given config.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,15 @@ class SimConfig:
                 f"procedures must be a sequence of names, not the string {self.procedures!r}"
             )
         self.procedures = tuple(self.procedures)
+        # operator.index takes Python and numpy integers and refuses floats
+        for key in ("m", "reps", "seed"):
+            value = getattr(self, key)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                setattr(self, key, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{key} must be an integer, got {value!r}") from None
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.reps < 1:

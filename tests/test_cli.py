@@ -752,10 +752,38 @@ class TestEstimateNull:
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
-    # importing these costs ~0.3 s and ~20 MB at every CLI start
-    # and orjson, which only the decision CSV writer needs, ~9 ms
+    # the CLI starts without these: scipy.optimize, .integrate and .stats
+    # (~0.3 s, ~20 MB), orjson, which only the decision CSV writer needs
+    # (~9 ms), and scipy.special with the oracle and the simulator, which
+    # only p-values, oracle rules and simulations need (~0.2 s, ~25 MB)
     code = ("import sys, lfdr_lab, lfdr_lab.cli; "
             "print(' '.join(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.stats', "
-            "'orjson') if m in sys.modules)))")
+            "'orjson', 'scipy.special', 'lfdr_lab.oracle', 'lfdr_lab.simulation') "
+            "if m in sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+def test_scipy_loads_only_for_the_commands_that_need_it(tmp_path):
+    # analyze under an estimated null and estimate-null compute no p-value
+    # and run no oracle, so they never import scipy.special; the commands
+    # that do import it on first use and succeed
+    z_file = tmp_path / "z500.txt"
+    write_z_file(z_file, sample_model(mixture_model(1.0, []), 500, 20)[0])
+    (tmp_path / "fig2.json").write_text('{"figure": "2"}')
+    runs = [
+        ["analyze", z_file, "--null", "estimated", "--procedure", "lfdr", "--out", tmp_path / "lfdr.csv"],
+        ["estimate-null", z_file, "--manifest", tmp_path / "null.json"],
+        ["analyze", z_file, "--procedure", "bh", "--out", tmp_path / "bh.csv"],
+        ["oracle", "--p0", "0.8", "--components", "0.2:3:1", "--alpha", "0.1",
+         "--manifest", tmp_path / "oracle.json"],
+        ["simulate", "--config", tmp_path / "fig2.json", "--out", tmp_path / "fig2"],
+    ]
+    code = ("import json, sys\n"
+            "from lfdr_lab.cli import main\n"
+            "seen = [(main(argv), 'scipy.special' in sys.modules) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(seen))\n")
+    argv = json.dumps([[str(arg) for arg in run] for run in runs])
+    out = subprocess.run([sys.executable, "-c", code, argv], capture_output=True, text=True, check=True)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen == [[0, False], [0, False], [0, True], [0, True], [0, True]]

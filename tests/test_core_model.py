@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -266,11 +268,30 @@ class TestComponentTable:
 
 def test_package_exports_the_module_lists():
     # each public name is listed once, in the __all__ of the module that
-    # defines it; another test may have imported lfdr_lab.cli as well
+    # defines it; the oracle's and the simulator's names are absent from
+    # vars(lfdr_lab) until first use, so the package's __all__ is read
     listed = set()
     for module in (core_model, errors, estimation, oracle, procedures, simulation):
         listed.update(module.__all__)
-    exported = {name for name, value in vars(lfdr_lab).items()
-                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        for name in module.__all__:
+            assert getattr(lfdr_lab, name) is getattr(module, name)
+    exported = set(lfdr_lab.__all__)
     assert exported == listed
-    assert len(exported) == 59
+    assert len(exported) == len(lfdr_lab.__all__) == 59
+    public = {name for name in dir(lfdr_lab)
+              if not name.startswith("_") and not isinstance(getattr(lfdr_lab, name), types.ModuleType)}
+    assert public == exported
+
+
+def test_star_import_binds_every_export_and_lazy_submodules_resolve():
+    # a fresh process, so the lazy names are unresolved when the import runs
+    code = ("namespace = {}\n"
+            "exec('from lfdr_lab import *', namespace)\n"
+            "import lfdr_lab\n"
+            "print(sorted(set(namespace) - {'__builtins__'}) == sorted(lfdr_lab.__all__),\n"
+            "      len(lfdr_lab.__all__), lfdr_lab.simulation.run_replicated.__module__,\n"
+            "      lfdr_lab.oracle.oracle_sweep is namespace['oracle_sweep'])\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "59", "lfdr_lab.simulation", "True"]
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        lfdr_lab.no_such_name

@@ -29,7 +29,7 @@ from lfdr_lab import (
     two_sided_pvalue,
 )
 from lfdr_lab import procedures as procedures_module
-from lfdr_lab.errors import DegenerateData, DegenerateMarginal, EmptyInput
+from lfdr_lab.errors import DegenerateData, DegenerateMarginal, EmptyInput, NonFiniteInput
 
 
 STD = GaussianComponent(0.0, 1.0)
@@ -363,6 +363,17 @@ class TestDecide:
         # one error for every procedure, raised before any stage runs
         with pytest.raises(EmptyInput, match="decide needs at least one z-value"):
             decide([], (procedure,), 0.1, null)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("null", [STD, None], ids=["known", "estimated"])
+    @pytest.mark.parametrize("procedure", DECIDE_PROCEDURES)
+    def test_non_finite_z_is_refused(self, eq1_z, procedure, null, bad):
+        # under a known null BH used to reject an infinite z and raise
+        # InvalidPValue on nan; every procedure now refuses both up front
+        z = eq1_z.copy()
+        z[[3, 7]] = bad
+        with pytest.raises(NonFiniteInput, match=r"^decide: 2 non-finite z value\(s\), first .* at index 3$"):
+            decide(z, (procedure,), 0.1, null)
 
     def test_bh_levels_share_one_checked_copy(self, eq1_z):
         tables = decide(eq1_z, ("adaptive_bh", "bh"), 0.1, STD)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,20 @@ class TestRunReplicated:
             SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, procedures=())
         with pytest.raises(ValueError, match="not the string 'bh'"):
             SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, procedures="bh")
+
+    @pytest.mark.parametrize("key, value", [("m", 200.5), ("m", True), ("m", 200.0), ("m", "200"),
+                                            ("reps", 2.5), ("reps", np.float64(2.0)), ("seed", 1.5),
+                                            ("seed", False)])
+    def test_counts_must_be_integers(self, key, value):
+        settings = {"model": PURE_NULL, "m": 200, "reps": 2, "alpha": 0.1, "seed": 1, key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {re.escape(repr(value))}$"):
+            SimConfig(**settings)
+
+    def test_numpy_integer_counts_are_python_ints(self):
+        config = SimConfig(model=PURE_NULL, m=np.int32(200), reps=np.uint8(2), alpha=0.1,
+                           seed=np.uint64(2**63 + 1))
+        assert [(v, type(v)) for v in (config.m, config.reps, config.seed)] == [
+            (200, int), (2, int), (2**63 + 1, int)]
 
     def test_csv_rendering(self, tmp_path):
         cfg = tmp_path / "cfg.json"
