@@ -10,152 +10,33 @@ Importing the package loads numpy and the four modules that need no scipy:
 and ``simulation`` import ``scipy.special``, about 60% of the package's
 import time and ~25 MB; they and the names they export load on first
 access, through the module ``__getattr__``.  So an analysis under an
-estimated null never imports scipy.  ``__all__`` lists all 59 exports.
+estimated null never imports scipy.  Each module's ``__all__`` is the one
+list of what it exports; ``_LAZY`` names those of ``oracle`` and
+``simulation`` again, since they cannot be read without importing scipy.
+The package's ``__all__`` joins them: 59 exports.
 """
 
 __version__ = "0.1.0"
 
-from .core_model import (
-    GaussianComponent,
-    TwoGroupModel,
-    gaussian_pdf,
-    lfdr,
-    marginal_density,
-    mixture_model,
-    two_sided_pvalue,
-)
-from .errors import (
-    DegenerateCF,
-    DegenerateData,
-    DegenerateMarginal,
-    EmptyInput,
-    EmptyRegion,
-    FullRegion,
-    Infeasible,
-    InvalidLfdr,
-    InvalidModel,
-    InvalidPValue,
-    LengthMismatch,
-    LfdrLabError,
-    NonFiniteInput,
-    NotEnoughData,
-)
-from .estimation import (
-    MarginalDensityEstimate,
-    NullEstimate,
-    estimate_marginal_kde,
-    estimate_null_ecf,
-    estimate_p0_tail,
-)
-from .procedures import (
-    ConfusionCounts,
-    DecisionTable,
-    adaptive_bh,
-    bh_stepup,
-    confusion,
-    decide,
-    estimated_lfdr_values,
-    fdp_fnp,
-    lfdr_stepup,
-)
+from . import core_model, errors, estimation, procedures
+from .core_model import *
+from .errors import *
+from .estimation import *
+from .procedures import *
 
 # the exports of the two modules that import scipy.special, by name: the
 # modules and their names load on first access through __getattr__
 _LAZY = dict.fromkeys((
-    "OracleRule",
-    "RejectionRegion",
-    "SweepRow",
-    "mfdr_of_region",
-    "mfnr_of_region",
-    "oracle_lfdr_rule",
-    "oracle_pvalue_rule",
-    "oracle_sweep",
-    "region_from_lfdr_threshold",
-    "region_from_pvalue_threshold",
+    "OracleRule", "RejectionRegion", "SweepRow", "mfdr_of_region", "mfnr_of_region",
+    "oracle_lfdr_rule", "oracle_pvalue_rule", "oracle_sweep",
+    "region_from_lfdr_threshold", "region_from_pvalue_threshold",
 ), "oracle") | dict.fromkeys((
-    "PROCEDURES",
-    "ConcentratedDemo",
-    "Figure2Data",
-    "ProcedureStats",
-    "SimConfig",
-    "SimResult",
-    "concentrated_alternative_demo",
-    "eq1_default_model",
-    "figure1_data",
-    "figure2_data",
-    "rep_seed",
-    "run_replicated",
-    "sample_correlated",
-    "sample_model",
+    "PROCEDURES", "ConcentratedDemo", "Figure2Data", "ProcedureStats", "SimConfig",
+    "SimResult", "concentrated_alternative_demo", "eq1_default_model", "figure1_data",
+    "figure2_data", "rep_seed", "run_replicated", "sample_correlated", "sample_model",
 ), "simulation")
 
-__all__ = [
-    # core_model
-    "GaussianComponent",
-    "TwoGroupModel",
-    "gaussian_pdf",
-    "lfdr",
-    "marginal_density",
-    "mixture_model",
-    "two_sided_pvalue",
-    # errors
-    "DegenerateCF",
-    "DegenerateData",
-    "DegenerateMarginal",
-    "EmptyInput",
-    "EmptyRegion",
-    "FullRegion",
-    "Infeasible",
-    "InvalidLfdr",
-    "InvalidModel",
-    "InvalidPValue",
-    "LengthMismatch",
-    "LfdrLabError",
-    "NonFiniteInput",
-    "NotEnoughData",
-    # estimation
-    "MarginalDensityEstimate",
-    "NullEstimate",
-    "estimate_marginal_kde",
-    "estimate_null_ecf",
-    "estimate_p0_tail",
-    # oracle
-    "OracleRule",
-    "RejectionRegion",
-    "SweepRow",
-    "mfdr_of_region",
-    "mfnr_of_region",
-    "oracle_lfdr_rule",
-    "oracle_pvalue_rule",
-    "oracle_sweep",
-    "region_from_lfdr_threshold",
-    "region_from_pvalue_threshold",
-    # procedures
-    "ConfusionCounts",
-    "DecisionTable",
-    "adaptive_bh",
-    "bh_stepup",
-    "confusion",
-    "decide",
-    "estimated_lfdr_values",
-    "fdp_fnp",
-    "lfdr_stepup",
-    # simulation
-    "PROCEDURES",
-    "ConcentratedDemo",
-    "Figure2Data",
-    "ProcedureStats",
-    "SimConfig",
-    "SimResult",
-    "concentrated_alternative_demo",
-    "eq1_default_model",
-    "figure1_data",
-    "figure2_data",
-    "rep_seed",
-    "run_replicated",
-    "sample_correlated",
-    "sample_model",
-]
+__all__ = [*core_model.__all__, *errors.__all__, *estimation.__all__, *procedures.__all__, *_LAZY]
 
 
 def __getattr__(name):

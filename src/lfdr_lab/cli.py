@@ -72,11 +72,12 @@ def _fmt6(x: float) -> str:
 def read_z_file(path: str) -> np.ndarray:
     """Read z-values: plain text one-per-line or CSV with a ``z`` column.
 
-    UTF-8; blank lines and lines starting with ``#`` are ignored.  A nan or
-    inf value is an input error naming its line.
+    UTF-8, with or without a byte-order mark; blank lines and lines
+    starting with ``#`` are ignored.  A nan or inf value is an input error
+    naming its line.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}")
     lines = list(filter(None, map(str.strip, text.splitlines())))
@@ -368,7 +369,7 @@ def _parse_sim_config(cfg: dict) -> SimConfig:
 
 def cmd_simulate(args) -> int:
     try:
-        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_INPUT, f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
@@ -445,7 +446,7 @@ def _manifest_entry(entries, key, name: str):
 
 def cmd_replay(args) -> int:
     try:
-        data = json.loads(Path(args.manifest_file).read_text(encoding="utf-8"))
+        data = json.loads(Path(args.manifest_file).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise CliError(EXIT_INPUT, f"cannot load manifest: {exc}")
     if not isinstance(data, dict):

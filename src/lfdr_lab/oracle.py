@@ -55,7 +55,8 @@ from .core_model import (
     lfdr,
     marginal_density,
 )
-from .errors import EmptyRegion, FullRegion, Infeasible
+from .errors import EmptyRegion, FullRegion, Infeasible, InvalidModel
+from .procedures import _check_alpha
 
 __all__ = [
     "RejectionRegion",
@@ -244,15 +245,23 @@ def _scan_grid(m: TwoGroupModel) -> tuple:
     the points give way to steps of sd/10, so a sublevel set as narrow as
     that component still holds grid points.  Widths are in units of the
     coarse step: 1 at every coarse point, so a model without narrow
-    components gets the plain grid and unit weights.
+    components gets the plain grid and unit weights.  Raises InvalidModel
+    if a narrow component's step sd/10 spans under 2^12 ulps of its
+    farthest point, |mean| + 12 sd, as the KDE refuses its spacing: such a
+    grid and its cell widths cannot be represented.
     """
     means = [c.mean for _, c in m.components]
     sds = [c.sd for _, c in m.components]
+    narrow = [(mean, sd) for mean, sd in zip(means, sds) if sd < 10.0 * _GRID_STEP]
+    for mean, sd in narrow:
+        magnitude = abs(mean) + 12.0 * sd
+        if not sd / 10.0 > 2**12 * math.ulp(magnitude):
+            raise InvalidModel(f"oracle scan grid: step sd/10 = {sd / 10.0:.3g} of the component "
+                               f"N({mean:.6g}, {sd:.3g}^2) cannot be represented at |z| up to {magnitude:.6g}")
     lo, hi = min(means) - 12.0 * max(sds), max(means) + 12.0 * max(sds)
     zs = np.linspace(lo, hi, int(math.ceil((hi - lo) / _GRID_STEP)) + 1)
     width = np.ones_like(zs)
-    fine = [np.linspace(mean - 12.0 * sd, mean + 12.0 * sd, 241)
-            for mean, sd in zip(means, sds) if sd < 10.0 * _GRID_STEP]
+    fine = [np.linspace(mean - 12.0 * sd, mean + 12.0 * sd, 241) for mean, sd in narrow]
     if not fine:
         return zs, width
     coarse = zs[1] - zs[0]
@@ -374,8 +383,7 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     floats.  The result is the bisection's feasible end, not the root: a
     Newton finish onto the root would move the figures' mFNR by up to 5e-9.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     comps = _components(m)
     rows = comps[:, :, 0].tolist()
 
@@ -480,8 +488,7 @@ def oracle_lfdr_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     reported mFDR is <= alpha exactly.  Empty regions count as feasible; if
     even lambda = 1 - 1e-12 is feasible it is used.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     rows = _component_rows(m)
     zs, width = _scan_grid(m)
     profile = lfdr(m, zs)

@@ -18,7 +18,7 @@ from scipy.special import ndtri
 
 from .core_model import TwoGroupModel, _components, lfdr, mixture_model, two_sided_pvalue
 from .oracle import oracle_lfdr_rule, oracle_pvalue_rule, oracle_sweep
-from .procedures import _k_smallest, confusion, decide, fdp_fnp, lfdr_stepup
+from .procedures import _check_alpha, _k_smallest, confusion, decide, fdp_fnp, lfdr_stepup
 
 __all__ = [
     "PROCEDURES",
@@ -81,8 +81,7 @@ class SimConfig:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if not (0.0 <= self.rho < 1.0):
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
         if not self.procedures:

@@ -353,6 +353,19 @@ class TestReadZFile:
         assert read_z_file(path).tolist() == [0.5, -4.2, 10.0]
 
 
+    @pytest.mark.parametrize("text", ["# comment\n0.5\n-1.25\n", "z,gene\n0.5,g1\n-1.25,g2\n"],
+                             ids=["lines", "csv"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert read_z_file(marked).tolist() == read_z_file(plain).tolist() == [0.5, -1.25]
+        for path in (plain, marked):
+            assert run(["analyze", path, "--out", path.with_suffix(".csv"),
+                        "--manifest", path.with_suffix(".json")]) == 0
+        assert marked.with_suffix(".csv").read_bytes() == plain.with_suffix(".csv").read_bytes()
+
 class TestOracle:
     def test_report_and_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "rules.csv"
@@ -417,6 +430,15 @@ class TestOracle:
                     "--csv", csv_path, "--manifest", manifest]) == 4
         assert "alpha must be in (0, 1), got 0.0" in capsys.readouterr().err
         assert not csv_path.exists() and not manifest.exists()
+
+    def test_unresolvable_component_is_invalid(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        assert run(["oracle", "--p0", "0.9", "--components", "0.1:2.5:1e-20", "--alpha", "0.1",
+                    "--manifest", manifest]) == 4
+        assert capsys.readouterr().err == (
+            "error: oracle scan grid: step sd/10 = 1e-21 of the component N(2.5, 1e-20^2) "
+            "cannot be represented at |z| up to 2.5\n")
+        assert not manifest.exists()
 
     def test_csv_into_new_directory(self, tmp_path):
         csv_path = tmp_path / "new" / "dir" / "r.csv"
@@ -658,6 +680,22 @@ class TestSimulate:
         assert sorted(tmp_path.rglob("*")) == files
         assert (outdir / "manifest.json").read_bytes() == manifest
 
+
+    def test_byte_order_mark_config_and_manifest(self, tmp_path):
+        # a config or manifest saved with a UTF-8 byte-order mark reads as without it
+        config = {"p0": 0.8, "components": "0.2:4:1", "m": 100, "reps": 3, "alpha": 0.1, "seed": 10}
+        outputs = {}
+        for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(config), encoding=encoding)
+            assert run(["simulate", "--config", cfg, "--out", tmp_path / name]) == 0
+            outputs[name] = (tmp_path / name / "replication.csv").read_bytes()
+        assert outputs["marked"] == outputs["plain"]
+        manifest = tmp_path / "plain" / "manifest.json"
+        manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        (tmp_path / "plain" / "replication.csv").unlink()
+        assert run(["replay", manifest]) == 0
+        assert (tmp_path / "plain" / "replication.csv").read_bytes() == outputs["plain"]
 
 class TestOutputPaths:
     # a regular file where a directory should be makes every path under it

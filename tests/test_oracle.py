@@ -15,6 +15,7 @@ from lfdr_lab import (
     FullRegion,
     GaussianComponent,
     Infeasible,
+    InvalidModel,
     RejectionRegion,
     figure2_data,
     lfdr,
@@ -645,6 +646,25 @@ class TestScanGrid:
         assert_allclose(width[np.abs(zs - 2.5) <= 0.012], 1e-4 / (zs[1] - zs[0]), rtol=1e-9)
         rule = oracle_lfdr_rule(m, 0.10)
         assert rule.region == region_from_lfdr_threshold(m, rule.threshold)
+
+    @pytest.mark.parametrize("mean, sd", [(2.5, 1e-20), (2.5, 1e-17), (-3.0, 1e-13), (40.0, 1e-12),
+                                          (2e4, 5e-11)])
+    def test_unresolvable_component_is_invalid(self, mean, sd):
+        # a step sd/10 under 2^12 ulps of |mean| + 12 sd: refused by name,
+        # where the rule divided by zero or spanned millions of sd
+        m = mixture_model(0.9, [(0.1, mean, sd)])
+        for call in (lambda: oracle_lfdr_rule(m, 0.1), lambda: region_from_lfdr_threshold(m, 0.5)):
+            with pytest.raises(InvalidModel, match=r"step sd/10 = .* cannot be represented"):
+                call()
+
+    @pytest.mark.parametrize("mean", [2.5, -3.0, 40.0])
+    def test_finest_resolvable_component_keeps_its_region(self, mean):
+        # 2^13 ulps per step: the grid is kept, and the region spans tens of
+        # sd, as it does at sd = 0.001
+        sd = 10 * 2**13 * math.ulp(abs(mean))
+        m = mixture_model(0.9, [(0.1, mean, sd)])
+        (lo, hi), = oracle_lfdr_rule(m, 0.1).region.intervals
+        assert lo < mean < hi and 10.0 < (hi - lo) / sd < 100.0
 
     def test_cell_widths_keep_the_initial_bracket(self, monkeypatch):
         # a narrow component beside a wide one: the step-up sums weigh each
