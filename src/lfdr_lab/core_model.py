@@ -74,15 +74,13 @@ class TwoGroupModel:
         if not (0.0 < self.p0 <= 1.0):
             raise InvalidModel(f"p0 must be in (0, 1], got {self.p0}")
         for w, comp in self.nonnull:
-            if w < 0.0:
+            if not w >= 0.0:  # also refuses nan
                 raise InvalidModel(f"component weight must be >= 0, got {w}")
             if not isinstance(comp, GaussianComponent):
                 raise InvalidModel("nonnull entries must be (weight, GaussianComponent)")
         total = self.p0 + sum(w for w, _ in self.nonnull)
-        if abs(total - 1.0) > _WEIGHT_TOL:
+        if not abs(total - 1.0) <= _WEIGHT_TOL:
             raise InvalidModel(f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
-        if not self.nonnull and abs(self.p0 - 1.0) > _WEIGHT_TOL:
-            raise InvalidModel("nonnull components may be omitted only when p0 == 1")
 
     @property
     def components(self) -> tuple:
@@ -103,11 +101,6 @@ def mixture_model(p0: float, components: Sequence[tuple]) -> TwoGroupModel:
     )
 
 
-def _log_gaussian_pdf(z, c: GaussianComponent):
-    u = (np.asarray(z, dtype=float) - c.mean) / c.sd
-    return -0.5 * u * u - math.log(c.sd) - _LOG_SQRT_2PI
-
-
 def _as_input(z, values):
     """Return a float for scalar input, an ndarray otherwise."""
     if np.isscalar(z) or np.ndim(z) == 0:
@@ -117,7 +110,8 @@ def _as_input(z, values):
 
 def gaussian_pdf(z, c: GaussianComponent):
     """Gaussian density of component ``c`` at ``z``; strictly positive."""
-    return _as_input(z, np.exp(_log_gaussian_pdf(z, c)))
+    u = (np.asarray(z, dtype=float) - c.mean) / c.sd
+    return _as_input(z, np.exp(-0.5 * u * u - math.log(c.sd) - _LOG_SQRT_2PI))
 
 
 def _components(m: TwoGroupModel) -> np.ndarray:

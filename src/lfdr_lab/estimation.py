@@ -52,12 +52,15 @@ gap over 16h, reaching 8h past it.  B-spline binning and one FFT (Silverman
 the data within 1.1e-5, 5.3e-6, 2.3e-6 at m = 100, 5000, 10^5 (eq1 draws).
 The estimate is that table: ``starts`` and ``cells`` per segment, ``values``,
 ``bandwidth`` (spacing h/100) and ``data``; ``grid`` is derived from it.
+``_Sample`` is the one place a sample is prepared: checked finite, sorted
+and centred once.  ``decide`` hands one record to both estimators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -95,16 +98,6 @@ _KDE_REACH = 8.0
 
 # Tail p0 estimate: p-values above this cutoff count as null.
 _P0_LAMBDA = 0.5
-
-
-def _crossing_level(m: int) -> float:
-    """|ECF| level whose first crossing defines t*."""
-    return max(0.25, m ** (-0.1))
-
-
-def _floor_level(m: int) -> float:
-    """|ECF| floor ending the analysis window (keeps relative noise small)."""
-    return max(0.10, 6.0 / math.sqrt(m))
 
 
 @dataclass(frozen=True)
@@ -192,36 +185,43 @@ def _median_filter(x: np.ndarray, width: int) -> np.ndarray:
     return np.partition(sliding_window_view(padded, width), pad, axis=1)[:, pad]
 
 
-def _require_finite(z: np.ndarray, what: str) -> None:
-    if np.isfinite(z).all():
-        return
-    bad = np.flatnonzero(~np.isfinite(z))
-    raise NonFiniteInput(
-        f"{what}: {bad.size} non-finite z value(s), first {float(z[bad[0]])!r} at index {bad[0]}"
-    )
-
-
 def _binade(x: float) -> float:
     """The power of two p with p <= |x| < 2p (0.5 at x = 0), for any finite x."""
     return math.ldexp(0.5, math.frexp(x)[1])
 
 
-def _center_spread(z: np.ndarray, s: np.ndarray) -> tuple[float, float]:
-    """Median and spread min(sd, IQR/1.34) of ``z``, the spread falling back
-    to sd when the IQR is 0.  The quartiles are read off ``s``, sorted z,
-    with np.percentile's interpolation, equal to it bit for bit.  The sd is
-    of z over a power of two near max|z|, so no square overflows."""
+class _Sample:
+    """A z sample prepared once: ``z`` as floats, checked finite (``stage``
+    names the caller), its sort ``s`` and ``center_spread`` on first read."""
 
-    def quantile(q: float):
-        pos = (s.size - 1) * q
-        i = int(pos)
-        a, b, g = s[i], s[min(i + 1, s.size - 1)], pos - i
-        return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+    def __init__(self, z, stage: str):
+        self.z = z = np.asarray(z, dtype=float)
+        if not np.isfinite(z).all():
+            bad = np.flatnonzero(~np.isfinite(z))
+            raise NonFiniteInput(f"{stage}: {bad.size} non-finite z value(s), "
+                                 f"first {float(z[bad[0]])!r} at index {bad[0]}")
 
-    unit = _binade(max(-s[0], s[-1]))
-    sd = float(np.std(z / unit, ddof=1)) * unit
-    spread = min(sd, float(quantile(0.75) - quantile(0.25)) / 1.34)
-    return float(quantile(0.5)), spread if spread > 0.0 else sd
+    @cached_property
+    def s(self) -> np.ndarray:
+        return np.sort(self.z)
+
+    @cached_property
+    def center_spread(self) -> tuple[float, float]:
+        """Median and spread min(sd, IQR/1.34), sd when the IQR is 0.  The
+        quartiles are read off ``s`` as np.percentile reads them, bit for bit;
+        the sd is of z over a power of two near max|z|, so no square overflows."""
+        s = self.s
+
+        def quantile(q: float):
+            pos = (s.size - 1) * q
+            i = int(pos)
+            a, b, g = s[i], s[min(i + 1, s.size - 1)], pos - i
+            return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+
+        unit = _binade(max(-s[0], s[-1]))
+        sd = float(np.std(self.z / unit, ddof=1)) * unit
+        spread = min(sd, float(quantile(0.75) - quantile(0.25)) / 1.34)
+        return float(quantile(0.5)), spread if spread > 0.0 else sd
 
 
 def _ecf_scan(x: np.ndarray, dt: float, n: int, floor: float) -> np.ndarray:
@@ -276,15 +276,16 @@ def estimate_null_ecf(z) -> NullEstimate:
     observations, and DegenerateCF on zero spread, on overflow at the data's
     scale, or when the ECF magnitude never falls below the crossing level.
     """
-    z = np.asarray(z, dtype=float)
-    _require_finite(z, "null estimation")
-    m = z.size
+    sample = z if isinstance(z, _Sample) else _Sample(z, "null estimation")
+    m = sample.z.size
     if m < _MIN_OBS:
         raise NotEnoughData(f"null estimation needs m >= {_MIN_OBS}, got {m}")
-    level = _crossing_level(m)
-    floor = min(level, _floor_level(m))
-    s = np.sort(z)
-    center, spread = _center_spread(z, s)
+    # t* is the first crossing of the |ECF| level; the floor, which keeps the
+    # relative noise small, ends the analysis window
+    level = max(0.25, m ** (-0.1))
+    floor = min(level, max(0.10, 6.0 / math.sqrt(m)))
+    s = sample.s
+    center, spread = sample.center_spread
     if spread == 0.0:
         raise DegenerateCF("the data have zero spread, so |ECF| is 1 at every t")
     unit = _binade(spread)
@@ -357,12 +358,12 @@ def estimate_marginal_kde(z) -> MarginalDensityEstimate:
     on fewer than 2 points, zero spread, or a spacing under 2^12 ulps of the
     largest |z| (cell positions need 12 bits below a step).
     """
-    z = np.asarray(z, dtype=float)
-    _require_finite(z, "kernel density estimation")
-    if z.size < 2:
+    sample = z if isinstance(z, _Sample) else _Sample(z, "kernel density estimation")
+    m = sample.z.size
+    if m < 2:
         raise DegenerateData("kernel density estimation needs at least 2 points")
-    s = np.sort(z)
-    bandwidth = 0.9 * _center_spread(z, s)[1] * z.size ** (-0.2)
+    s = sample.s
+    bandwidth = 0.9 * sample.center_spread[1] * m ** (-0.2)
     if bandwidth == 0.0:
         raise DegenerateData("sample standard deviation is zero")
     step, pad = bandwidth / _KDE_BINS_PER_H, _KDE_REACH * bandwidth
@@ -393,7 +394,7 @@ def estimate_marginal_kde(z) -> MarginalDensityEstimate:
     n_fft = 1 << (n - 1).bit_length()
     freq = np.arange(n_fft // 2 + 1) * (math.sqrt(_KDE_BINS_PER_H**2 - 0.25) / n_fft)
     conv = np.fft.irfft(np.fft.rfft(bins, n_fft) * np.exp(-2.0 * math.pi**2 * freq * freq), n_fft)
-    values = np.maximum(conv[:n], 0.0) / (z.size * step)
+    values = np.maximum(conv[:n], 0.0) / (m * step)
     return MarginalDensityEstimate(starts=starts, cells=counts - 1, values=values,
                                    bandwidth=bandwidth, data=s)
 

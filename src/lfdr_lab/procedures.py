@@ -35,7 +35,7 @@ from .errors import (
     InvalidPValue,
     LengthMismatch,
 )
-from .estimation import _require_finite, estimate_marginal_kde, estimate_null_ecf, estimate_p0_tail
+from .estimation import _Sample, estimate_marginal_kde, estimate_null_ecf, estimate_p0_tail
 
 __all__ = [
     "DecisionTable",
@@ -219,13 +219,13 @@ def decide(z, procedures: tuple, alpha: float, null: GaussianComponent | None) -
     if not procedures or not set(procedures) <= {"bh", "adaptive_bh", "lfdr"}:
         raise ValueError(f"procedures must be a tuple of bh, adaptive_bh, lfdr; got {procedures!r}")
     _check_alpha(alpha)
-    z = np.asarray(z, dtype=float)
+    sample = _Sample(z, "decide")
+    z = sample.z
     if z.size == 0:
         raise EmptyInput("decide needs at least one z-value")
-    _require_finite(z, "decide")
     p0_hat = None
     if null is None:
-        est = estimate_null_ecf(z)
+        est = estimate_null_ecf(sample)
         p0_hat, null = est.p0_hat, GaussianComponent(est.u0_hat, est.sigma0_hat)
     # a single observation gets lfdr 1 without p0
     p0_users = [p for p in procedures if p == "adaptive_bh" or (p == "lfdr" and z.size > 1)]
@@ -248,7 +248,7 @@ def decide(z, procedures: tuple, alpha: float, null: GaussianComponent | None) -
         elif z.size == 1:
             tables[procedure] = lfdr_stepup([1.0], alpha)
         else:
-            lfdr_hat = estimated_lfdr_values(z, p0_hat, null, estimate_marginal_kde(z))
+            lfdr_hat = estimated_lfdr_values(z, p0_hat, null, estimate_marginal_kde(sample))
             tables[procedure] = lfdr_stepup(lfdr_hat, alpha)
     return tables
 

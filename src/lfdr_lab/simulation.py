@@ -107,7 +107,6 @@ class SimResult:
     """Per-procedure empirical error rates over all replications."""
 
     per_procedure: dict = field(default_factory=dict)
-    reps: int = 0
 
 
 def _splitmix64(x: int) -> int:
@@ -190,7 +189,7 @@ def run_replicated(config: SimConfig) -> SimResult:
             mfnr_se=std_err(fnps),
             mean_rejections=float(ks.mean()),
         )
-    return SimResult(per_procedure=per_procedure, reps=config.reps)
+    return SimResult(per_procedure=per_procedure)
 
 
 # ---------------------------------------------------------------------------

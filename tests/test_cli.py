@@ -352,6 +352,19 @@ class TestReadZFile:
         path.write_text("# genes\ngene,z\ng1, 0.5\n\ng2,-4.2\ng3,1_0\n")
         assert read_z_file(path).tolist() == [0.5, -4.2, 10.0]
 
+    def test_comments_and_blanks_only_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "z.txt"
+        path.write_text("# header\n\n  # indented\n   \n")
+        assert run(["analyze", path, "--manifest", tmp_path / "m.json"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: no data lines\n"
+
+    def test_malformed_z_column_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "table.csv"
+        path.write_text("gene,z\ng1,0.5\ng2,abc\n")
+        assert run(["analyze", path, "--manifest", tmp_path / "m.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed z column (could not convert string to float: 'abc')\n")
+
 
     @pytest.mark.parametrize("text", ["# comment\n0.5\n-1.25\n", "z,gene\n0.5,g1\n-1.25,g2\n"],
                              ids=["lines", "csv"])
@@ -411,6 +424,15 @@ class TestOracle:
         mfnr_p = float(lines[1].split(",")[3])
         mfnr_l = float(lines[2].split(",")[3])
         assert abs(mfnr_p - mfnr_l) <= 1e-6
+
+    @pytest.mark.parametrize("spec, expected", [("0.1:2", "expected w:mean:sd"),
+                                                ("0.1:a:1", "expected numbers")])
+    def test_malformed_component_is_input_error(self, tmp_path, capsys, spec, expected):
+        manifest = tmp_path / "m.json"
+        assert run(["oracle", "--p0", "0.9", "--components", spec, "--alpha", "0.1",
+                    "--manifest", manifest]) == 2
+        assert capsys.readouterr().err == f"error: bad component {spec!r}; {expected}\n"
+        assert not manifest.exists()
 
     def test_invalid_weights(self, tmp_path):
         assert run(["oracle", "--p0", "0.9", "--components", "0.2:3:1",

@@ -185,13 +185,27 @@ class TestModelTypes:
             mixture_model(0.8, [(0.1, -3.0, 1.0)])
 
     def test_nonnull_required_unless_pure_null(self):
-        with pytest.raises(InvalidModel):
+        # the weight-sum check is what refuses an empty nonnull list
+        with pytest.raises(InvalidModel, match="weights must sum to 1"):
             TwoGroupModel(p0=0.9, null=STD, nonnull=())
         assert TwoGroupModel(p0=1.0, null=STD, nonnull=()).p0 == 1.0
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidModel):
             mixture_model(1.1, [(-0.1, 0.0, 1.0)])
+        # weights that sum to 1 with p0 in range still need each to be >= 0
+        with pytest.raises(InvalidModel, match="component weight must be >= 0, got -0.1"):
+            mixture_model(0.9, [(-0.1, 0.0, 1.0), (0.2, 3.0, 1.0)])
+
+    def test_nan_weight_rejected(self):
+        # nan compares false both ways: it used to pass both weight checks,
+        # and the component table dropped it, so lfdr read 1.0
+        with pytest.raises(InvalidModel, match="component weight must be >= 0, got nan"):
+            mixture_model(0.8, [(math.nan, 3.0, 1.0)])
+
+    def test_nonnull_entry_must_be_a_component(self):
+        with pytest.raises(InvalidModel, match=r"nonnull entries must be \(weight, GaussianComponent\)"):
+            TwoGroupModel(p0=0.9, null=STD, nonnull=((0.1, (3.0, 1.0)),))
 
     # |z| <= 30 keeps the N(0, 1) null term p0*f0 a normal (not subnormal)
     # float, where the two roundings compared below agree to 1e-12

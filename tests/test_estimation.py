@@ -29,7 +29,7 @@ from lfdr_lab import (
     mixture_model,
     sample_model,
 )
-from lfdr_lab.estimation import _center_spread, _ecf_scan, _kernel_sum, _median_filter
+from lfdr_lab.estimation import _ecf_scan, _kernel_sum, _median_filter, _Sample
 
 
 def empirical_cf(z, t):
@@ -167,9 +167,23 @@ class TestEstimateNullEcf:
     def test_non_finite_rejected(self, bad):
         z = draw(PURE_NULL, 1_000, 13)
         z[17] = bad
-        with pytest.raises(NonFiniteInput, match="index 17"):
+        with pytest.raises(NonFiniteInput, match=r"^null estimation: 1 non-finite z value\(s\), first .* at index 17$"):
             estimate_null_ecf(z)
         assert issubclass(NonFiniteInput, ValueError)
+
+    def test_cf_that_stays_high_is_degenerate(self):
+        # 95 zeros and 5 ones: |ECF| = |0.95 + 0.05 e^{it}| >= 0.9, above the
+        # crossing level 100^-0.1 = 0.631 at every frequency
+        with pytest.raises(DegenerateCF, match=r"^\|ECF\| never fell below 0.631 for t <= "):
+            estimate_null_ecf([0.0] * 95 + [1.0] * 5)
+
+    def test_list_and_array_give_identical_estimates(self):
+        z = EQ1_SEED7[5_000]
+        assert estimate_null_ecf(z.tolist()) == estimate_null_ecf(z)
+        got, want = estimate_marginal_kde(z.tolist()), estimate_marginal_kde(z)
+        assert got.bandwidth == want.bandwidth
+        for name in ("starts", "cells", "values", "data"):
+            assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_shift_recovered(self):
         z = draw(PURE_NULL, 50_000, 9) + 1.3
@@ -224,7 +238,7 @@ def test_center_spread_matches_np_percentile(z):
     sd = float(np.std(z, ddof=1))
     q75, q50, q25 = np.percentile(z, [75.0, 50.0, 25.0])
     spread = min(sd, (q75 - q25) / 1.34)
-    center, got = _center_spread(z, np.sort(z))
+    center, got = _Sample(z, "test").center_spread
     assert center == q50
     assert got == (spread if spread > 0.0 else sd)
 
@@ -508,7 +522,8 @@ class TestEstimateMarginalKde:
     def test_non_finite_rejected(self, bad):
         z = draw(PURE_NULL, 1_000, 16)
         z[-1] = bad
-        with pytest.raises(NonFiniteInput, match="index 999"):
+        with pytest.raises(NonFiniteInput,
+                           match=r"^kernel density estimation: 1 non-finite z value\(s\), first .* at index 999$"):
             estimate_marginal_kde(z)
 
     def test_degenerate_data(self):

@@ -357,6 +357,22 @@ class TestDecide:
         expected.update({"estimate_p0_tail": 1} if null is STD else {"estimate_null_ecf": 1})
         assert calls == expected
 
+    def test_z_is_sorted_at_most_once(self, eq1_z, monkeypatch):
+        # the ECF null and the KDE read one sort of z; BH under a known
+        # null ranks p-values and never sorts z
+        sorts, original = [], np.sort
+
+        def counted(a, *args, **kwargs):
+            sorts.append(np.array_equal(a, eq1_z))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counted)
+        decide(eq1_z, ("lfdr",), 0.1, None)
+        assert sorts.count(True) == 1
+        sorts.clear()
+        decide(eq1_z, ("bh", "adaptive_bh"), 0.1, STD)
+        assert sorts and not any(sorts)
+
     @pytest.mark.parametrize("null", [STD, None], ids=["known", "estimated"])
     @pytest.mark.parametrize("procedure", DECIDE_PROCEDURES)
     def test_empty_z_is_empty_input(self, procedure, null):

@@ -172,6 +172,13 @@ class TestRunReplicated:
         stats = run_replicated(config).per_procedure["lfdr_oracle_plugin"]
         assert stats.mfdr <= 0.10 + 3 * stats.mfdr_se
 
+    def test_single_replication_has_zero_standard_errors(self):
+        config = SimConfig(model=eq1_default_model(), m=500, reps=1, alpha=0.10, seed=15,
+                           procedures=("bh", "adaptive_bh", "lfdr_oracle_plugin"))
+        for stats in run_replicated(config).per_procedure.values():
+            assert stats.mfdr_se == stats.mfnr_se == 0.0
+            assert stats.mean_rejections > 0.0
+
     def test_deterministic_and_thread_invariant(self):
         config = SimConfig(
             model=eq1_default_model(), m=500, reps=20, alpha=0.10, seed=14,
@@ -207,6 +214,8 @@ class TestRunReplicated:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(model=PURE_NULL, m=0, reps=1, alpha=0.1, seed=1)
+        with pytest.raises(ValueError, match="^reps must be >= 1, got 0$"):
+            SimConfig(model=PURE_NULL, m=1, reps=0, alpha=0.1, seed=1)
         with pytest.raises(ValueError):
             SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, rho=1.0)
         with pytest.raises(ValueError):
