@@ -96,6 +96,8 @@ def read_z_file(path: str) -> np.ndarray:
             z = np.array([float(row["z"]) for row in reader])
         except (ValueError, TypeError) as exc:
             raise CliError(EXIT_INPUT, f"{path}: malformed z column ({exc})")
+        if not z.size:
+            raise CliError(EXIT_INPUT, f"{path}: no data lines")
         header = 1
     bad = np.flatnonzero(~np.isfinite(z))
     if bad.size:
@@ -352,6 +354,10 @@ def _parse_sim_config(cfg: dict) -> SimConfig:
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or (whole and isinstance(value, float) and not value.is_integer())):
             raise CliError(EXIT_INPUT, f"{key} must be a {'whole ' if whole else ''}number, got {value!r}")
+    # a string goes on to SimConfig, which refuses it by name
+    procedures = cfg.get("procedures", PROCEDURES)
+    if not isinstance(procedures, (str, list, tuple)) or not all(isinstance(p, str) for p in procedures):
+        raise CliError(EXIT_INPUT, f"procedures must be a list of names, got {procedures!r}")
     model = _build_model(float(cfg["p0"]), comps)
     try:
         return SimConfig(
@@ -361,7 +367,7 @@ def _parse_sim_config(cfg: dict) -> SimConfig:
             alpha=float(cfg["alpha"]),
             seed=int(cfg["seed"]),
             rho=float(cfg.get("rho", 0.0)),
-            procedures=cfg.get("procedures", PROCEDURES),
+            procedures=procedures,
         )
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_INPUT, f"bad config: {exc}")

@@ -24,17 +24,15 @@ bisection, not a Newton finish, ends the search because its feasible end
 is the rule's result: closing onto the root moves figure mFNRs by 5e-9.
 
 The mFDR of a sublevel set is the mass-weighted mean of lfdr over it, so
-the optimal lfdr rule is the adaptive step-up (Sun & Cai 2007) applied to
-the known mixture: one scan grid and one lfdr and density profile per
-rule, grid points sorted by lfdr, the longest prefix whose cumulative
-null/total density stays <= alpha, then a safeguarded Newton finish on
-lambda over the exact region masses.  Each sublevel-set boundary is
-refined the same way inside its grid cell, by Newton steps on log lfdr
-(whose z-derivative is closed form).  Both searches run on Python floats:
-NumPy's per-call cost outweighed the arithmetic on a few points.  The scan
-grid steps 0.01, and sd/10 within 12 sd of each component narrower than
-0.1; the step-up weighs each grid point by its cell width.  Masses,
-densities and slopes all read the component table ``core_model._components``.
+it is nondecreasing in lambda (Sun & Cai 2007), and the optimal lfdr rule
+is one safeguarded Newton search for lambda in [0, 1 - 1e-12] on the exact
+region masses, over one scan grid and one lfdr profile per rule.  Each
+sublevel-set boundary is refined the same way inside its grid cell, by
+Newton steps on log lfdr (whose z-derivative is closed form).  Both
+searches run on Python floats: NumPy's per-call cost outweighed the
+arithmetic on a few points.  The scan grid steps 0.01, and sd/10 within
+12 sd of each component narrower than 0.1.  Masses, densities and slopes
+all read the component table ``core_model._components``.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from .core_model import (
     _components,
     gaussian_pdf,
     lfdr,
-    marginal_density,
 )
 from .errors import EmptyRegion, FullRegion, Infeasible, InvalidModel
 from .procedures import _check_alpha
@@ -237,18 +234,17 @@ def region_from_pvalue_threshold(null: GaussianComponent, t: float) -> Rejection
     return RejectionRegion(_pvalue_tails(null, t))
 
 
-def _scan_grid(m: TwoGroupModel) -> tuple:
-    """The lfdr scan grid and each point's cell width.
+def _scan_grid(m: TwoGroupModel) -> np.ndarray:
+    """The sorted lfdr scan grid.
 
     The grid spans all component means +- 12 max sd in steps of about
     _GRID_STEP.  Within +- 12 sd of each component with sd < 10 _GRID_STEP
     the points give way to steps of sd/10, so a sublevel set as narrow as
-    that component still holds grid points.  Widths are in units of the
-    coarse step: 1 at every coarse point, so a model without narrow
-    components gets the plain grid and unit weights.  Raises InvalidModel
-    if a narrow component's step sd/10 spans under 2^12 ulps of its
-    farthest point, |mean| + 12 sd, as the KDE refuses its spacing: such a
-    grid and its cell widths cannot be represented.
+    that component still holds grid points; a model without narrow
+    components gets the plain grid.  Raises InvalidModel if a narrow
+    component's step sd/10 spans under 2^12 ulps of its farthest point,
+    |mean| + 12 sd, as the KDE refuses its spacing: such a grid cannot be
+    represented.
     """
     means = [c.mean for _, c in m.components]
     sds = [c.sd for _, c in m.components]
@@ -260,16 +256,11 @@ def _scan_grid(m: TwoGroupModel) -> tuple:
                                f"N({mean:.6g}, {sd:.3g}^2) cannot be represented at |z| up to {magnitude:.6g}")
     lo, hi = min(means) - 12.0 * max(sds), max(means) + 12.0 * max(sds)
     zs = np.linspace(lo, hi, int(math.ceil((hi - lo) / _GRID_STEP)) + 1)
-    width = np.ones_like(zs)
     fine = [np.linspace(mean - 12.0 * sd, mean + 12.0 * sd, 241) for mean, sd in narrow]
     if not fine:
-        return zs, width
-    coarse = zs[1] - zs[0]
+        return zs
     outside = np.all([(zs < f[0]) | (zs > f[-1]) for f in fine], axis=0)
-    zs = np.concatenate([zs[outside]] + fine)
-    width = np.concatenate([width[outside]] + [np.full(f.size, (f[1] - f[0]) / coarse) for f in fine])
-    order = np.argsort(zs, kind="stable")
-    return zs[order], width[order]
+    return np.sort(np.concatenate([zs[outside]] + fine))
 
 
 def _bracketed_newton(fun, lo: float, hi: float, lo_low: bool, tol: float) -> tuple:
@@ -365,7 +356,7 @@ def region_from_lfdr_threshold(m: TwoGroupModel, lam: float) -> RejectionRegion:
     """
     if not (0.0 < lam < 1.0):
         raise ValueError(f"lfdr threshold must be in (0, 1), got {lam}")
-    zs, _ = _scan_grid(m)
+    zs = _scan_grid(m)
     return _sublevel_region(_component_rows(m), zs, lfdr(m, zs), lam)
 
 
@@ -448,49 +439,21 @@ def _lfdr_excess(m: TwoGroupModel, rows: list, region: RejectionRegion,
     return rate - alpha, growth * (lam - rate) / total
 
 
-def _lfdr_cutoff(excess, profile: np.ndarray, cell_mass: np.ndarray, alpha: float,
-                 lam_hi: float) -> float:
-    """Largest lambda < lam_hi with ``excess(lambda)[0] <= 0``, given that
-    lam_hi itself is infeasible; within _LAMBDA_TOL below the root, and a
-    lambda that ``excess`` was evaluated at (or 0).  ``cell_mass`` is the
-    density times the cell width at each grid point."""
-    # step-up over the grid cells ranked by lfdr, weighted by the midpoint
-    # rule: null weight lfdr * f * width and total weight f * width
-    order = np.argsort(profile, kind="stable")
-    f = cell_mass[order]
-    passing = np.flatnonzero(np.cumsum(profile[order] * f) <= alpha * np.cumsum(f))
-    k = int(passing[-1]) + 1 if passing.size else 0
-
-    # the prefix brackets lambda* between neighbouring ranked lfdr values;
-    # widen by doubling strides if a sign check fails (cells are not exact
-    # sublevel sets, and their weights are not exact masses)
-    cuts = np.append(np.minimum(profile[order], lam_hi), lam_hi).tolist()
-    lo, stride = k - 1, 1
-    while lo >= 0 and excess(cuts[lo])[0] > 0.0:
-        lo, stride = lo - stride, 2 * stride
-    hi, stride = k, 1
-    while hi < profile.size and excess(cuts[hi])[0] <= 0.0:
-        hi, stride = min(hi + stride, profile.size), 2 * stride
-    return _bracketed_newton(excess, cuts[lo] if lo >= 0 else 0.0, cuts[hi], True, _LAMBDA_TOL)[0]
-
-
 def oracle_lfdr_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     """Largest lfdr cutoff lambda with mFDR(region(lambda)) <= alpha.
 
     mFDR is nondecreasing in lambda (it averages lfdr over a growing
-    sublevel set), and equals the mass-weighted mean of lfdr there, so the
-    rule is a population step-up: lfdr and the density f are profiled once
-    on the scan grid, grid points are ranked by lfdr, and the longest prefix
-    whose cumulative lfdr * f * (cell width) stays <= alpha times its
-    cumulative f * (cell width) brackets lambda between two ranked values.  A safeguarded Newton search then
-    closes that bracket to 1e-12 on the exact sublevel-set masses and
-    returns its feasible end with the region evaluated there, so the
-    reported mFDR is <= alpha exactly.  Empty regions count as feasible; if
-    even lambda = 1 - 1e-12 is feasible it is used.
+    sublevel set), and lambda = 0 gives the empty region, which counts as
+    feasible.  So lambda = 1 - 1e-12 is used if it is feasible; otherwise
+    [0, 1 - 1e-12] brackets the cutoff, and a safeguarded Newton search on
+    the exact sublevel-set masses, with lfdr profiled once on the scan
+    grid, closes it to 1e-12.  The rule returns the search's feasible end
+    with the region evaluated there, so the reported mFDR is <= alpha
+    exactly.
     """
     _check_alpha(alpha)
     rows = _component_rows(m)
-    zs, width = _scan_grid(m)
+    zs = _scan_grid(m)
     profile = lfdr(m, zs)
     regions = {}
 
@@ -500,7 +463,7 @@ def oracle_lfdr_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
 
     lam_star = 1.0 - 1e-12
     if excess(lam_star)[0] > 0.0:
-        lam_star = _lfdr_cutoff(excess, profile, marginal_density(m, zs) * width, alpha, lam_star)
+        lam_star = _bracketed_newton(excess, 0.0, lam_star, True, _LAMBDA_TOL)[0]
     region = regions.get(lam_star, RejectionRegion(()))
     if region.is_empty:
         raise Infeasible(

@@ -352,9 +352,11 @@ class TestReadZFile:
         path.write_text("# genes\ngene,z\ng1, 0.5\n\ng2,-4.2\ng3,1_0\n")
         assert read_z_file(path).tolist() == [0.5, -4.2, 10.0]
 
-    def test_comments_and_blanks_only_is_input_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["# header\n\n  # indented\n   \n", "z\n"],
+                             ids=["comments", "csv-header"])
+    def test_comments_and_blanks_only_is_input_error(self, tmp_path, capsys, text):
         path = tmp_path / "z.txt"
-        path.write_text("# header\n\n  # indented\n   \n")
+        path.write_text(text)
         assert run(["analyze", path, "--manifest", tmp_path / "m.json"]) == 2
         assert capsys.readouterr().err == f"error: {path}: no data lines\n"
 
@@ -414,6 +416,18 @@ class TestOracle:
         lines = (tmp_path / "r.csv").read_text().strip().split("\n")
         assert lines[2] == "lfdr,,,,infeasible"
         assert lines[1].startswith("pvalue,") and "infeasible" not in lines[1]
+
+    def test_flat_lfdr_reports_both_rules_infeasible(self, tmp_path, capsys):
+        # the nonnull equals the null: lfdr is flat at 0.5, and every nonempty region
+        # has mFDR 0.5
+        code = run(["oracle", "--p0", "0.5", "--components", "0.5:0:1",
+                    "--alpha", "0.1", "--csv", tmp_path / "r.csv",
+                    "--manifest", tmp_path / "m.json"])
+        out, err = capsys.readouterr()
+        assert code == 0 and "Traceback" not in err
+        assert out.count("infeasible: ") == 2
+        lines = (tmp_path / "r.csv").read_text().strip().split("\n")
+        assert lines[1:] == ["pvalue,,,,infeasible", "lfdr,,,,infeasible"]
 
     def test_symmetric_model_equal_mfnr(self, tmp_path, capsys):
         code = run(["oracle", "--p0", "0.8", "--components", "0.1:-3:1,0.1:3:1",
@@ -637,15 +651,21 @@ class TestSimulate:
         assert "at least one procedure" in capsys.readouterr().err
         assert not outdir.exists()
 
-    def test_string_procedures_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("procedures, message", [
+        ("bh", "procedures must be a sequence of names, not the string 'bh'"),
+        ({"bh": 7}, "procedures must be a list of names, got {'bh': 7}"),  # ran its keys
+        ([["bh"]], "procedures must be a list of names, got [['bh']]"),  # failed on hashing
+    ], ids=["string", "object", "nested-list"])
+    def test_procedures_not_a_list_of_names_is_config_error(self, tmp_path, capsys, procedures,
+                                                             message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "p0": 0.8, "components": "0.2:4:1", "m": 100, "reps": 2,
-            "alpha": 0.1, "seed": 1, "procedures": "bh",
+            "alpha": 0.1, "seed": 1, "procedures": procedures,
         }))
         outdir = tmp_path / "out"
         assert run(["simulate", "--config", cfg, "--out", outdir]) == 2
-        assert "not the string 'bh'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_failed_run_removes_partial_outputs(self, tmp_path):

@@ -30,7 +30,6 @@ from lfdr_lab import (
     region_from_pvalue_threshold,
     sample_model,
 )
-from lfdr_lab import oracle
 from lfdr_lab.core_model import _components
 from lfdr_lab.oracle import (
     _MAX_STEPS,
@@ -238,6 +237,14 @@ class TestOracleLfdrRule:
         rule = oracle_lfdr_rule(fig2_model(), 0.10)
         assert rule.mfdr <= 0.10 + 1e-6
 
+    @pytest.mark.parametrize("alpha, outcome", [(0.01, Infeasible), (0.1, Infeasible), (0.3, Infeasible),
+                                                (0.59, Infeasible), (0.7, FullRegion)])
+    def test_flat_lfdr(self, alpha, outcome):
+        # the nonnull equals the null: lfdr is p0 = 0.6 up to rounding, its
+        # slope is zero, and every nonempty region has mFDR 0.6
+        with pytest.raises(outcome):
+            oracle_lfdr_rule(mixture_model(0.6, [(0.4, 0.0, 1.0)]), alpha)
+
 
 class TestOracleSweep:
     def test_rows_ordered_and_complete(self):
@@ -294,7 +301,7 @@ class TestMonteCarloAgreement:
         assert abs(mfdr_of_region(m, r) - fdp) <= 3 * se
 
 
-# Reference: the lfdr rule as it was before the population step-up, a
+# Reference: the lfdr rule as it was before its Newton searches, a
 # 31-step bisection on lambda over regions whose boundaries are bisected
 # to 1e-9 on the same scan grid (region rates from the library's
 # mfdr_of_region and mfnr_of_region).
@@ -361,8 +368,8 @@ def reference_lfdr_rule(m, alpha):
 
 
 def compare_with_reference(m, alpha):
-    """The step-up rule and the bisection reference on one model: both
-    infeasible, or cutoffs within 2e-9 with the step-up's mFDR <= alpha
+    """The library's rule and the bisection reference on one model: both
+    infeasible, or cutoffs within 2e-9 with the library's mFDR <= alpha
     and its boundaries on the cutoff's level set.  Returns (rule,
     reference), or None when both are infeasible."""
     try:
@@ -431,7 +438,7 @@ class TestStepUpMatchesBisection:
     # reach the 1 - 1e-12 cap with mFDR far below alpha; there the upper
     # boundary sits where 1 - lfdr = 1e-12, which the bisection rule placed
     # from exp(log ratio) rounded to 1e-16, i.e. to 1e-4 of 1 - lfdr, off by
-    # 2.7e-7 in z at sd = 0.01.  The step-up rule refines it from
+    # 2.7e-7 in z at sd = 0.01.  The library's rule refines it from
     # -log1p(odds) and lands within 2.3e-17 of the cap (40-digit check), so
     # its capped mFDR differs from the bisection rule's by up to 3.3e-8.
     @pytest.mark.parametrize("sd, lam, mfdr, mfnr, tol", [
@@ -625,25 +632,22 @@ def test_pvalue_rules_frozen_at_every_figure_point():
 class TestScanGrid:
     def test_wide_components_keep_the_uniform_grid(self):
         # every sd >= 0.1: the grid of step min(0.01, min sd/10) over the
-        # whole span, bit for bit, and unit cell widths
+        # whole span, bit for bit
         models = [m for m, _ in FIGURE_MODELS[::10]] + [
             mixture_model(0.9, [(0.1, 2.5, 0.1)]),
             mixture_model(0.7, [(0.2, -1.0, 0.3), (0.1, 2.0, 2.0)]),
         ]
         for m in models:
-            zs, width = _scan_grid(m)
-            assert np.array_equal(zs, uniform_scan_grid(m))
-            assert np.all(width == 1.0)
+            assert np.array_equal(_scan_grid(m), uniform_scan_grid(m))
 
     def test_narrow_component_refined_locally(self):
         m = mixture_model(0.9, [(0.1, 2.5, 0.001)])
-        zs, width = _scan_grid(m)
+        zs = _scan_grid(m)
         assert zs.size < 10_000
         steps = np.diff(zs)
         near = np.abs(zs[:-1] - 2.5) < 0.012
         assert steps.min() > 0.0 and steps[near].max() <= 1e-4 * (1 + 1e-9)
         assert steps.max() <= 0.01 * (1 + 1e-9)
-        assert_allclose(width[np.abs(zs - 2.5) <= 0.012], 1e-4 / (zs[1] - zs[0]), rtol=1e-9)
         rule = oracle_lfdr_rule(m, 0.10)
         assert rule.region == region_from_lfdr_threshold(m, rule.threshold)
 
@@ -666,29 +670,6 @@ class TestScanGrid:
         (lo, hi), = oracle_lfdr_rule(m, 0.1).region.intervals
         assert lo < mean < hi and 10.0 < (hi - lo) / sd < 100.0
 
-    def test_cell_widths_keep_the_initial_bracket(self, monkeypatch):
-        # a narrow component beside a wide one: the step-up sums weigh each
-        # grid point by its cell width, so the first sign checks already
-        # straddle lambda*; with unit weights the fine points outweigh the
-        # coarse ones and the first three cutoffs tried are all feasible
-        cutoff, tried = oracle._lfdr_cutoff, []
-
-        def traced(excess, *args):
-            def logged(lam):
-                tried.append(lam)
-                return excess(lam)
-            return cutoff(logged, *args)
-
-        monkeypatch.setattr(oracle, "_lfdr_cutoff", traced)
-        for comps, alpha in [([(0.15, 3.0, 1.0), (0.05, -2.0, 0.05)], 0.10),
-                             ([(0.15, 3.0, 1.0), (0.05, 0.0, 0.01)], 0.10),
-                             ([(0.1, -3.0, 1.0), (0.1, 2.0, 0.03)], 0.05)]:
-            m = mixture_model(0.8, comps)
-            tried.clear()
-            rule = oracle_lfdr_rule(m, alpha)
-            assert {lam <= rule.threshold for lam in tried[:3]} == {True, False}
-            assert rule.region == region_from_lfdr_threshold(m, rule.threshold)
-
 
 def test_figure2_rules_frozen():
     data = figure2_data()
@@ -702,8 +683,16 @@ def test_figure2_rules_frozen():
     assert data.pvalue_rule.mfnr == 0.04580598705830405
 
 
+# a narrow component beside a wide one: the grid mixes fine and coarse cells
+NARROW_BESIDE_WIDE = [
+    (mixture_model(0.8, [(0.15, 3.0, 1.0), (0.05, -2.0, 0.05)]), 0.10),
+    (mixture_model(0.8, [(0.15, 3.0, 1.0), (0.05, 0.0, 0.01)]), 0.10),
+    (mixture_model(0.8, [(0.1, -3.0, 1.0), (0.1, 2.0, 0.03)]), 0.05),
+]
+
+
 def test_lfdr_rule_returns_the_region_it_searched():
-    for m, alpha in FIGURE_MODELS:
+    for m, alpha in FIGURE_MODELS + NARROW_BESIDE_WIDE:
         rule = oracle_lfdr_rule(m, alpha)
         assert rule.region == region_from_lfdr_threshold(m, rule.threshold)
         assert rule.mfdr == mfdr_of_region(m, rule.region) <= alpha
