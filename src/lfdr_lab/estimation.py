@@ -59,13 +59,12 @@ and centred once.  ``decide`` hands one record to both estimators.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateCF, DegenerateData, EmptyInput, NonFiniteInput, NotEnoughData
+from .errors import DegenerateCF, DegenerateData, EmptyInput, InvalidPValue, NonFiniteInput, NotEnoughData
 
 __all__ = [
     "MarginalDensityEstimate",
@@ -177,12 +176,32 @@ class MarginalDensityEstimate:
 def _median_filter(x: np.ndarray, width: int) -> np.ndarray:
     """Running median over an odd ``width``, edges padded by repetition.
     The middle element of each partitioned window is np.median's value for
-    finite input, without its reduction machinery."""
+    finite input; the windows are one strided view of the padded buffer."""
     if x.size < width or width < 3:
         return x
     pad = width // 2
-    padded = np.concatenate([np.repeat(x[0], pad), x, np.repeat(x[-1], pad)])
-    return np.partition(sliding_window_view(padded, width), pad, axis=1)[:, pad]
+    padded = np.empty(x.size + 2 * pad)
+    padded[:pad], padded[pad:-pad], padded[-pad:] = x[0], x, x[-1]
+    windows = np.ndarray((x.size, width), buffer=padded, strides=2 * padded.strides).copy()
+    windows.partition(pad, axis=1)
+    return windows[:, pad]
+
+
+def _unwrap(a: np.ndarray) -> np.ndarray:
+    """np.unwrap(np.concatenate([[0.0], a]))[1:] bit for bit, by its own
+    steps: differences folded into [-pi, pi) (+pi for a step of exactly
+    +pi), kept wherever a step reaches pi, and summed."""
+    step = a - np.concatenate(([0.0], a[:-1]))
+    fold = np.mod(step + math.pi, 2.0 * math.pi) - math.pi
+    fold[(fold == -math.pi) & (step > 0.0)] = math.pi
+    fix = fold - step
+    fix[np.abs(step) < math.pi] = 0.0
+    return a + fix.cumsum()
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _binade(x: float) -> float:
@@ -224,6 +243,15 @@ class _Sample:
         return float(quantile(0.5)), spread if spread > 0.0 else sd
 
 
+@lru_cache(maxsize=4)
+def _ecf_pass_tables(done: int, top: int) -> tuple:
+    """i theta_k and (theta_k^2)^p, p < _ECF_TERMS / 2, for k = done+1..top on
+    _ECF_CELLS * top cells: a pass's shape-only tables, read-only."""
+    theta = np.arange(done + 1, top + 1) * (2.0 * math.pi / (_ECF_CELLS * top))
+    powers = (theta * theta) ** np.arange(_ECF_TERMS // 2)[:, None]
+    return _frozen(1j * theta), _frozen(powers)
+
+
 def _ecf_scan(x: np.ndarray, dt: float, n: int, floor: float) -> np.ndarray:
     """psi_m at t_k = k*dt, k = 1..n, up to and including the first
     frequency where |psi_m| < ``floor`` (all n if it never does).
@@ -250,12 +278,10 @@ def _ecf_scan(x: np.ndarray, dt: float, n: int, floor: float) -> np.ndarray:
             power *= w
         flat = near[starts].astype(np.intp) % cells + cells * np.arange(_ECF_TERMS)[:, None]
         table = np.bincount(flat.ravel(), (moments * _ECF_WEIGHTS).ravel(), _ECF_TERMS * cells)
-        k = np.arange(done + 1, top + 1)
-        f = np.fft.rfft(table.reshape(_ECF_TERMS, cells))[:, k]
+        f = np.fft.rfft(table.reshape(_ECF_TERMS, cells))[:, done + 1 : top + 1]
         # conj(sum_p (-i theta)^p / p! F_p) / m, as a polynomial in theta^2
-        theta = k * (2.0 * math.pi / cells)
-        pairs = f[0::2] - 1j * theta * f[1::2]
-        block = np.conj((pairs * (theta * theta) ** np.arange(pairs.shape[0])[:, None]).sum(0)) / m
+        i_theta, powers = _ecf_pass_tables(done, top)
+        block = np.conj(((f[0::2] - i_theta * f[1::2]) * powers).sum(0)) / m
         out[done : done + block.size] = block
         below = np.flatnonzero(np.abs(block) < floor)
         if below.size:
@@ -301,30 +327,30 @@ def estimate_null_ecf(z) -> NullEstimate:
     # the floor; floor <= level, so that frequency also ends the scan.
     psi = _ecf_scan(x, dt, _T_COUNT, floor)
     ts = dt * np.arange(1, psi.size + 1)
-    hits = np.nonzero(np.abs(psi) <= level)[0]
+    modulus = np.abs(psi)
+    hits = np.flatnonzero(modulus <= level)
     if hits.size == 0:
         raise DegenerateCF(
             f"|ECF| never fell below {level:.4g} for t <= {float(ts[-1]) / unit:.4g}"
         )
     k_star = int(hits[0])
-    k_end = psi.size - 1 if abs(psi[-1]) < floor else psi.size
+    k_end = psi.size - 1 if modulus[-1] < floor else psi.size
     k_end = max(k_end, k_star + 1)
-    mag_at_star = float(np.abs(psi[k_star]))
+    mag_at_star = float(modulus[k_star])
+    modulus, tw = modulus[:k_end], ts[:k_end]
 
     # Sampling debias of |psi|^2; E|psi_m|^2 = |psi|^2 + (1 - |psi|^2)/m.
-    mag2 = np.abs(psi[:k_end]) ** 2
-    mag = np.sqrt(np.maximum(1e-12, (m * mag2 - 1.0) / (m - 1.0)))
-    tw = ts[:k_end]
+    mag = np.sqrt(np.maximum(1e-12, (m * modulus**2 - 1.0) / (m - 1.0)))
 
-    decay = -2.0 * np.log(mag[k_star:k_end]) / tw[k_star:k_end] ** 2
-    sigma0_sq = max(1e-4 * spread_x * spread_x, float(np.min(_median_filter(decay, _MEDFILT))))
+    decay = -2.0 * np.log(mag[k_star:]) / tw[k_star:] ** 2
+    sigma0_sq = max(1e-4 * spread_x * spread_x, float(_median_filter(decay, _MEDFILT).min()))
 
-    phases = np.unwrap(np.concatenate([[0.0], np.angle(psi[:k_end])]))[1:]
-    weights = (tw * np.abs(psi[:k_end])) ** 2
-    u0_x = float(np.sum(weights * phases * tw) / np.sum(weights * tw * tw))
+    phases = _unwrap(np.arctan2(psi.imag[:k_end], psi.real[:k_end]))
+    weights = (tw * modulus) ** 2
+    u0_x = float((weights * phases * tw).sum() / (weights * tw * tw).sum())
 
     envelope = _median_filter(mag * np.exp(0.5 * sigma0_sq * tw * tw), _MEDFILT)
-    p0_hat = 0.5 * (float(np.min(envelope)) + min(1.0, float(np.max(envelope))))
+    p0_hat = 0.5 * (float(envelope.min()) + min(1.0, float(envelope.max())))
     p0_hat = min(1.0, max(1e-6, p0_hat))
 
     est = NullEstimate(
@@ -334,7 +360,7 @@ def estimate_null_ecf(z) -> NullEstimate:
         t_star=float(ts[k_star]) / unit,
         cf_magnitude_at_t_star=mag_at_star,
     )
-    if not all(map(math.isfinite, astuple(est))):
+    if not all(map(math.isfinite, (est.p0_hat, est.u0_hat, est.sigma0_hat, est.t_star, mag_at_star))):
         raise DegenerateCF(f"null estimation: an estimate overflows at spread {spread:.3g}: {est}")
     return est
 
@@ -346,6 +372,13 @@ def _kernel_sum(data: np.ndarray, at: np.ndarray, bandwidth: float) -> np.ndarra
         u = (at[:, None] - data[None, i : i + chunk]) / bandwidth
         out += np.exp(-0.5 * u * u).sum(axis=1)
     return out / (data.size * bandwidth * _SQRT_2PI)
+
+
+@lru_cache(maxsize=4)
+def _kde_transfer(n_fft: int) -> np.ndarray:
+    """The sampled kernel's transform on an n_fft-point FFT, read-only."""
+    freq = np.arange(n_fft // 2 + 1) * (math.sqrt(_KDE_BINS_PER_H**2 - 0.25) / n_fft)
+    return _frozen(np.exp(-2.0 * math.pi**2 * freq * freq))
 
 
 def estimate_marginal_kde(z) -> MarginalDensityEstimate:
@@ -392,11 +425,18 @@ def estimate_marginal_kde(z) -> MarginalDensityEstimate:
     # The sampled kernel's transform is b sqrt(2 pi) / step times exp(-2 pi^2
     # (k b / (n_fft step))^2); grid ends lie over pad from data: wrap is negligible.
     n_fft = 1 << (n - 1).bit_length()
-    freq = np.arange(n_fft // 2 + 1) * (math.sqrt(_KDE_BINS_PER_H**2 - 0.25) / n_fft)
-    conv = np.fft.irfft(np.fft.rfft(bins, n_fft) * np.exp(-2.0 * math.pi**2 * freq * freq), n_fft)
+    conv = np.fft.irfft(np.fft.rfft(bins, n_fft) * _kde_transfer(n_fft), n_fft)
     values = np.maximum(conv[:n], 0.0) / (m * step)
     return MarginalDensityEstimate(starts=starts, cells=counts - 1, values=values,
                                    bandwidth=bandwidth, data=s)
+
+
+def _checked_pvalues(pvalues) -> np.ndarray:
+    """A float copy of ``pvalues``, refused unless each lies in (0, 1]."""
+    p = np.array(pvalues, dtype=float)
+    if p.size and not (p.min() > 0.0 and p.max() <= 1.0):  # false on nan
+        raise InvalidPValue("p-values must lie in (0, 1]")
+    return p
 
 
 def estimate_p0_tail(pvalues) -> float:
@@ -405,9 +445,9 @@ def estimate_p0_tail(pvalues) -> float:
 
     Follows Storey (2002): under the mixture, p-values above a moderate
     cutoff lam come almost entirely from the null, whose p-values are
-    uniform.
+    uniform.  Raises InvalidPValue, as BH does, on a value outside (0, 1].
     """
-    p = np.asarray(pvalues, dtype=float)
+    p = _checked_pvalues(pvalues)
     if p.size == 0:
         raise EmptyInput("estimate_p0_tail needs at least one p-value")
     return min(1.0, float(np.sum(p > _P0_LAMBDA)) / ((1.0 - _P0_LAMBDA) * p.size))

@@ -35,7 +35,7 @@ from .errors import (
     InvalidPValue,
     LengthMismatch,
 )
-from .estimation import _Sample, estimate_marginal_kde, estimate_null_ecf, estimate_p0_tail
+from .estimation import _checked_pvalues, _Sample, estimate_marginal_kde, estimate_null_ecf, estimate_p0_tail
 
 __all__ = [
     "DecisionTable",
@@ -122,11 +122,9 @@ def _stepup(values: np.ndarray, s: np.ndarray, passes) -> tuple:
 
 def _sorted_pvalues(pvalues) -> tuple:
     """A checked float copy of ``pvalues`` and its sort."""
-    p = np.array(pvalues, dtype=float)
+    p = _checked_pvalues(pvalues)
     if p.size == 0:
         raise InvalidPValue("empty p-value vector")
-    if not (p.min() > 0.0 and p.max() <= 1.0):  # false on nan
-        raise InvalidPValue("p-values must lie in (0, 1]")
     return p, np.sort(p)
 
 
@@ -209,7 +207,8 @@ def decide(z, procedures: tuple, alpha: float, null: GaussianComponent | None) -
     rule plugs p0, the null and a kernel marginal into
     ``estimated_lfdr_values`` (a single observation gets lfdr 1).  Each
     piece is computed once, and only if a requested procedure needs it;
-    both BH levels share one checked copy of the p-values and one sort.
+    both BH levels share one copy of the p-values and one sort, and the
+    p-values are range-checked once: by the tail p0 if it runs, else here.
 
     Raises EmptyInput on empty z and NonFiniteInput on nan or inf, both
     before any stage runs; NotEnoughData and DegenerateCF from null
@@ -229,10 +228,11 @@ def decide(z, procedures: tuple, alpha: float, null: GaussianComponent | None) -
         p0_hat, null = est.p0_hat, GaussianComponent(est.u0_hat, est.sigma0_hat)
     # a single observation gets lfdr 1 without p0
     p0_users = [p for p in procedures if p == "adaptive_bh" or (p == "lfdr" and z.size > 1)]
+    tail_p0 = p0_hat is None and bool(p0_users)
     pvalues = None
-    if "bh" in procedures or "adaptive_bh" in procedures or (p0_hat is None and p0_users):
+    if "bh" in procedures or "adaptive_bh" in procedures or tail_p0:
         pvalues = two_sided_pvalue(z, null)
-    if p0_hat is None and p0_users:
+    if tail_p0:
         p0_hat = estimate_p0_tail(pvalues)
         if p0_hat == 0.0:  # adaptive BH would be undefined and every lfdr estimate 0
             rule = "adaptive BH" if p0_users[0] == "adaptive_bh" else "lfdr rule"
@@ -242,8 +242,8 @@ def decide(z, procedures: tuple, alpha: float, null: GaussianComponent | None) -
     for procedure in dict.fromkeys(procedures):
         if procedure in ("bh", "adaptive_bh"):
             level = alpha if procedure == "bh" else _adaptive_level(alpha, p0_hat)
-            if sorted_p is None:
-                pvalues, sorted_p = _sorted_pvalues(pvalues)
+            if sorted_p is None:  # the tail p0 has checked the p-values
+                pvalues, sorted_p = (pvalues, np.sort(pvalues)) if tail_p0 else _sorted_pvalues(pvalues)
             tables[procedure] = _bh(pvalues, sorted_p, level)
         elif z.size == 1:
             tables[procedure] = lfdr_stepup([1.0], alpha)

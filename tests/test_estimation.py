@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import os
 import subprocess
@@ -19,9 +20,11 @@ from lfdr_lab import (
     DegenerateCF,
     DegenerateData,
     EmptyInput,
+    InvalidPValue,
     MarginalDensityEstimate,
     NonFiniteInput,
     NotEnoughData,
+    bh_stepup,
     estimate_marginal_kde,
     estimate_null_ecf,
     estimate_p0_tail,
@@ -29,7 +32,15 @@ from lfdr_lab import (
     mixture_model,
     sample_model,
 )
-from lfdr_lab.estimation import _ecf_scan, _kernel_sum, _median_filter, _Sample
+from lfdr_lab.estimation import (
+    _ecf_pass_tables,
+    _ecf_scan,
+    _kde_transfer,
+    _kernel_sum,
+    _median_filter,
+    _Sample,
+    _unwrap,
+)
 
 
 def empirical_cf(z, t):
@@ -282,6 +293,77 @@ def test_median_filter_matches_np_median(x, width):
     padded = np.concatenate([np.full(pad, x[0]), x, np.full(pad, x[-1])])
     want = np.array([np.median(padded[i : i + width]) for i in range(x.size)])
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.5, -1.5]), max_size=40))
+def test_median_filter_matches_partitioned_windows(x):
+    # bit for bit against np.partition over sliding_window_view, signed
+    # zeros and ties included; below the width x comes back unchanged
+    x = np.array(x, dtype=float)
+    got = _median_filter(x, 9)
+    if x.size < 9:
+        assert got is x
+        return
+    padded = np.pad(x, 4, mode="edge")
+    want = np.partition(np.lib.stride_tricks.sliding_window_view(padded, 9), 4, axis=1)[:, 4]
+    assert got.tobytes() == want.tobytes()
+
+
+_HALF_TURNS = st.integers(-8, 8).map(lambda k: k * (math.pi / 2.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=st.lists(st.floats(-10.0, 10.0) | _HALF_TURNS, min_size=1, max_size=40))
+@example(a=[math.pi, 0.0, -math.pi, math.pi, 3.0 * math.pi, -math.pi, 2.0 * math.pi])
+def test_unwrap_matches_np_unwrap(a):
+    # multiples of pi/2 give steps of exactly +-pi and of multiples of 2 pi,
+    # where np.unwrap's boundary rule decides; the first step is from 0
+    a = np.array(a, dtype=float)
+    want = np.unwrap(np.concatenate([[0.0], a]))[1:]
+    assert _unwrap(a).tobytes() == want.tobytes()
+
+
+def test_shape_tables_are_read_only():
+    for table in (_kde_transfer(1024), *_ecf_pass_tables(0, 256)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+
+
+def test_kde_alternating_sizes_match_fresh_process():
+    # an m = 100 and an m = 5000 draw use FFTs of different lengths; builds
+    # that alternate between them read the cached transforms and must give
+    # the bytes of a process that builds each once
+    small, large = EQ1_SEED7[100], EQ1_SEED7[5_000]
+    sizes = {int(estimate_marginal_kde(z).values.size) for z in (small, large)}
+    assert len({1 << (n - 1).bit_length() for n in sizes}) == 2
+    code = (
+        "import hashlib\n"
+        "from lfdr_lab import eq1_default_model, estimate_marginal_kde, sample_model\n"
+        "for m in (100, 5_000):\n"
+        "    z = sample_model(eq1_default_model(), m, 7)[0]\n"
+        "    print(hashlib.sha256(estimate_marginal_kde(z).values.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(lfdr_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env=env).stdout.split()
+    for _ in range(3):
+        for z, want in zip((small, large), fresh):
+            assert hashlib.sha256(estimate_marginal_kde(z).values.tobytes()).hexdigest() == want
+
+
+def test_ecf_scan_later_passes_warm_equal_cold():
+    # tied data whose |psi_m| stays above a floor of 0 through all three
+    # passes: built afresh or read from the cache, the tables give one psi
+    z = np.sort(np.random.default_rng(4).integers(0, 5, size=5_000).astype(float))
+    _ecf_pass_tables.cache_clear()
+    cold = _ecf_scan(z, 0.002, 3000, 0.0)
+    warm = _ecf_scan(z, 0.002, 3000, 0.0)
+    assert cold.size == 3000
+    assert _ecf_pass_tables.cache_info().hits == 3
+    assert warm.tobytes() == cold.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 15, 16, 255, 256, 257, 1024, 1025, 3000])
@@ -562,3 +644,11 @@ class TestEstimateP0Tail:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             estimate_p0_tail([])
+
+    @pytest.mark.parametrize("p", [[math.nan] * 4, [2.0, 3.0, -1.0], [0.0, 0.7], [0.6, math.inf]])
+    def test_refuses_what_bh_refuses(self, p):
+        # one check for both: a tail count over values outside (0, 1] is
+        # no estimate
+        for estimate in (estimate_p0_tail, lambda p: bh_stepup(p, 0.1)):
+            with pytest.raises(InvalidPValue, match=r"^p-values must lie in \(0, 1\]$"):
+                estimate(p)

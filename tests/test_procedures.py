@@ -395,6 +395,25 @@ class TestDecide:
         tables = decide(eq1_z, ("adaptive_bh", "bh"), 0.1, STD)
         assert tables["bh"].pvalue is tables["adaptive_bh"].pvalue
 
+    @pytest.mark.parametrize("null", [STD, None], ids=["known", "estimated"])
+    @pytest.mark.parametrize("procedures", DECIDE_SUBSETS, ids="+".join)
+    def test_pvalues_checked_at_most_once(self, eq1_z, procedures, null, monkeypatch):
+        # the tail p0 and the BH sort share one range check of the p-values
+        from lfdr_lab import estimation
+
+        checks = []
+        original = estimation._checked_pvalues
+
+        def counted(p):
+            checks.append(len(p))
+            return original(p)
+
+        monkeypatch.setattr(estimation, "_checked_pvalues", counted)
+        monkeypatch.setattr(procedures_module, "_checked_pvalues", counted)
+        decide(eq1_z, procedures, 0.1, null)
+        needs_p = {"bh", "adaptive_bh"} & set(procedures) or (null is STD and "lfdr" in procedures)
+        assert checks == ([eq1_z.size] if needs_p else [])
+
     def test_far_tail_pvalue_is_positive_and_rejected(self, eq1_z):
         # erfc underflows to 0 at z = 40; the p-value is the smallest
         # positive double, which both BH levels reject
