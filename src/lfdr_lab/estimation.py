@@ -388,17 +388,22 @@ def estimate_marginal_kde(z) -> MarginalDensityEstimate:
     6 steps; each segment's grid is centred on its midpoint and reaches 8h
     plus 1 to 2 steps past its data.  One FFT convolves all segments' bins
     with the kernel.  Raises NonFiniteInput on nan or inf, and DegenerateData
-    on fewer than 2 points, zero spread, or a spacing under 2^12 ulps of the
-    largest |z| (cell positions need 12 bits below a step).
+    on fewer than 2 points, zero spread, a bandwidth that underflows to 0, or
+    a spacing under 2^12 ulps of the largest |z| (cell positions need 12
+    bits below a step).
     """
     sample = z if isinstance(z, _Sample) else _Sample(z, "kernel density estimation")
     m = sample.z.size
     if m < 2:
         raise DegenerateData("kernel density estimation needs at least 2 points")
     s = sample.s
-    bandwidth = 0.9 * sample.center_spread[1] * m ** (-0.2)
+    spread = sample.center_spread[1]
+    if spread == 0.0:
+        raise DegenerateData("kernel density estimation: the data have zero spread")
+    bandwidth = 0.9 * spread * m ** (-0.2)
     if bandwidth == 0.0:
-        raise DegenerateData("sample standard deviation is zero")
+        raise DegenerateData(f"kernel density estimation: Silverman's bandwidth 0.9 * {spread:.3g} "
+                             f"* {m}^-0.2 underflows to 0")
     step, pad = bandwidth / _KDE_BINS_PER_H, _KDE_REACH * bandwidth
     magnitude = max(-s[0], s[-1])
     if not step > 2**12 * math.ulp(magnitude):

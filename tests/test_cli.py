@@ -2,8 +2,10 @@ import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from lfdr_lab import (
     sample_model,
     two_sided_pvalue,
 )
-from lfdr_lab.cli import _CSV_CHUNK, _cells, decision_table_csv, main, read_z_file
+from lfdr_lab.cli import _CSV_CHUNK, CliError, _cells, decision_table_csv, main, read_z_file
 from lfdr_lab.procedures import DecisionTable, decide
 from lfdr_lab.simulation import eq1_default_model
 
@@ -325,6 +327,25 @@ class TestCsvNumbers:
         assert out.read_bytes() == _repr_csv(z, table)
 
 
+# z tokens as files hold them: repr, np.savetxt's %.18e, %.3f, integers past
+# 2^64, subnormals, and hard cases for correct rounding
+_HARD_TOKENS = [str(2**53 + 1), str(2**64), str(2**70 + 1), "2.2250738585072011e-308",
+                "2.4703282292062328e-324", "1.7976931348623158e308", "1e308", "-1e308",
+                "1e-400", "3." + "1415926535" * 80]
+_Z_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("%.18e".__mod__),
+    st.floats(allow_nan=False, allow_infinity=False).map("%.3f".__mod__),
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats(-2.3e-308, 2.3e-308).map(repr),
+    st.sampled_from([*_HARD_TOKENS, "-0", "-0.0", "0e5", "-0e5", "0", "-1e-400"]),
+)
+# lines inserted among them: blank lines, comments, a comma, a second BOM,
+# overflow, and tokens float() reads but JSON does not (or neither reads)
+_LAYOUT_LINES = st.sampled_from(["", "  ", "# note", "0.5,1.5", "\ufeff1", " 0.5", "1e400", "-1e400",
+                                 "+1.5", "1_0", ".5", "1.", "0x10", "01", "nan", "infinity", "1e5 "])
+
+
 class TestReadZFile:
     def test_lines_read_as_float_reads_them(self, tmp_path):
         path = tmp_path / "z.txt"
@@ -352,8 +373,8 @@ class TestReadZFile:
         path.write_text("# genes\ngene,z\ng1, 0.5\n\ng2,-4.2\ng3,1_0\n")
         assert read_z_file(path).tolist() == [0.5, -4.2, 10.0]
 
-    @pytest.mark.parametrize("text", ["# header\n\n  # indented\n   \n", "z\n"],
-                             ids=["comments", "csv-header"])
+    @pytest.mark.parametrize("text", ["# header\n\n  # indented\n   \n", "z\n", "\n\r\n\n"],
+                             ids=["comments", "csv-header", "line-ends"])
     def test_comments_and_blanks_only_is_input_error(self, tmp_path, capsys, text):
         path = tmp_path / "z.txt"
         path.write_text(text)
@@ -380,6 +401,75 @@ class TestReadZFile:
             assert run(["analyze", path, "--out", path.with_suffix(".csv"),
                         "--manifest", path.with_suffix(".json")]) == 0
         assert marked.with_suffix(".csv").read_bytes() == plain.with_suffix(".csv").read_bytes()
+
+    @staticmethod
+    def _read(path, one_call=True):
+        """read_z_file's array, or its CliError's (code, message), and
+        whether orjson parsed the file; with ``one_call=False`` orjson
+        refuses every file, so each line is read by float()."""
+        parsed, real_loads = [], orjson.loads
+
+        def loads(data):
+            if not one_call:
+                raise orjson.JSONDecodeError("refused", "", 0)
+            parsed.append(real_loads(data))
+            return parsed[-1]
+
+        with mock.patch.object(orjson, "loads", loads):
+            try:
+                got = read_z_file(path)
+            except CliError as exc:
+                got = (exc.code, str(exc))
+        return got, bool(parsed)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_Z_TOKENS, min_size=1, max_size=30),
+           st.lists(st.tuples(st.integers(0, 30), _LAYOUT_LINES), max_size=2),
+           st.sampled_from(["\n", "\r\n"]), st.booleans(), st.booleans())
+    @example([*_HARD_TOKENS, "-0", "-0.0", "0e5", "-0e5", "-1e-400"], [], "\n", False, True)
+    @example(["0.5"], [(1, "-1e400")], "\n", False, True)
+    @example(["0.5", "-0", "1e400", "2"], [], "\r\n", True, True)
+    def test_one_call_read_matches_float(self, tmp_path_factory, tokens, inserts, newline, bom, end):
+        lines = list(tokens)
+        for at, line in inserts:
+            lines.insert(at, line)
+        path = tmp_path_factory.mktemp("z") / "z.txt"
+        path.write_bytes(("\ufeff" if bom else "").encode()
+                         + (newline.join(lines) + (newline if end else "")).encode())
+        got, _ = self._read(path)
+        want, _ = self._read(path, one_call=False)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            # the same bits, the sign of zero included
+            assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout, one_call", [
+        ("repr", True), ("savetxt", True), ("crlf", True), ("bom", True),
+        ("comment", False), ("blank", False), ("plus", False), ("column", False)])
+    def test_which_read_runs(self, tmp_path, layout, one_call):
+        # one JSON number per line is parsed in one orjson call; every other
+        # layout is read line by line, to the same values
+        z = np.random.default_rng(4).normal(size=200)
+        lines = [repr(v) for v in z.tolist()]
+        path = tmp_path / "z.txt"
+        if layout == "savetxt":
+            np.savetxt(path, z)
+        else:
+            text = {"repr": "\n".join(lines), "crlf": "\r\n".join(lines),
+                    "bom": "\ufeff" + "\n".join(lines),
+                    "comment": "# z-values\n" + "\n".join(lines),
+                    "blank": "\n".join(lines[:100] + [""] + lines[100:]),
+                    "plus": "\n".join("+" + ln if ln[0] != "-" else ln for ln in lines),
+                    "column": "gene,z\n" + "\n".join(f"g{i},{ln}" for i, ln in enumerate(lines))}
+            path.write_text(text[layout] + "\n", newline="")
+        got, parsed = self._read(path)
+        want, _ = self._read(path, one_call=False)
+        assert got.tobytes() == want.tobytes()
+        if layout != "savetxt":
+            assert got.tolist() == z.tolist()
+        assert parsed is one_call
+
 
 class TestOracle:
     def test_report_and_csv(self, tmp_path, capsys):
@@ -833,9 +923,10 @@ class TestEstimateNull:
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # the CLI starts without these: scipy.optimize, .integrate and .stats
-    # (~0.3 s, ~20 MB), orjson, which only the decision CSV writer needs
-    # (~9 ms), and scipy.special with the oracle and the simulator, which
-    # only p-values, oracle rules and simulations need (~0.2 s, ~25 MB)
+    # (~0.3 s, ~20 MB), orjson, which only the z reader and the decision
+    # CSV writer need (~9 ms), and scipy.special with the oracle and the
+    # simulator, which only p-values, oracle rules and simulations need
+    # (~0.2 s, ~25 MB)
     code = ("import sys, lfdr_lab, lfdr_lab.cli; "
             "print(' '.join(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.stats', "
             "'orjson', 'scipy.special', 'lfdr_lab.oracle', 'lfdr_lab.simulation') "

@@ -609,8 +609,13 @@ class TestEstimateMarginalKde:
             estimate_marginal_kde(z)
 
     def test_degenerate_data(self):
-        with pytest.raises(DegenerateData):
+        with pytest.raises(DegenerateData, match=r"^kernel density estimation: the data have zero spread$"):
             estimate_marginal_kde(np.full(50, 1.0))
+        # a spread of 5e-324 is not zero, but 0.9 * 5e-324 * 300^-0.2 rounds to 0
+        z = np.random.default_rng(0).normal(size=300) * 5e-324
+        with pytest.raises(DegenerateData, match=r"^kernel density estimation: Silverman's bandwidth "
+                                                 r"0\.9 \* 4\.94e-324 \* 300\^-0\.2 underflows to 0$"):
+            estimate_marginal_kde(z)
         with pytest.raises(DegenerateData):
             estimate_marginal_kde([1.0])
 
