@@ -15,7 +15,8 @@ far-tail arithmetic (six-sigma terms and beyond) stays accurate.
 This module also owns the package's one array form of a mixture,
 ``_components``: a table of the positive-weight components, null first,
 that the lfdr and density functions here, the oracle's interval masses and
-lfdr slopes, and the samplers all read.
+lfdr slopes, and the samplers all read.  Each model builds it once, on
+first use, and keeps it read-only, so those callers share one table.
 """
 
 from __future__ import annotations
@@ -116,9 +117,18 @@ def gaussian_pdf(z, c: GaussianComponent):
 
 def _components(m: TwoGroupModel) -> np.ndarray:
     """Rows (w, mean, sd, log w, log sd) over the components of positive
-    weight, null first, each a (C, 1) column that broadcasts over z."""
-    return np.array([(w, c.mean, c.sd, math.log(w), math.log(c.sd))
-                     for w, c in m.components if w > 0.0]).T[:, :, None]
+    weight, null first, each a (C, 1) column that broadcasts over z.
+
+    The model is immutable, so its table is built on the first call, kept
+    read-only on the model, and returned as the same array by every later
+    call."""
+    table = m.__dict__.get("_components")
+    if table is None:
+        table = np.array([(w, c.mean, c.sd, math.log(w), math.log(c.sd))
+                          for w, c in m.components if w > 0.0]).T[:, :, None]
+        table.flags.writeable = False
+        m.__dict__["_components"] = table  # past the frozen dataclass's __setattr__
+    return table
 
 
 def _log_terms(comps: np.ndarray, z):

@@ -228,7 +228,9 @@ class _Sample:
     def center_spread(self) -> tuple[float, float]:
         """Median and spread min(sd, IQR/1.34), sd when the IQR is 0.  The
         quartiles are read off ``s`` as np.percentile reads them, bit for bit;
-        the sd is of z over a power of two near max|z|, so no square overflows."""
+        the sd is of z over a power of two near max|z|, so no square overflows.
+        Constant data have spread 0: their np.std would read the rounding of
+        their mean (1.39e-17 for 1000 copies of 0.1)."""
         s = self.s
 
         def quantile(q: float):
@@ -237,6 +239,8 @@ class _Sample:
             a, b, g = s[i], s[min(i + 1, s.size - 1)], pos - i
             return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
 
+        if s[0] == s[-1]:
+            return float(quantile(0.5)), 0.0
         unit = _binade(max(-s[0], s[-1]))
         sd = float(np.std(self.z / unit, ddof=1)) * unit
         spread = min(sd, float(quantile(0.75) - quantile(0.25)) / 1.34)

@@ -28,11 +28,15 @@ it is nondecreasing in lambda (Sun & Cai 2007), and the optimal lfdr rule
 is one safeguarded Newton search for lambda in [0, 1 - 1e-12] on the exact
 region masses, over one scan grid and one lfdr profile per rule.  Each
 sublevel-set boundary is refined the same way inside its grid cell, by
-Newton steps on log lfdr (whose z-derivative is closed form).  Both
-searches run on Python floats: NumPy's per-call cost outweighed the
-arithmetic on a few points.  The scan grid steps 0.01, and sd/10 within
-12 sd of each component narrower than 0.1.  Masses, densities and slopes
-all read the component table ``core_model._components``.
+Newton steps on log lfdr (whose z-derivative is closed form), evaluated
+by one function per rule with the components' constants bound once.  The
+lambda search's slope d mFDR/dlambda reads each boundary's density and
+lfdr slope off the last point of that boundary's own edge search, so no
+boundary is evaluated again.  Both searches run on Python floats: NumPy's
+per-call cost outweighed the arithmetic on a few points.  The scan grid
+steps 0.01, and sd/10 within 12 sd of each component narrower than 0.1.
+Masses, densities and slopes all read the component table
+``core_model._components``, built once per model.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .core_model import (
     GaussianComponent,
     TwoGroupModel,
     _components,
-    gaussian_pdf,
     lfdr,
 )
 from .errors import EmptyRegion, FullRegion, Infeasible, InvalidModel
@@ -293,56 +296,65 @@ def _bracketed_newton(fun, lo: float, hi: float, lo_low: bool, tol: float) -> tu
     return lo, hi
 
 
-def _log_lfdr_slope(rows, z: float) -> tuple:
-    """log lfdr(z) and its derivative in z at one point ``z``, for the
-    component table as lists, ``rows = _component_rows(m)``.
+def _log_lfdr_slope(rows: list) -> Callable:
+    """The function z -> (log lfdr(z), its derivative in z, log(p0 f0(z)))
+    on one float ``z``, for the component table as lists, ``rows =
+    _component_rows(m)``, with each component's constants bound once.
 
     Computed as -log(1 + odds) with odds = sum_c w_c f_c(z) / (p0 f0(z))
     over the nonnull components, which keeps relative precision where lfdr
     is near 1.  With posterior weights pi_c(z) = w_c f_c(z)/f(z) and scores
     s_c(z) = (u_c - z)/s_c^2, d log lfdr/dz = -sum_c pi_c(z) (s_c - s_null).
     """
-    logs, scores = [], []
-    for _, mean, sd, log_w, log_sd in zip(*rows):
-        u = (z - mean) / sd  # as core_model._log_terms
-        logs.append(log_w + (-0.5 * u * u - log_sd - _LOG_SQRT_2PI))
-        scores.append((mean - z) / (sd * sd))
-    log_odds = [log - logs[0] for log in logs[1:]]  # per nonnull component
-    peak = max(log_odds)
-    log_sum = peak + math.log(math.fsum([math.exp(log - peak) for log in log_odds]))
-    log_lfdr = -(max(log_sum, 0.0) + math.log1p(math.exp(-abs(log_sum))))  # -logaddexp(0, log_sum)
-    return log_lfdr, -math.fsum([math.exp(log + log_lfdr) * (score - scores[0])
-                                 for log, score in zip(log_odds, scores[1:])])
+    (_, null_mean, null_sd, null_log_w, null_log_sd), *nonnull = zip(*rows)
+    null_var = null_sd * null_sd
+    nonnull = [(mean, sd, log_w, log_sd, sd * sd) for _, mean, sd, log_w, log_sd in nonnull]
+
+    def at(z):
+        u = (z - null_mean) / null_sd  # as core_model._log_terms
+        log_null = null_log_w + (-0.5 * u * u - null_log_sd - _LOG_SQRT_2PI)
+        null_score = (null_mean - z) / null_var
+        log_odds, scores = [], []  # per nonnull component
+        for mean, sd, log_w, log_sd, var in nonnull:
+            u = (z - mean) / sd
+            log_odds.append(log_w + (-0.5 * u * u - log_sd - _LOG_SQRT_2PI) - log_null)
+            scores.append((mean - z) / var - null_score)
+        peak = max(log_odds)
+        log_sum = peak + math.log(math.fsum([math.exp(log - peak) for log in log_odds]))
+        log_lfdr = -(max(log_sum, 0.0) + math.log1p(math.exp(-abs(log_sum))))  # -logaddexp(0, log_sum)
+        slope = -math.fsum([math.exp(log + log_lfdr) * score for log, score in zip(log_odds, scores)])
+        return log_lfdr, slope, log_null
+
+    return at
 
 
-def _sublevel_region(rows: list, zs: np.ndarray, profile: np.ndarray,
-                     lam: float) -> RejectionRegion:
-    """{z : lfdr(z) <= lam} from the lfdr ``profile`` on the grid ``zs``.
+def _sublevel_region(at: Callable, zs: np.ndarray, profile: np.ndarray, lam: float) -> tuple:
+    """{z : lfdr(z) <= lam} from the lfdr ``profile`` on the grid ``zs``,
+    with ``at = _log_lfdr_slope(rows)``.
 
     Runs of grid points inside the set become intervals; each boundary is
     refined inside its grid cell to within _EDGE_TOL, and a run reaching a
-    grid end extends to infinity.
+    grid end extends to infinity.  Returns the region and, for each finite
+    boundary, (log(p0 f0), d log lfdr/dz) at the last point its search
+    evaluated, for ``_lfdr_excess``.
     """
     inside = profile <= lam
-    if not inside.any():
-        return RejectionRegion(())
-    flips = np.diff(inside.astype(np.int8))
-    entries = np.flatnonzero(flips == 1)  # boundary in (zs[i], zs[i + 1]), zs[i] outside
-    exits = np.flatnonzero(flips == -1)  # boundary in (zs[i], zs[i + 1]), zs[i] inside
-    cells = np.concatenate([entries, exits])
+    cells = np.flatnonzero(inside[1:] != inside[:-1])  # boundary in (zs[i], zs[i + 1])
     log_lam = math.log(lam)
+    last = None
 
     def level(z):
-        value, slope = _log_lfdr_slope(rows, z)
-        return value - log_lam, slope
+        nonlocal last
+        last = at(z)
+        return last[0] - log_lam, last[1]
 
-    edges = []
-    for i, (a, b) in enumerate(zip(zs[cells].tolist(), zs[cells + 1].tolist())):
-        lo, hi = _bracketed_newton(level, a, b, i >= entries.size, _EDGE_TOL)  # exits: g <= 0 at a
-        edges.append(0.5 * (lo + hi))
-    lefts = [-math.inf] * bool(inside[0]) + edges[: entries.size]
-    rights = edges[entries.size:] + [math.inf] * bool(inside[-1])
-    return RejectionRegion(tuple(zip(lefts, rights)))
+    ends, edge_terms = [-math.inf] * bool(inside[0]), []
+    for a, b, exits in zip(zs[cells].tolist(), zs[cells + 1].tolist(), inside[cells].tolist()):
+        lo, hi = _bracketed_newton(level, a, b, exits, _EDGE_TOL)  # exits: g <= 0 at a
+        ends.append(0.5 * (lo + hi))
+        edge_terms.append((last[2], last[1]))
+    ends += [math.inf] * bool(inside[-1])
+    return RejectionRegion(tuple(zip(ends[::2], ends[1::2]))), edge_terms
 
 
 def region_from_lfdr_threshold(m: TwoGroupModel, lam: float) -> RejectionRegion:
@@ -357,7 +369,7 @@ def region_from_lfdr_threshold(m: TwoGroupModel, lam: float) -> RejectionRegion:
     if not (0.0 < lam < 1.0):
         raise ValueError(f"lfdr threshold must be in (0, 1), got {lam}")
     zs = _scan_grid(m)
-    return _sublevel_region(_component_rows(m), zs, lfdr(m, zs), lam)
+    return _sublevel_region(_log_lfdr_slope(_component_rows(m)), zs, lfdr(m, zs), lam)[0]
 
 
 def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
@@ -422,20 +434,22 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     )
 
 
-def _lfdr_excess(m: TwoGroupModel, rows: list, region: RejectionRegion,
+def _lfdr_excess(rows: list, region: RejectionRegion, edge_terms: list,
                  lam: float, alpha: float) -> tuple:
-    """mFDR(region) - alpha and its derivative in lam, for region = R(lam).
+    """mFDR(region) - alpha and its derivative in lam, for region = R(lam)
+    and the ``edge_terms`` that ``_sublevel_region`` returned with it.
 
     A region without mass counts as feasible.  Moving the cutoff moves each
     finite boundary b by dz/dlam = 1/|lfdr'(b)| and adds mass f(b) there, so
-    d mFDR/dlam = sum_b f(b)/|lfdr'(b)| * (lam - mFDR)/total.
+    d mFDR/dlam = sum_b f(b)/|lfdr'(b)| * (lam - mFDR)/total.  Since lfdr(b)
+    = lam, f(b) = p0 f0(b)/lam and lfdr'(b) = lam * d log lfdr/dz, both
+    taken from the point where b's edge search ended.
     """
     null, total = _region_masses(rows, region.intervals)
     if total < _MASS_FLOOR:
         return -alpha, 0.0
     rate = null / total  # as mfdr_of_region computes it
-    growth = math.fsum(m.p0 * gaussian_pdf(e, m.null) / lam / (lam * abs(_log_lfdr_slope(rows, e)[1]))
-                       for iv in region.intervals for e in iv if math.isfinite(e))
+    growth = math.fsum(math.exp(log_null) / lam / (lam * abs(slope)) for log_null, slope in edge_terms)
     return rate - alpha, growth * (lam - rate) / total
 
 
@@ -453,13 +467,14 @@ def oracle_lfdr_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     """
     _check_alpha(alpha)
     rows = _component_rows(m)
+    at = _log_lfdr_slope(rows)
     zs = _scan_grid(m)
     profile = lfdr(m, zs)
     regions = {}
 
     def excess(lam):
-        regions[lam] = _sublevel_region(rows, zs, profile, lam)
-        return _lfdr_excess(m, rows, regions[lam], lam, alpha)
+        regions[lam], edge_terms = _sublevel_region(at, zs, profile, lam)
+        return _lfdr_excess(rows, regions[lam], edge_terms, lam, alpha)
 
     lam_star = 1.0 - 1e-12
     if excess(lam_star)[0] > 0.0:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -187,13 +188,32 @@ class TestAnalyze:
         assert not out.exists()
 
     def test_constant_file_lfdr_is_degenerate(self, tmp_path, capsys):
-        # the sd of 1000 copies of 0.1 is rounding noise, and so is the
-        # bandwidth: the KDE cannot space a grid h/100 at 0.1
+        # np.std of 1000 copies of 0.1 is rounding noise (1.4e-17); the
+        # spread of constant data is 0 all the same
         path = tmp_path / "z.txt"
         path.write_text("0.1\n" * 1_000)
         assert run(["analyze", path, "--procedure", "lfdr",
                     "--manifest", tmp_path / "m.json"]) == 5
-        assert "kernel density estimation: spacing h/100" in capsys.readouterr().err
+        assert "kernel density estimation: the data have zero spread" in capsys.readouterr().err
+
+    # 1000 copies of 0.1 or 0.3 sum inexactly, so np.std reads 1.4e-17 or
+    # 1.1e-16 for them; every constant file must still name zero spread.
+    # Under the theoretical null the tail p0 comes first: at 1.0 and 2.5
+    # every p-value is below 0.5, so it is 0 before the KDE is reached
+    @pytest.mark.parametrize("value, theoretical", [
+        ("1.0", "lfdr rule: tail p0 estimate is 0"),
+        ("0.1", "kernel density estimation: the data have zero spread"),
+        ("0.3", "kernel density estimation: the data have zero spread"),
+        ("2.5", "lfdr rule: tail p0 estimate is 0"),
+    ])
+    def test_constant_file_has_zero_spread(self, tmp_path, capsys, value, theoretical):
+        path = tmp_path / "z.txt"
+        path.write_text(f"{value}\n" * 1_000)
+        for null, message in (("estimated", "error: the data have zero spread, so |ECF| is 1 at every t"),
+                              ("theoretical", f"error: {theoretical}")):
+            assert run(["analyze", path, "--null", null, "--procedure", "lfdr",
+                        "--out", tmp_path / "dec.csv", "--manifest", tmp_path / "m.json"]) == 5
+            assert capsys.readouterr().err.startswith(message)
 
     def test_point_past_kde_resolution_is_degenerate(self, tmp_path, capsys):
         # doubles near 1e16 are 2 apart, far coarser than h/100
@@ -621,6 +641,20 @@ class TestSimulate:
         first = (outdir / "replication.csv").read_bytes()
         assert run(["simulate", "--config", cfg, "--out", outdir]) == 0
         assert (outdir / "replication.csv").read_bytes() == first
+
+    def test_replication_csv_bytes_pinned(self, tmp_path):
+        # every procedure, under a model whose component table the sampler,
+        # lfdr() and the plug-in rule share; the digest is of the CSV written
+        # while each call still built its own table
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "p0": 0.8, "components": "0.1:-3:1,0.1:3:0.5", "m": 500, "reps": 4, "alpha": 0.1, "seed": 11,
+            "procedures": ["bh", "adaptive_bh", "lfdr_oracle_plugin", "lfdr_estimated"],
+        }))
+        outdir = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", outdir]) == 0
+        assert hashlib.sha256((outdir / "replication.csv").read_bytes()).hexdigest() == (
+            "a4c4b6038e36851a7e337b1572676716976108cb463413f35059ab0b77f24285")
 
     def test_figure_string_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -279,6 +279,29 @@ class TestComponentTable:
                     assert isinstance(got, np.ndarray) and got.shape == np.shape(z)
                 assert np.array_equal(got, want)
 
+    # figure 1 panels a-d, the README's (and figure 2's) model, a nonnull
+    # sd of 0.001, and a component of weight 0, which the table leaves out
+    @pytest.mark.parametrize("m", [
+        mixture_model(0.8, [(0.05, -3.0, 1.0), (0.15, 3.0, 1.0)]),
+        mixture_model(0.8, [(0.05, -3.0, 1.0), (0.15, 6.0, 1.0)]),
+        mixture_model(0.8, [(0.18, -3.0, 1.0), (0.02, 2.25, 1.0)]),
+        mixture_model(0.8, [(0.02, -3.0, 1.0), (0.18, 1.0, 1.0)]),
+        fig2_model(),
+        mixture_model(0.9, [(0.1, 2.5, 0.001)]),
+        mixture_model(0.7, [(0.2, -1.0, 0.3), (0.0, 5.0, 1.0), (0.1, 2.0, 2.0)]),
+    ])
+    def test_built_once_per_model_and_read_only(self, m):
+        table = core_model._components(m)
+        assert core_model._components(m) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 0.5
+        fresh = np.array([(w, c.mean, c.sd, math.log(w), math.log(c.sd))
+                          for w, c in m.components if w > 0.0]).T[:, :, None]
+        assert table.shape == fresh.shape and np.array_equal(table, fresh)
+        # the cached table is no field: equality and hashing see none of it
+        twin = TwoGroupModel(m.p0, m.null, m.nonnull)
+        assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+
 
 def test_package_exports_the_module_lists():
     # each public name is listed once, in the __all__ of the module that

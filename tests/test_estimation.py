@@ -254,6 +254,18 @@ def test_center_spread_matches_np_percentile(z):
     assert got == (spread if spread > 0.0 else sd)
 
 
+@pytest.mark.parametrize("value", [1.0, 0.1, 0.3, 2.5])
+def test_constant_data_have_zero_spread(value):
+    # np.std of 1000 copies of 0.1 or 0.3 reads their mean's rounding
+    # (1.4e-17, 1.1e-16), which each estimator took for a spread
+    z = np.full(1_000, value)
+    assert _Sample(z, "test").center_spread == (value, 0.0)
+    with pytest.raises(DegenerateCF, match=r"^the data have zero spread, so \|ECF\| is 1 at every t$"):
+        estimate_null_ecf(z)
+    with pytest.raises(DegenerateData, match=r"^kernel density estimation: the data have zero spread$"):
+        estimate_marginal_kde(z)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     z=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=300),
@@ -567,10 +579,11 @@ class TestEstimateMarginalKde:
         assert_allclose(est.evaluate(at), _kernel_sum(z, at, est.bandwidth), rtol=5e-5)
 
     def test_spacing_below_resolution_is_degenerate(self):
-        # the sd of 1000 copies of 0.1 is rounding noise (1.4e-17), and
-        # doubles near 1e16 are 2 apart: neither holds a grid spaced h/100
+        # data spread over three doubles next to 0.1 have an sd of about one
+        # ulp, and doubles near 1e16 are 2 apart: neither holds a grid spaced
+        # h/100
         with pytest.raises(DegenerateData, match="kernel density estimation: spacing h/100 = "):
-            estimate_marginal_kde(np.full(1_000, 0.1))
+            estimate_marginal_kde(0.1 + math.ulp(0.1) * (np.arange(1_000) % 3))
         with pytest.raises(DegenerateData, match="cannot be represented at"):
             estimate_marginal_kde(np.append(draw(PURE_NULL, 500, 3), 1e16))
 

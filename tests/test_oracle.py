@@ -36,10 +36,12 @@ from lfdr_lab.oracle import (
     _bracketed_newton,
     _interval_mass,
     _interval_masses,
+    _lfdr_excess,
     _log_lfdr_slope,
     _pvalue_tails,
     _region_masses,
     _scan_grid,
+    _sublevel_region,
 )
 
 STD = GaussianComponent(0.0, 1.0)
@@ -520,8 +522,8 @@ def test_log_lfdr_slope_matches_component_loop():
     ]
     z = np.linspace(-8.0, 9.0, 69)
     for m in models:
-        rows = _components(m)[:, :, 0].tolist()
-        value, slope = np.array([_log_lfdr_slope(rows, x) for x in z.tolist()]).T
+        at = _log_lfdr_slope(_components(m)[:, :, 0].tolist())
+        value, slope = np.array([at(x)[:2] for x in z.tolist()]).T
         want_value, want_slope = np.array([loop_log_lfdr_slope(m, x) for x in z.tolist()]).T
         assert np.array_equal(value, want_value) and np.array_equal(slope, want_slope)
         assert_allclose(np.exp(value), lfdr(m, z), rtol=1e-12, atol=1e-300)
@@ -696,6 +698,24 @@ def test_lfdr_rule_returns_the_region_it_searched():
         rule = oracle_lfdr_rule(m, alpha)
         assert rule.region == region_from_lfdr_threshold(m, rule.threshold)
         assert rule.mfdr == mfdr_of_region(m, rule.region) <= alpha
+
+
+# figure 2's model, panel d's model at alpha 0.2, and the narrow models
+@pytest.mark.parametrize("m, alpha", [(fig2_model(), 0.10), FIGURE_MODELS[68]] + NARROW_BESIDE_WIDE)
+def test_lfdr_excess_slope_matches_central_difference(m, alpha):
+    # the lambda search's Newton steps take d mFDR/dlambda from the edge
+    # searches' last points; a wrong slope would only slow the search, so
+    # it is checked against a central difference of mFDR(R(lambda))
+    lam = oracle_lfdr_rule(m, alpha).threshold
+    rows = _components(m)[:, :, 0].tolist()
+    zs = _scan_grid(m)
+    region, edge_terms = _sublevel_region(_log_lfdr_slope(rows), zs, lfdr(m, zs), lam)
+    excess, slope = _lfdr_excess(rows, region, edge_terms, lam, alpha)
+    assert excess == mfdr_of_region(m, region) - alpha
+    assert len(edge_terms) == sum(math.isfinite(e) for iv in region.intervals for e in iv)
+    h = 1e-6
+    up, down = (mfdr_of_region(m, region_from_lfdr_threshold(m, lam + d)) for d in (h, -h))
+    assert_allclose(slope, (up - down) / (2.0 * h), rtol=1e-5)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
