@@ -88,6 +88,17 @@ class TwoGroupModel:
         """All components as (weight, component), null first."""
         return ((self.p0, self.null),) + self.nonnull
 
+    def __getstate__(self):
+        # pickles and deep copies leave out the table _components cached on
+        # first use; the copy builds its own, read-only, when first used
+        return {k: v for k, v in self.__dict__.items() if k != "_components"}
+
+    def __copy__(self):
+        # a shallow copy shares everything, the read-only table included
+        copied = object.__new__(type(self))
+        copied.__dict__.update(self.__dict__)
+        return copied
+
 
 def mixture_model(p0: float, components: Sequence[tuple]) -> TwoGroupModel:
     """Build a TwoGroupModel with a standard normal null.

@@ -14,7 +14,8 @@ finite Gaussian mixture, interval masses are computed in closed form from
 Gaussian distribution functions (``_interval_mass``).  A region holds a few
 intervals, so its masses are taken on Python floats with scalar ``ndtr``;
 only the p-value rule's scan over chunks of its t-grid takes them on
-arrays.  Both paths sum in NumPy's order and agree bit for bit.  The tests
+arrays (``_tail_masses``).  Both paths add their terms left to right, over
+intervals and then over components, so they agree bit for bit.  The tests
 cross-check these masses against adaptive quadrature and Monte Carlo.
 
 The p-value rule bisects to 1e-9 above the largest feasible point of a log
@@ -30,11 +31,14 @@ region masses, over one scan grid and one lfdr profile per rule.  Each
 sublevel-set boundary is refined the same way inside its grid cell, by
 Newton steps on log lfdr (whose z-derivative is closed form), evaluated
 by one function per rule with the components' constants bound once.  The
-lambda search's slope d mFDR/dlambda reads each boundary's density and
-lfdr slope off the last point of that boundary's own edge search, so no
-boundary is evaluated again.  Both searches run on Python floats: NumPy's
-per-call cost outweighed the arithmetic on a few points.  The scan grid
-steps 0.01, and sd/10 within 12 sd of each component narrower than 0.1.
+lambda search keeps a record of each cutoff it tries: the region's
+intervals as tuples and its null and total masses, from which the rule
+wraps one ``RejectionRegion`` and takes its mFDR.  The search's slope
+d mFDR/dlambda reads each boundary's density and lfdr slope off the last
+point of that boundary's own edge search, so no boundary is evaluated
+again.  Both searches run on Python floats: NumPy's per-call cost
+outweighed the arithmetic on a few points.  The scan grid steps 0.01, and
+sd/10 within 12 sd of each component narrower than 0.1.
 Masses, densities and slopes all read the component table
 ``core_model._components``, built once per model.
 """
@@ -73,10 +77,14 @@ __all__ = [
 
 # Interval masses below this are treated as zero rejected mass.
 _MASS_FLOOR = 1e-300
-# The p-value threshold search scans its grid in chunks of _CHUNK points
-# and refines to this absolute tolerance.
+# The p-value threshold search scans a log grid in t, built once and kept
+# read-only, in chunks of _CHUNK points ending at _T_CHUNK_ENDS, and
+# refines to this absolute tolerance.
 _SEARCH_TOL = 1e-9
 _CHUNK = 64
+_T_GRID = np.exp(np.linspace(math.log(1e-10), math.log(1.0 - 1e-12), 10_000))
+_T_CHUNK_ENDS = np.append(np.arange(0, _T_GRID.size - 1, _CHUNK), _T_GRID.size - 1)
+_T_GRID.flags.writeable = _T_CHUNK_ENDS.flags.writeable = False
 # Bracket widths at which the lfdr searches stop (sublevel-set boundaries
 # in z, and the lfdr cutoff lambda), and a cap on their steps; bisection
 # alone needs ~40 steps to reach either width.
@@ -173,11 +181,10 @@ def _interval_masses(comps: np.ndarray, lo, hi) -> np.ndarray:
 
 
 def _sum(values) -> float:
-    """Sum of floats in the order NumPy sums a 1-D array, so that scalar
-    sums equal array sums bit for bit.  NumPy adds fewer than 8 terms left
-    to right and switches to a pairwise sum from 8, where this defers to it."""
-    if len(values) >= 8:
-        return float(np.sum(values))
+    """Sum of floats added left to right: the order in which ``_tail_masses``
+    adds a component's two tails and then the components (``sum(axis=0)``),
+    so that scalar sums equal the scan's array sums bit for bit at any
+    number of components."""
     total = -0.0
     for value in values:
         total += value
@@ -194,7 +201,7 @@ def _region_masses(rows: list, intervals) -> tuple:
     """(null mass, total mass) of a union of ``intervals`` on Python
     floats, for the component ``rows`` of ``_component_rows``.  Each
     component's masses are summed over the intervals, then over the
-    components, both as NumPy sums these arrays would."""
+    components, both left to right (``_sum``)."""
     if not intervals:
         return 0.0, 0.0
     per_component = [_sum([_interval_mass(w, mean, sd, lo, hi) for lo, hi in intervals])
@@ -235,6 +242,18 @@ def region_from_pvalue_threshold(null: GaussianComponent, t: float) -> Rejection
     if not (0.0 < t < 1.0):
         raise ValueError(f"p-value threshold must be in (0, 1), got {t}")
     return RejectionRegion(_pvalue_tails(null, t))
+
+
+def _tail_masses(comps: np.ndarray, null: GaussianComponent, ts) -> tuple:
+    """Arrays of (null mass, total mass) of the p-value tails at each cutoff
+    in ``ts``, for the component table ``comps``: ``_region_masses`` of
+    ``_pvalue_tails(null, t)`` at each t, bit for bit, when ``ts`` holds
+    two or more cutoffs, as every call in the scan does (over one cutoff
+    NumPy sums 8 or more components pairwise)."""
+    q = -ndtri(np.asarray(ts) / 2.0)
+    per_component = (_interval_masses(comps, -math.inf, null.mean - q * null.sd)
+                     + _interval_masses(comps, null.mean + q * null.sd, math.inf))
+    return per_component[0], per_component.sum(axis=0)
 
 
 def _scan_grid(m: TwoGroupModel) -> np.ndarray:
@@ -334,9 +353,10 @@ def _sublevel_region(at: Callable, zs: np.ndarray, profile: np.ndarray, lam: flo
 
     Runs of grid points inside the set become intervals; each boundary is
     refined inside its grid cell to within _EDGE_TOL, and a run reaching a
-    grid end extends to infinity.  Returns the region and, for each finite
-    boundary, (log(p0 f0), d log lfdr/dz) at the last point its search
-    evaluated, for ``_lfdr_excess``.
+    grid end extends to infinity.  Returns the region's intervals as a
+    tuple of (lo, hi) and, for each finite boundary, (log(p0 f0),
+    d log lfdr/dz) at the last point its search evaluated, for
+    ``_lfdr_excess``.
     """
     inside = profile <= lam
     cells = np.flatnonzero(inside[1:] != inside[:-1])  # boundary in (zs[i], zs[i + 1])
@@ -354,7 +374,7 @@ def _sublevel_region(at: Callable, zs: np.ndarray, profile: np.ndarray, lam: flo
         ends.append(0.5 * (lo + hi))
         edge_terms.append((last[2], last[1]))
     ends += [math.inf] * bool(inside[-1])
-    return RejectionRegion(tuple(zip(ends[::2], ends[1::2]))), edge_terms
+    return tuple(zip(ends[::2], ends[1::2])), edge_terms
 
 
 def region_from_lfdr_threshold(m: TwoGroupModel, lam: float) -> RejectionRegion:
@@ -369,7 +389,8 @@ def region_from_lfdr_threshold(m: TwoGroupModel, lam: float) -> RejectionRegion:
     if not (0.0 < lam < 1.0):
         raise ValueError(f"lfdr threshold must be in (0, 1), got {lam}")
     zs = _scan_grid(m)
-    return _sublevel_region(_log_lfdr_slope(_component_rows(m)), zs, lfdr(m, zs), lam)[0]
+    intervals, _ = _sublevel_region(_log_lfdr_slope(_component_rows(m)), zs, lfdr(m, zs), lam)
+    return RejectionRegion(intervals)
 
 
 def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
@@ -382,34 +403,23 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     points holds a feasible point only if N(t_a) <= alpha * T(t_b); chunks
     are checked top down on that bound, and only admitted ones point by
     point.  All steps share the tail masses of ``mfdr_of_region``: the
-    grid chunks through ``_interval_masses``, the bisection on Python
-    floats.  The result is the bisection's feasible end, not the root: a
-    Newton finish onto the root would move the figures' mFNR by up to 5e-9.
+    grid chunks through ``_tail_masses``, the bisection on Python floats.
+    The result is the bisection's feasible end, not the root: a Newton
+    finish onto the root would move the figures' mFNR by up to 5e-9.
     """
     _check_alpha(alpha)
     comps = _components(m)
     rows = comps[:, :, 0].tolist()
 
-    def tail_masses(ts):
-        # as mfdr_of_region computes them for region_from_pvalue_threshold
-        q = -ndtri(np.asarray(ts) / 2.0)
-        per_component = (_interval_masses(comps, -math.inf, m.null.mean - q * m.null.sd)
-                         + _interval_masses(comps, m.null.mean + q * m.null.sd, math.inf))
-        return per_component[0], per_component.sum(axis=0)
-
-    def feasible(ts):
-        null, total = tail_masses(ts)
-        return null / total <= alpha
-
     def feasible_at(t):
         null, total = _region_masses(rows, _pvalue_tails(m.null, t))
         return null / total <= alpha
 
-    ts = np.exp(np.linspace(math.log(1e-10), math.log(1.0 - 1e-12), 10_000))
-    ends = np.append(np.arange(0, ts.size - 1, _CHUNK), ts.size - 1)
-    null, total = tail_masses(ts[ends])
+    ts, ends = _T_GRID, _T_CHUNK_ENDS
+    null, total = _tail_masses(comps, m.null, ts[ends])
     for j in np.flatnonzero(null[:-1] <= alpha * total[1:])[::-1]:
-        hits = np.flatnonzero(feasible(ts[ends[j]: ends[j + 1] + 1]))
+        chunk_null, chunk_total = _tail_masses(comps, m.null, ts[ends[j]: ends[j + 1] + 1])
+        hits = np.flatnonzero(chunk_null / chunk_total <= alpha)
         if hits.size:
             i = int(ends[j] + hits[-1])
             break
@@ -434,10 +444,10 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     )
 
 
-def _lfdr_excess(rows: list, region: RejectionRegion, edge_terms: list,
-                 lam: float, alpha: float) -> tuple:
-    """mFDR(region) - alpha and its derivative in lam, for region = R(lam)
-    and the ``edge_terms`` that ``_sublevel_region`` returned with it.
+def _lfdr_excess(null: float, total: float, edge_terms: list, lam: float, alpha: float) -> tuple:
+    """mFDR(R(lam)) - alpha and its derivative in lam, from the ``null`` and
+    ``total`` masses of the region R(lam) and the ``edge_terms`` that
+    ``_sublevel_region`` returned with it.
 
     A region without mass counts as feasible.  Moving the cutoff moves each
     finite boundary b by dz/dlam = 1/|lfdr'(b)| and adds mass f(b) there, so
@@ -445,7 +455,6 @@ def _lfdr_excess(rows: list, region: RejectionRegion, edge_terms: list,
     = lam, f(b) = p0 f0(b)/lam and lfdr'(b) = lam * d log lfdr/dz, both
     taken from the point where b's edge search ended.
     """
-    null, total = _region_masses(rows, region.intervals)
     if total < _MASS_FLOOR:
         return -alpha, 0.0
     rate = null / total  # as mfdr_of_region computes it
@@ -462,38 +471,39 @@ def oracle_lfdr_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     [0, 1 - 1e-12] brackets the cutoff, and a safeguarded Newton search on
     the exact sublevel-set masses, with lfdr profiled once on the scan
     grid, closes it to 1e-12.  The rule returns the search's feasible end
-    with the region evaluated there, so the reported mFDR is <= alpha
-    exactly.
+    with the region and masses recorded there, so the reported mFDR is
+    <= alpha exactly and equals ``mfdr_of_region`` of the region.
     """
     _check_alpha(alpha)
     rows = _component_rows(m)
     at = _log_lfdr_slope(rows)
     zs = _scan_grid(m)
     profile = lfdr(m, zs)
-    regions = {}
+    records = {}  # lam -> (intervals, null mass, total mass)
 
     def excess(lam):
-        regions[lam], edge_terms = _sublevel_region(at, zs, profile, lam)
-        return _lfdr_excess(rows, regions[lam], edge_terms, lam, alpha)
+        intervals, edge_terms = _sublevel_region(at, zs, profile, lam)
+        null, total = _region_masses(rows, intervals)
+        records[lam] = intervals, null, total
+        return _lfdr_excess(null, total, edge_terms, lam, alpha)
 
     lam_star = 1.0 - 1e-12
     if excess(lam_star)[0] > 0.0:
         lam_star = _bracketed_newton(excess, 0.0, lam_star, True, _LAMBDA_TOL)[0]
-    region = regions.get(lam_star, RejectionRegion(()))
-    if region.is_empty:
+    intervals, null, total = records.get(lam_star, ((), 0.0, 0.0))
+    if not intervals:
         raise Infeasible(
             f"even the smallest nonempty lfdr region exceeds mFDR {alpha} "
             f"(minimum lfdr exceeds every feasible cutoff)"
         )
-    try:
-        rate = mfdr_of_region(m, region)
-    except EmptyRegion:
+    if total < _MASS_FLOOR:
         raise Infeasible(f"no lfdr region with positive mass attains mFDR <= {alpha}")
+    region = RejectionRegion(intervals)
     return OracleRule(
         kind="lfdr",
         threshold=lam_star,
         region=region,
-        mfdr=rate,
+        mfdr=null / total,  # as mfdr_of_region computes it
         mfnr=mfnr_of_region(m, region),
     )
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import subprocess
 import sys
 import types
@@ -301,6 +303,24 @@ class TestComponentTable:
         # the cached table is no field: equality and hashing see none of it
         twin = TwoGroupModel(m.p0, m.null, m.nonnull)
         assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+
+    @pytest.mark.parametrize("make", [
+        simulation.eq1_default_model,
+        fig2_model,
+        lambda: mixture_model(0.9, [(0.1, 2.5, 0.001)]),
+    ])
+    def test_copies_keep_the_table_read_only(self, make):
+        # a pickle or deep copy of a model in use carries no table and
+        # builds its own, read-only; a shallow copy shares the model's
+        m = make()
+        table = core_model._components(m)
+        assert len(pickle.dumps(m)) == len(pickle.dumps(make()))
+        for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert copied == m
+            copied_table = core_model._components(copied)
+            assert not copied_table.flags.writeable
+            assert np.array_equal(copied_table, core_model._components(make()))
+        assert core_model._components(copy.copy(m)) is table
 
 
 def test_package_exports_the_module_lists():

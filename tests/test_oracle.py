@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -33,6 +35,8 @@ from lfdr_lab import (
 from lfdr_lab.core_model import _components
 from lfdr_lab.oracle import (
     _MAX_STEPS,
+    _T_CHUNK_ENDS,
+    _T_GRID,
     _bracketed_newton,
     _interval_mass,
     _interval_masses,
@@ -42,6 +46,7 @@ from lfdr_lab.oracle import (
     _region_masses,
     _scan_grid,
     _sublevel_region,
+    _tail_masses,
 )
 
 STD = GaussianComponent(0.0, 1.0)
@@ -211,6 +216,15 @@ class TestOraclePvalueRule:
         (_, hi1), (lo2, _) = rule.region.intervals
         assert_allclose(hi1, -lo2, atol=1e-9)
 
+    def test_t_grid_built_once_read_only(self):
+        # every rule scans the same module-level grid, so no rule may write it
+        assert _T_GRID.size == 10_000 and np.all(np.diff(_T_GRID) > 0.0)
+        assert_allclose(_T_GRID[[0, -1]], [1e-10, 1.0 - 1e-12], rtol=1e-12)
+        assert _T_CHUNK_ENDS[0] == 0 and _T_CHUNK_ENDS[-1] == _T_GRID.size - 1
+        for grid in (_T_GRID, _T_CHUNK_ENDS):
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0] = grid[1]
+
 
 class TestOracleLfdrRule:
     def test_pure_null_infeasible(self):
@@ -246,6 +260,20 @@ class TestOracleLfdrRule:
         # slope is zero, and every nonempty region has mFDR 0.6
         with pytest.raises(outcome):
             oracle_lfdr_rule(mixture_model(0.6, [(0.4, 0.0, 1.0)]), alpha)
+
+    def test_massless_region_is_infeasible(self):
+        # a nonnull weight of 1e-305 at mean 50: the sublevel set at the top
+        # cutoff is nonempty but carries under 1e-300 of mass
+        tiny = mixture_model(1.0 - 1e-305, [(1e-305, 50.0, 1.0)])
+        with pytest.raises(Infeasible, match=r"^no lfdr region with positive mass attains mFDR <= 0\.1$"):
+            oracle_lfdr_rule(tiny, 0.1)
+        # at 1e-290 the same region carries mass, all of it nonnull
+        rule = oracle_lfdr_rule(mixture_model(1.0 - 1e-290, [(1e-290, 50.0, 1.0)]), 0.1)
+        assert rule.threshold == 1.0 - 1e-12 and rule.mfdr == 0.0
+        # at mean 20 the nonnull outweighs the null only past the scan grid's
+        # end, so no cutoff below 1 - 1e-12 gives a nonempty region
+        with pytest.raises(Infeasible, match="^even the smallest nonempty lfdr region exceeds mFDR 0.1 "):
+            oracle_lfdr_rule(mixture_model(1.0 - 1e-305, [(1e-305, 20.0, 1.0)]), 0.1)
 
 
 class TestOracleSweep:
@@ -576,17 +604,16 @@ class TestBracketedNewton:
 
 @st.composite
 def models_and_intervals(draw):
-    """A mixture of 1-8 nonnull components with sds from 0.001 to 3, and
-    either the two tails of a p-value rule or a union of up to 11
-    intervals, which may reach -inf or +inf, whose finite ends lie on
-    either side of a component's mean, out to 40 of its sd."""
-    k = draw(st.integers(1, 8))
+    """A mixture of 1-10 nonnull components with sds from 0.001 to 3, and
+    either 2-8 p-value cutoffs t (``ts``) or a union of up to 11 intervals,
+    which may reach -inf or +inf, whose finite ends lie on either side of a
+    component's mean, out to 40 of its sd."""
+    k = draw(st.integers(1, 10))
     p0 = draw(st.floats(0.05, 0.95))
     m = mixture_model(p0, [((1.0 - p0) / k, draw(st.floats(-5.0, 5.0)), draw(st.floats(0.001, 3.0)))
                            for _ in range(k)])
-    t = draw(st.none() | st.floats(1e-10, 1.0 - 1e-12))
-    if t is not None:
-        return m, _pvalue_tails(m.null, t)
+    if draw(st.booleans()):
+        return m, draw(st.lists(st.floats(1e-10, 1.0 - 1e-12), min_size=2, max_size=8)), None
     ends = set()
     for _ in range(draw(st.integers(0, 20))):
         _, c = draw(st.sampled_from(m.components))
@@ -594,30 +621,46 @@ def models_and_intervals(draw):
         ends.add(c.mean + offset * c.sd)
     ends = [-math.inf] * draw(st.booleans()) + sorted(ends) + [math.inf] * draw(st.booleans())
     ends = ends[: len(ends) // 2 * 2]
-    return m, tuple(zip(ends[::2], ends[1::2]))
+    return m, None, tuple(zip(ends[::2], ends[1::2]))
+
+
+# eight nonnull components, as in the CI's oracle run
+EIGHT_NONNULL = mixture_model(0.84, [(0.02, mean, sd) for mean, sd in [
+    (-4.0, 1.0), (-3.0, 0.5), (-2.0, 2.0), (-1.0, 0.3), (1.0, 0.3), (2.0, 2.0), (3.0, 0.5), (4.0, 1.0)]])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(models_and_intervals())
-@example((mixture_model(1.0, []), ((-math.inf, -40.0), (40.0, math.inf))))
-@example((fig2_model(), ()))
+@example((mixture_model(1.0, []), None, ((-math.inf, -40.0), (40.0, math.inf))))
+@example((fig2_model(), None, ()))
+@example((EIGHT_NONNULL, [1e-10, 1e-4, 0.05, 0.3, 1.0 - 1e-12], None))
+@example((EIGHT_NONNULL, None, tuple((x, x + 0.5) for x in range(-5, 5))))
 def test_scalar_masses_equal_array_masses(case):
     # region rates, the lfdr search and the p-value bisection use the scalar
     # masses, the p-value scan the array ones: equal bit for bit, one by one
-    # and summed over intervals and then components
-    m, intervals = case
+    # and summed left to right over intervals and then components
+    m, ts, intervals = case
     comps = _components(m)
     rows = comps[:, :, 0].tolist()
+    if ts is not None:
+        # the scan's own arithmetic, on a vector of cutoffs as it runs it
+        null, total = _tail_masses(comps, m.null, ts)
+        want = [(n.hex(), t.hex()) for n, t in zip(null.tolist(), total.tolist())]
+        got = [_region_masses(rows, _pvalue_tails(m.null, t)) for t in ts]
+        assert all(type(x) is float for pair in got for x in pair)
+        assert [(n.hex(), t.hex()) for n, t in got] == want
+        return
     null, total = _region_masses(rows, intervals)
     if not intervals:
         assert (null, total) == (0.0, 0.0)
         return
-    want = _interval_masses(comps, *zip(*intervals))
+    want = _interval_masses(comps, *zip(*intervals)).tolist()
     got = [[_interval_mass(w, mean, sd, lo, hi) for lo, hi in intervals] for w, mean, sd in zip(*rows[:3])]
-    assert [[float(x).hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want.tolist()]
-    per_component = want.sum(axis=1)
+    assert [[float(x).hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
+    left_to_right = functools.partial(functools.reduce, operator.add)
+    per_component = [left_to_right(row) for row in want]
     assert type(null) is float and type(total) is float
-    assert (null.hex(), total.hex()) == (float(per_component[0]).hex(), float(per_component.sum()).hex())
+    assert (null.hex(), total.hex()) == (per_component[0].hex(), left_to_right(per_component).hex())
 
 
 def test_pvalue_rules_frozen_at_every_figure_point():
@@ -709,8 +752,9 @@ def test_lfdr_excess_slope_matches_central_difference(m, alpha):
     lam = oracle_lfdr_rule(m, alpha).threshold
     rows = _components(m)[:, :, 0].tolist()
     zs = _scan_grid(m)
-    region, edge_terms = _sublevel_region(_log_lfdr_slope(rows), zs, lfdr(m, zs), lam)
-    excess, slope = _lfdr_excess(rows, region, edge_terms, lam, alpha)
+    intervals, edge_terms = _sublevel_region(_log_lfdr_slope(rows), zs, lfdr(m, zs), lam)
+    region = RejectionRegion(intervals)
+    excess, slope = _lfdr_excess(*_region_masses(rows, intervals), edge_terms, lam, alpha)
     assert excess == mfdr_of_region(m, region) - alpha
     assert len(edge_terms) == sum(math.isfinite(e) for iv in region.intervals for e in iv)
     h = 1e-6
