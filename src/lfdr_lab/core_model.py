@@ -14,9 +14,10 @@ far-tail arithmetic (six-sigma terms and beyond) stays accurate.
 
 This module also owns the package's one array form of a mixture,
 ``_components``: a table of the positive-weight components, null first,
-that the lfdr and density functions here, the oracle's interval masses and
-lfdr slopes, and the samplers all read.  Each model builds it once, on
-first use, and keeps it read-only, so those callers share one table.
+that the lfdr and density functions here, the oracle's masses, scan grid
+and lfdr slopes, and the samplers all read.  Each model builds it once,
+read-only, when it is made, so those callers share one table; copies and
+pickles rebuild the model through its constructor, which checks it again.
 """
 
 from __future__ import annotations
@@ -82,22 +83,19 @@ class TwoGroupModel:
         total = self.p0 + sum(w for w, _ in self.nonnull)
         if not abs(total - 1.0) <= _WEIGHT_TOL:
             raise InvalidModel(f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
+        table = np.array([(w, c.mean, c.sd, math.log(w), math.log(c.sd))
+                          for w, c in self.components if w > 0.0]).T[:, :, None]
+        table.flags.writeable = False
+        object.__setattr__(self, "_components", table)  # no field: ==, hash and repr ignore it
 
     @property
     def components(self) -> tuple:
         """All components as (weight, component), null first."""
         return ((self.p0, self.null),) + self.nonnull
 
-    def __getstate__(self):
-        # pickles and deep copies leave out the table _components cached on
-        # first use; the copy builds its own, read-only, when first used
-        return {k: v for k, v in self.__dict__.items() if k != "_components"}
-
-    def __copy__(self):
-        # a shallow copy shares everything, the read-only table included
-        copied = object.__new__(type(self))
-        copied.__dict__.update(self.__dict__)
-        return copied
+    def __reduce__(self):
+        # copies and pickles rebuild the model, and so its table, from the fields
+        return type(self), (self.p0, self.null, self.nonnull)
 
 
 def mixture_model(p0: float, components: Sequence[tuple]) -> TwoGroupModel:
@@ -128,18 +126,9 @@ def gaussian_pdf(z, c: GaussianComponent):
 
 def _components(m: TwoGroupModel) -> np.ndarray:
     """Rows (w, mean, sd, log w, log sd) over the components of positive
-    weight, null first, each a (C, 1) column that broadcasts over z.
-
-    The model is immutable, so its table is built on the first call, kept
-    read-only on the model, and returned as the same array by every later
-    call."""
-    table = m.__dict__.get("_components")
-    if table is None:
-        table = np.array([(w, c.mean, c.sd, math.log(w), math.log(c.sd))
-                          for w, c in m.components if w > 0.0]).T[:, :, None]
-        table.flags.writeable = False
-        m.__dict__["_components"] = table  # past the frozen dataclass's __setattr__
-    return table
+    weight, null first, each a (C, 1) column that broadcasts over z: the
+    read-only table the model built when it was made."""
+    return m._components
 
 
 def _log_terms(comps: np.ndarray, z):

@@ -14,9 +14,11 @@ finite Gaussian mixture, interval masses are computed in closed form from
 Gaussian distribution functions (``_interval_mass``).  A region holds a few
 intervals, so its masses are taken on Python floats with scalar ``ndtr``;
 only the p-value rule's scan over chunks of its t-grid takes them on
-arrays (``_tail_masses``).  Both paths add their terms left to right, over
-intervals and then over components, so they agree bit for bit.  The tests
-cross-check these masses against adaptive quadrature and Monte Carlo.
+arrays (``_tail_masses``), with each tail written out in closed form, one
+``ndtr`` per tail and component.  Both paths add their terms left to
+right, over intervals and then over components (``_sum``), at any number
+of cutoffs, so they agree bit for bit.  The tests cross-check these masses
+against adaptive quadrature and Monte Carlo.
 
 The p-value rule bisects to 1e-9 above the largest feasible point of a log
 grid in t, scanned top down in chunks; a chunk is evaluated only if its
@@ -39,8 +41,9 @@ point of that boundary's own edge search, so no boundary is evaluated
 again.  Both searches run on Python floats: NumPy's per-call cost
 outweighed the arithmetic on a few points.  The scan grid steps 0.01, and
 sd/10 within 12 sd of each component narrower than 0.1.
-Masses, densities and slopes all read the component table
-``core_model._components``, built once per model.
+Masses, densities, slopes and the scan grid all read the component
+table ``core_model._components``, built with the model; a component of
+weight 0 is in none of them.
 """
 
 from __future__ import annotations
@@ -160,10 +163,11 @@ class SweepRow:
 def _interval_mass(w: float, mean: float, sd: float, lo: float, hi: float):
     """w * (mass of [lo, hi] under N(mean, sd^2)), on Python floats.
 
-    This is the oracle's one mass formula; ``_interval_masses`` evaluates
-    it elementwise on arrays, bit for bit, since ``ndtr`` on a float runs
-    the same code as on an array.  An interval above the mean (a > 0) is
-    measured from the upper tail, so far-tail masses keep full relative
+    This is the oracle's one mass formula; ``_tail_masses`` writes it out
+    for intervals with one infinite end, on arrays, bit for bit, since
+    ``ndtr`` on a float runs the same code as on an array and ndtr(-inf)
+    and ndtr(inf) are exactly 0 and 1.  An interval above the mean (a > 0)
+    is measured from the upper tail, so far-tail masses keep full relative
     precision instead of cancelling in 1 - Phi.
     """
     a = (lo - mean) / sd
@@ -171,24 +175,15 @@ def _interval_mass(w: float, mean: float, sd: float, lo: float, hi: float):
     return w * (ndtr(-a) - ndtr(-b) if a > 0.0 else ndtr(b) - ndtr(a))
 
 
-def _interval_masses(comps: np.ndarray, lo, hi) -> np.ndarray:
-    """``_interval_mass`` for arrays of interval ends: one row per
-    component of ``comps`` (see ``core_model._components``)."""
-    w, mean, sd = comps[:3]
-    a = (np.asarray(lo, dtype=float) - mean) / sd
-    b = (np.asarray(hi, dtype=float) - mean) / sd
-    return w * np.where(a > 0.0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
-
-
-def _sum(values) -> float:
-    """Sum of floats added left to right: the order in which ``_tail_masses``
-    adds a component's two tails and then the components (``sum(axis=0)``),
-    so that scalar sums equal the scan's array sums bit for bit at any
-    number of components."""
+def _sum(values):
+    """``values``, floats or arrays alike, added left to right: the one
+    order in which the oracle adds masses over intervals and over
+    components, so that scalar sums equal the scan's array sums bit for
+    bit at any number of components and cutoffs."""
     total = -0.0
     for value in values:
         total += value
-    return float(total)
+    return total
 
 
 def _component_rows(m: TwoGroupModel) -> list:
@@ -204,7 +199,7 @@ def _region_masses(rows: list, intervals) -> tuple:
     components, both left to right (``_sum``)."""
     if not intervals:
         return 0.0, 0.0
-    per_component = [_sum([_interval_mass(w, mean, sd, lo, hi) for lo, hi in intervals])
+    per_component = [float(_sum([_interval_mass(w, mean, sd, lo, hi) for lo, hi in intervals]))
                      for w, mean, sd in zip(*rows[:3])]
     return per_component[0], _sum(per_component)
 
@@ -247,19 +242,27 @@ def region_from_pvalue_threshold(null: GaussianComponent, t: float) -> Rejection
 def _tail_masses(comps: np.ndarray, null: GaussianComponent, ts) -> tuple:
     """Arrays of (null mass, total mass) of the p-value tails at each cutoff
     in ``ts``, for the component table ``comps``: ``_region_masses`` of
-    ``_pvalue_tails(null, t)`` at each t, bit for bit, when ``ts`` holds
-    two or more cutoffs, as every call in the scan does (over one cutoff
-    NumPy sums 8 or more components pairwise)."""
+    ``_pvalue_tails(null, t)`` at each t, bit for bit, at any number of
+    cutoffs.
+
+    Each tail is ``_interval_mass`` with one infinite end, in closed form:
+    the lower tail (-inf, b] has mass w*ndtr(b), the upper tail [a, inf)
+    w*ndtr(-a) if a > 0 and w*(1 - ndtr(a)) otherwise, and ndtr(-|a|)
+    serves both cases."""
+    w, mean, sd = comps[:3]
     q = -ndtri(np.asarray(ts) / 2.0)
-    per_component = (_interval_masses(comps, -math.inf, null.mean - q * null.sd)
-                     + _interval_masses(comps, null.mean + q * null.sd, math.inf))
-    return per_component[0], per_component.sum(axis=0)
+    a = (null.mean + q * null.sd - mean) / sd
+    upper = ndtr(-np.abs(a))
+    per_component = (w * ndtr((null.mean - q * null.sd - mean) / sd)
+                     + w * np.where(a > 0.0, upper, 1.0 - upper))
+    return per_component[0], _sum(per_component)
 
 
 def _scan_grid(m: TwoGroupModel) -> np.ndarray:
     """The sorted lfdr scan grid.
 
-    The grid spans all component means +- 12 max sd in steps of about
+    The grid spans the means of the components of positive weight (the
+    rows of ``_component_rows``) +- 12 max sd in steps of about
     _GRID_STEP.  Within +- 12 sd of each component with sd < 10 _GRID_STEP
     the points give way to steps of sd/10, so a sublevel set as narrow as
     that component still holds grid points; a model without narrow
@@ -268,8 +271,7 @@ def _scan_grid(m: TwoGroupModel) -> np.ndarray:
     |mean| + 12 sd, as the KDE refuses its spacing: such a grid cannot be
     represented.
     """
-    means = [c.mean for _, c in m.components]
-    sds = [c.sd for _, c in m.components]
+    _, means, sds = _component_rows(m)[:3]
     narrow = [(mean, sd) for mean, sd in zip(means, sds) if sd < 10.0 * _GRID_STEP]
     for mean, sd in narrow:
         magnitude = abs(mean) + 12.0 * sd
@@ -409,7 +411,7 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     """
     _check_alpha(alpha)
     comps = _components(m)
-    rows = comps[:, :, 0].tolist()
+    rows = _component_rows(m)
 
     def feasible_at(t):
         null, total = _region_masses(rows, _pvalue_tails(m.null, t))

@@ -586,6 +586,14 @@ class TestOracle:
             "cannot be represented at |z| up to 2.5\n")
         assert not manifest.exists()
 
+    def test_zero_weight_component_changes_nothing(self, tmp_path):
+        # a weight-0 component too narrow for any scan grid is left out of
+        # the rules: exit 0, and the CSV of the model without it
+        for name, spec in [("zero", "0.1:2.5:1,0:3:1e-20"), ("plain", "0.1:2.5:1")]:
+            assert run(["oracle", "--p0", "0.9", "--components", spec, "--alpha", "0.1",
+                        "--csv", tmp_path / f"{name}.csv", "--manifest", tmp_path / f"{name}.json"]) == 0
+        assert (tmp_path / "zero.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
     def test_csv_into_new_directory(self, tmp_path):
         csv_path = tmp_path / "new" / "dir" / "r.csv"
         assert run(["oracle", "--p0", "0.8", "--components", "0.2:3:1", "--alpha", "0.1",

@@ -19,6 +19,7 @@ from lfdr_lab import (
     Infeasible,
     InvalidModel,
     RejectionRegion,
+    TwoGroupModel,
     figure2_data,
     lfdr,
     marginal_density,
@@ -39,7 +40,6 @@ from lfdr_lab.oracle import (
     _T_GRID,
     _bracketed_newton,
     _interval_mass,
-    _interval_masses,
     _lfdr_excess,
     _log_lfdr_slope,
     _pvalue_tails,
@@ -605,7 +605,7 @@ class TestBracketedNewton:
 @st.composite
 def models_and_intervals(draw):
     """A mixture of 1-10 nonnull components with sds from 0.001 to 3, and
-    either 2-8 p-value cutoffs t (``ts``) or a union of up to 11 intervals,
+    either 1-8 p-value cutoffs t (``ts``) or a union of up to 11 intervals,
     which may reach -inf or +inf, whose finite ends lie on either side of a
     component's mean, out to 40 of its sd."""
     k = draw(st.integers(1, 10))
@@ -613,7 +613,7 @@ def models_and_intervals(draw):
     m = mixture_model(p0, [((1.0 - p0) / k, draw(st.floats(-5.0, 5.0)), draw(st.floats(0.001, 3.0)))
                            for _ in range(k)])
     if draw(st.booleans()):
-        return m, draw(st.lists(st.floats(1e-10, 1.0 - 1e-12), min_size=2, max_size=8)), None
+        return m, draw(st.lists(st.floats(1e-10, 1.0 - 1e-12), min_size=1, max_size=8)), None
     ends = set()
     for _ in range(draw(st.integers(0, 20))):
         _, c = draw(st.sampled_from(m.components))
@@ -634,17 +634,18 @@ EIGHT_NONNULL = mixture_model(0.84, [(0.02, mean, sd) for mean, sd in [
 @example((mixture_model(1.0, []), None, ((-math.inf, -40.0), (40.0, math.inf))))
 @example((fig2_model(), None, ()))
 @example((EIGHT_NONNULL, [1e-10, 1e-4, 0.05, 0.3, 1.0 - 1e-12], None))
+@example((EIGHT_NONNULL, [0.05], None))
 @example((EIGHT_NONNULL, None, tuple((x, x + 0.5) for x in range(-5, 5))))
 def test_scalar_masses_equal_array_masses(case):
     # region rates, the lfdr search and the p-value bisection use the scalar
     # masses, the p-value scan the array ones: equal bit for bit, one by one
     # and summed left to right over intervals and then components
     m, ts, intervals = case
-    comps = _components(m)
-    rows = comps[:, :, 0].tolist()
+    rows = _components(m)[:, :, 0].tolist()
     if ts is not None:
-        # the scan's own arithmetic, on a vector of cutoffs as it runs it
-        null, total = _tail_masses(comps, m.null, ts)
+        # the scan's own arithmetic, on a vector of cutoffs as it runs it,
+        # or on a single cutoff
+        null, total = _tail_masses(_components(m), m.null, ts)
         want = [(n.hex(), t.hex()) for n, t in zip(null.tolist(), total.tolist())]
         got = [_region_masses(rows, _pvalue_tails(m.null, t)) for t in ts]
         assert all(type(x) is float for pair in got for x in pair)
@@ -654,11 +655,9 @@ def test_scalar_masses_equal_array_masses(case):
     if not intervals:
         assert (null, total) == (0.0, 0.0)
         return
-    want = _interval_masses(comps, *zip(*intervals)).tolist()
-    got = [[_interval_mass(w, mean, sd, lo, hi) for lo, hi in intervals] for w, mean, sd in zip(*rows[:3])]
-    assert [[float(x).hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
     left_to_right = functools.partial(functools.reduce, operator.add)
-    per_component = [left_to_right(row) for row in want]
+    per_component = [float(left_to_right([_interval_mass(w, mean, sd, lo, hi) for lo, hi in intervals]))
+                     for w, mean, sd in zip(*rows[:3])]
     assert type(null) is float and type(total) is float
     assert (null.hex(), total.hex()) == (per_component[0].hex(), left_to_right(per_component).hex())
 
@@ -714,6 +713,22 @@ class TestScanGrid:
         m = mixture_model(0.9, [(0.1, mean, sd)])
         (lo, hi), = oracle_lfdr_rule(m, 0.1).region.intervals
         assert lo < mean < hi and 10.0 < (hi - lo) / sd < 100.0
+
+
+@pytest.mark.parametrize("m", [
+    mixture_model(0.9, [(0.1, 2.5, 1.0), (0.0, 3.0, 1e-20)]),
+    mixture_model(0.9, [(0.1, 2.5, 1.0), (0.0, 1e4, 1.0)]),
+])
+def test_zero_weight_component_changes_no_rule(m):
+    # a component of weight 0 is in no row of the table, so neither in the
+    # scan grid: an sd of 1e-20 is not refused, a mean of 1e4 does not
+    # stretch the grid, and both rules equal those without the component
+    plain = mixture_model(0.9, [(0.1, 2.5, 1.0)])
+    zs = _scan_grid(m)
+    assert zs.size == 2651 and np.array_equal(zs, _scan_grid(plain))
+    for rule in (oracle_pvalue_rule, oracle_lfdr_rule):
+        for alpha in (0.05, 0.1, 0.2):
+            assert repr(rule(m, alpha)) == repr(rule(plain, alpha))
 
 
 def test_figure2_rules_frozen():
@@ -775,3 +790,47 @@ def test_complement_is_an_involution(points, from_minus_inf, to_plus_inf):
     ends = ends[: len(ends) // 2 * 2]
     region = RejectionRegion(tuple(zip(ends[::2], ends[1::2])))
     assert region.complement().complement() == region
+
+
+# The exact price of the theoretical null (Efron 2008, Stat. Sci. 23): both
+# rules are built under the assumed N(0, 1) null at alpha 0.1, and their
+# regions are priced under a true null N(0, s0^2).  Per s0: the p-value
+# rule's true mFDR and mFNR, the lfdr rule's, and the mFNR of the lfdr rule
+# built under the true model.  On eq1, which is symmetric, the two rules
+# have the same region.
+THEORETICAL_NULL_PRICE = {
+    "eq1": (symmetric_model(0.10), {
+        0.8: (0.0203, 0.0578, 0.0203, 0.0578, 0.0286),
+        0.9: (0.0518, 0.0582, 0.0518, 0.0582, 0.0417),
+        1.1: (0.1596, 0.0596, 0.1596, 0.0596, 0.0804),
+        1.2: (0.2237, 0.0607, 0.2237, 0.0607, 0.1068),
+        1.3: (0.2864, 0.0620, 0.2864, 0.0620, 0.1379),
+    }),
+    "figure 2": (fig2_model(), {
+        0.8: (0.0210, 0.0450, 0.0253, 0.0370, 0.0175),
+        0.9: (0.0526, 0.0453, 0.0562, 0.0373, 0.0260),
+        1.1: (0.1581, 0.0465, 0.1526, 0.0382, 0.0531),
+        1.2: (0.2202, 0.0474, 0.2089, 0.0389, 0.0731),
+        1.3: (0.2810, 0.0485, 0.2647, 0.0397, 0.0981),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", THEORETICAL_NULL_PRICE)
+def test_exact_price_of_the_theoretical_null(name, capfd):
+    alpha = 0.1
+    m, table = THEORETICAL_NULL_PRICE[name]
+    rules = (oracle_pvalue_rule(m, alpha), oracle_lfdr_rule(m, alpha))
+    mfdrs = []
+    for s0, want in table.items():
+        true = TwoGroupModel(m.p0, GaussianComponent(0.0, s0), m.nonnull)
+        got = tuple(rate(true, rule.region) for rule in rules for rate in (mfdr_of_region, mfnr_of_region))
+        got += (oracle_lfdr_rule(true, alpha).mfnr,)
+        with capfd.disabled():
+            print(f"[THEORETICAL NULL] {name}, s0 = {s0}: p-value rule mFDR {got[0]:.3f} mFNR {got[1]:.3f}, "
+                  f"lfdr rule mFDR {got[2]:.3f} mFNR {got[3]:.3f}, true oracle mFNR {got[4]:.3f}", flush=True)
+        assert_allclose(got, want, rtol=0.0, atol=5e-4)
+        # a null wider than assumed pushes the nominal rules past alpha
+        assert (got[0] > alpha, got[2] > alpha) == (s0 > 1.0, s0 > 1.0)
+        mfdrs.append((got[0], got[2]))
+    assert np.all(np.diff(mfdrs, axis=0) > 0.0)
