@@ -37,7 +37,6 @@ from .errors import (
     DegenerateMarginal,
     FullRegion,
     Infeasible,
-    InvalidModel,
     LengthMismatch,
     LfdrLabError,
     NotEnoughData,
@@ -151,12 +150,9 @@ def _build_model(p0: float, components: list) -> TwoGroupModel:
     total = p0 + sum(w for w, _, _ in components)
     if not abs(total - 1.0) <= 1e-9:  # true on nan
         raise CliError(EXIT_PARAMS, f"weights sum to {total!r}, must be 1 within 1e-9")
-    # nudge p0 so the model invariant (1e-12) holds exactly
-    p0_exact = 1.0 - sum(w for w, _, _ in components)
-    try:
-        return mixture_model(p0_exact, components)
-    except InvalidModel as exc:
-        raise CliError(EXIT_PARAMS, str(exc))
+    # nudge p0 so the model invariant (1e-12) holds exactly; a model the
+    # library refuses raises InvalidModel, which main reports with exit 4
+    return mixture_model(1.0 - sum(w for w, _, _ in components), components)
 
 
 def _csv(header: str, rows) -> str:
@@ -221,7 +217,8 @@ def _finish(command: str, manifest, files: dict, parameters: dict, inputs: list,
     """Write ``files`` ({path: text}, in order), then the manifest that
     records them at ``manifest``: by default beside the first file, else
     ``<command>_manifest.json``.  A failed write removes every file this
-    run wrote."""
+    run wrote.  ``simulate`` calls this itself; the other commands call it
+    through ``_record``, from the ``_RECORDED`` table."""
     record = {"command": command, "inputs": inputs, "outputs": list(files),
               "parameters": parameters, "seed": seed, "tool_version": __version__}
     if manifest is None:
@@ -239,6 +236,24 @@ def _finish(command: str, manifest, files: dict, parameters: dict, inputs: list,
         raise
 
 
+# what analyze, oracle and estimate-null record in their manifests, and so
+# what replay passes back to them: whether the command reads an input file,
+# the options it records under "parameters", and the flag of its output file
+_RECORDED = {
+    "analyze": (True, ("alpha", "procedure", "null"), "--out"),
+    "oracle": (False, ("p0", "components", "alpha"), "--csv"),
+    "estimate-null": (True, (), None),
+}
+
+
+def _record(args, files: dict):
+    """Write ``files`` and the manifest of ``args.command``, recording the
+    input file and the options that ``_RECORDED`` names for it."""
+    reads, options, _ = _RECORDED[args.command]
+    _finish(args.command, args.manifest, files, {key: getattr(args, key) for key in options},
+            [args.input] if reads else [])
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -252,8 +267,7 @@ def cmd_analyze(args) -> int:
     null = GaussianComponent(0.0, 1.0) if args.null == "theoretical" else None
     procedure = _ANALYZE_PROCEDURES[args.procedure]
     text = decision_table_csv(z, decide(z, (procedure,), args.alpha, null)[procedure])
-    _finish("analyze", args.manifest, {args.out: text} if args.out else {},
-            {"alpha": args.alpha, "procedure": args.procedure, "null": args.null}, [args.input])
+    _record(args, {args.out: text} if args.out else {})
     if not args.out:
         sys.stdout.write(text)
     return EXIT_OK
@@ -268,9 +282,10 @@ def _region_text(rule: OracleRule) -> str:
     return " u ".join(parts) if parts else "(empty)"
 
 
-def _rule_report(name: str, rule: OracleRule | None, note: str = "") -> str:
-    if rule is None:
-        return f"{name}\n  infeasible: {note}\n"
+def _rule_report(name: str, rule: OracleRule | LfdrLabError) -> str:
+    """``rule``'s threshold, region and rates, or the reason it has none."""
+    if isinstance(rule, LfdrLabError):
+        return f"{name}\n  infeasible: {rule}\n"
     return (
         f"{name}\n"
         f"  threshold = {_fmt6(rule.threshold)}\n"
@@ -285,32 +300,29 @@ def cmd_oracle(args) -> int:
 
     components = parse_components(args.components) if args.components else []
     model = _build_model(args.p0, components)
-    rules = {}
-    notes = {}
+    rules = {}  # each rule, or the Infeasible or FullRegion that says why there is none
     for kind, solver in (("pvalue", oracle_pvalue_rule), ("lfdr", oracle_lfdr_rule)):
         try:
             rules[kind] = solver(model, args.alpha)
         except (Infeasible, FullRegion) as exc:
-            rules[kind] = None
-            notes[kind] = str(exc)
+            rules[kind] = exc
 
     report = io.StringIO()
     report.write(f"two-group model: p0 = {_fmt6(model.p0)}, null = N({_fmt6(model.null.mean)}, {_fmt6(model.null.sd)}^2)\n")
     for w, c in model.nonnull:
         report.write(f"  nonnull: w = {_fmt6(w)}, N({_fmt6(c.mean)}, {_fmt6(c.sd)}^2)\n")
     report.write(f"target mFDR = {_fmt6(args.alpha)}\n\n")
-    report.write(_rule_report("p-value oracle rule", rules["pvalue"], notes.get("pvalue", "")))
-    report.write(_rule_report("lfdr oracle rule", rules["lfdr"], notes.get("lfdr", "")))
+    report.write(_rule_report("p-value oracle rule", rules["pvalue"]))
+    report.write(_rule_report("lfdr oracle rule", rules["lfdr"]))
 
     files = {}
     if args.csv:
-        rows = [(kind, "", "", "", "infeasible") if rule is None else
+        rows = [(kind, "", "", "", "infeasible") if isinstance(rule, LfdrLabError) else
                 (kind, rule.threshold, rule.mfdr, rule.mfnr,
                  ";".join(f"{lo!r}:{hi!r}" for lo, hi in rule.region.intervals))
                 for kind, rule in rules.items()]
         files[args.csv] = _csv("kind,threshold,mfdr,mfnr,region", rows)
-    _finish("oracle", args.manifest, files,
-            {"p0": args.p0, "components": args.components, "alpha": args.alpha}, [])
+    _record(args, files)
     sys.stdout.write(report.getvalue())
     return EXIT_OK
 
@@ -352,7 +364,19 @@ _SIM_KEYS = _STUDY_KEYS | {"rho", "procedures"}
 _FIGURES = ("1a", "1b", "1c", "1d", "2", "concentrated")
 
 
+def _number(key: str, value) -> float:
+    """``value`` as a float; float() would also read a string such as
+    "0.1" and a boolean, which JSON holds apart from numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(EXIT_INPUT, f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_sim_config(cfg: dict) -> SimConfig:
+    """The study that ``cfg`` sets out.  Only what JSON leaves open is read
+    here: the two forms of ``components``, ``p0`` and each component entry
+    as numbers, and a whole-number float count such as 100.0 as an int.
+    SimConfig checks every other setting."""
     from .simulation import PROCEDURES, SimConfig
 
     missing = _STUDY_KEYS - set(cfg)
@@ -361,37 +385,17 @@ def _parse_sim_config(cfg: dict) -> SimConfig:
     comps = cfg["components"]
     if isinstance(comps, str):
         comps = parse_components(comps)
+    elif isinstance(comps, list) and all(isinstance(c, list) and len(c) == 3 for c in comps):
+        comps = [tuple(_number("each entry of components", x) for x in c) for c in comps]
     else:
-        try:
-            comps = [tuple(float(x) for x in c) for c in comps]
-        except (TypeError, ValueError):
-            raise CliError(EXIT_INPUT, "components must be [[w, mean, sd], ...] or 'w:mean:sd,...'")
-        if any(len(c) != 3 for c in comps):
-            raise CliError(EXIT_INPUT, "each component needs exactly (w, mean, sd)")
-    # int() and float() would read a string such as "100", truncate a
-    # fraction and pass a boolean
-    for key in ("p0", "m", "reps", "alpha", "seed", "rho"):
-        value = cfg.get(key, 0.0)
-        whole = key in ("m", "reps", "seed")
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or (whole and isinstance(value, float) and not value.is_integer())):
-            raise CliError(EXIT_INPUT, f"{key} must be a {'whole ' if whole else ''}number, got {value!r}")
-    # a string goes on to SimConfig, which refuses it by name
-    procedures = cfg.get("procedures", PROCEDURES)
-    if not isinstance(procedures, (str, list, tuple)) or not all(isinstance(p, str) for p in procedures):
-        raise CliError(EXIT_INPUT, f"procedures must be a list of names, got {procedures!r}")
-    model = _build_model(float(cfg["p0"]), comps)
+        raise CliError(EXIT_INPUT, "components must be [[w, mean, sd], ...] or 'w:mean:sd,...'")
+    model = _build_model(_number("p0", cfg["p0"]), comps)
+    counts = {key: int(cfg[key]) if isinstance(cfg[key], float) and cfg[key].is_integer() else cfg[key]
+              for key in ("m", "reps", "seed")}
     try:
-        return SimConfig(
-            model=model,
-            m=int(cfg["m"]),
-            reps=int(cfg["reps"]),
-            alpha=float(cfg["alpha"]),
-            seed=int(cfg["seed"]),
-            rho=float(cfg.get("rho", 0.0)),
-            procedures=procedures,
-        )
-    except (TypeError, ValueError) as exc:
+        return SimConfig(model=model, alpha=cfg["alpha"], rho=cfg.get("rho", 0.0),
+                         procedures=cfg.get("procedures", PROCEDURES), **counts)
+    except ValueError as exc:
         raise CliError(EXIT_INPUT, f"bad config: {exc}")
 
 
@@ -454,7 +458,7 @@ def cmd_estimate_null(args) -> int:
         f"t_star     = {_fmt6(est.t_star)}\n"
         f"|psi(t*)|  = {_fmt6(est.cf_magnitude_at_t_star)}\n"
     ) + _csv("p0_hat,u0_hat,sigma0_hat,t_star,cf_magnitude_at_t_star", [astuple(est)])
-    _finish("estimate-null", args.manifest, {}, {}, [args.input])
+    _record(args, {})
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -473,6 +477,9 @@ def _manifest_entry(entries, key, name: str):
 
 
 def cmd_replay(args) -> int:
+    """Re-run the command a manifest records: ``simulate`` from its config,
+    any other from the input, options and output file that ``_RECORDED``
+    names for it."""
     try:
         data = json.loads(Path(args.manifest_file).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
@@ -488,31 +495,20 @@ def cmd_replay(args) -> int:
     for key, paths in (("inputs", inputs), ("outputs", outputs)):
         if not (isinstance(paths, list) and all(isinstance(path, str) for path in paths)):
             raise CliError(EXIT_INPUT, f"manifest {key!r} must be a list of paths")
-    if command == "analyze":
-        argv = ["analyze", _manifest_entry(inputs, 0, "inputs")]
-        for key in ("alpha", "procedure", "null"):
-            argv += [f"--{key}", str(_manifest_entry(params, key, "parameters"))]
-        if outputs:
-            argv += ["--out", outputs[0]]
-        argv += ["--manifest", args.manifest_file]
-    elif command == "oracle":
-        argv = ["oracle"]
-        for key in ("p0", "alpha"):
-            argv += [f"--{key}", str(_manifest_entry(params, key, "parameters"))]
-        if params.get("components"):
-            argv += ["--components", str(params["components"])]
-        if outputs:
-            argv += ["--csv", outputs[0]]
-        argv += ["--manifest", args.manifest_file]
-    elif command == "simulate":
+    if command == "simulate":
         config = _manifest_entry(params, "config", "parameters")
         outdir = Path(outputs[0]).parent if outputs else Path(args.manifest_file).parent
         return _simulate(config, inputs, outdir)
-    elif command == "estimate-null":
-        argv = ["estimate-null", _manifest_entry(inputs, 0, "inputs"), "--manifest", args.manifest_file]
-    else:
+    if not (isinstance(command, str) and command in _RECORDED):
         raise CliError(EXIT_INPUT, f"manifest has unknown command {command!r}")
-    return main(argv)
+    reads, options, out_flag = _RECORDED[command]
+    # each value after "=" and the input after "--", so that a value or path
+    # starting with "-" is read as no flag
+    tail = ["--", _manifest_entry(inputs, 0, "inputs")] if reads else []
+    argv = [command, *(f"--{key}={_manifest_entry(params, key, 'parameters')}" for key in options)]
+    if out_flag and outputs:
+        argv.append(f"{out_flag}={outputs[0]}")
+    return main([*argv, f"--manifest={args.manifest_file}", *tail])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ results are bit-identical for a given config.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -52,7 +53,15 @@ def eq1_default_model() -> TwoGroupModel:
 
 @dataclass
 class SimConfig:
-    """Settings for one replicated simulation study."""
+    """Settings for one replicated simulation study.
+
+    Every setting is checked here, and a bad one raises ``ValueError``
+    naming it: ``procedures`` must be a list or tuple of known procedure
+    names, at least one; ``m``, ``reps`` and ``seed`` must be Python or NumPy
+    integers, ``m`` and ``reps`` at least 1; ``alpha`` must be a real number
+    in (0, 1) and ``rho`` one in [0, 1).  No setting may be a bool.  Counts
+    are stored as ``int``, ``alpha`` and ``rho`` as ``float``.
+    """
 
     model: TwoGroupModel
     m: int
@@ -64,19 +73,17 @@ class SimConfig:
 
     def __post_init__(self):
         if isinstance(self.procedures, str):
-            raise ValueError(
-                f"procedures must be a sequence of names, not the string {self.procedures!r}"
-            )
+            raise ValueError(f"procedures must be a sequence of names, not the string {self.procedures!r}")
+        if not (isinstance(self.procedures, (list, tuple)) and all(isinstance(p, str) for p in self.procedures)):
+            raise ValueError(f"procedures must be a list of names, got {self.procedures!r}")
         self.procedures = tuple(self.procedures)
-        # operator.index takes Python and numpy integers and refuses floats
-        for key in ("m", "reps", "seed"):
+        for key in ("m", "reps", "seed", "alpha", "rho"):
             value = getattr(self, key)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                setattr(self, key, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{key} must be an integer, got {value!r}") from None
+            count = key in ("m", "reps", "seed")
+            # a bool is an int to Python, and a NumPy integer is Integral
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral if count else numbers.Real):
+                raise ValueError(f"{key} must be {'an integer' if count else 'a number'}, got {value!r}")
+            setattr(self, key, operator.index(value) if count else float(value))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.reps < 1:

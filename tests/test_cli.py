@@ -25,6 +25,7 @@ from lfdr_lab import (
     two_sided_pvalue,
 )
 from lfdr_lab.cli import _CSV_CHUNK, CliError, _cells, decision_table_csv, main, read_z_file
+from lfdr_lab.errors import LengthMismatch
 from lfdr_lab.procedures import DecisionTable, decide
 from lfdr_lab.simulation import eq1_default_model
 
@@ -290,6 +291,16 @@ class TestAnalyze:
         assert run(["replay", manifest]) == 0
         assert out.read_bytes() == first
 
+    def test_replay_of_input_path_starting_with_dash(self, null_file, tmp_path, monkeypatch):
+        # the recorded path must reach analyze as its input, not as a flag
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-z.txt").write_bytes(null_file.read_bytes())
+        assert run(["analyze", "--out", "dec.csv", "--manifest", "m.json", "--", "-z.txt"]) == 0
+        first = (tmp_path / "dec.csv").read_bytes()
+        (tmp_path / "dec.csv").unlink()
+        assert run(["replay", "m.json"]) == 0
+        assert (tmp_path / "dec.csv").read_bytes() == first
+
 
 # the edges of the layout orjson shares with repr: the zeros, the smallest
 # subnormal, 1e-4 and 1e16 with their neighbours, and the largest double
@@ -334,6 +345,12 @@ class TestCsvNumbers:
         table = decide(z, ("bh",), 0.1, GaussianComponent(0.0, 1.0))["bh"]
         strided = DecisionTable(table.rejected, table.k, pvalue=np.repeat(table.pvalue, 2)[::2])
         assert decision_table_csv(z, strided).encode() == _repr_csv(z, table)
+
+    def test_z_and_table_of_different_lengths(self):
+        z = np.random.default_rng(3).normal(size=20)
+        table = decide(z, ("bh",), 0.1, GaussianComponent(0.0, 1.0))["bh"]
+        with pytest.raises(LengthMismatch, match="^19 z-values for 20 decisions$"):
+            decision_table_csv(z[1:], table)
 
     @staticmethod
     def _check(tmp_path, z, procedure, null):
@@ -562,6 +579,14 @@ class TestOracle:
         assert run(["oracle", "--p0", "0.9", "--components", "0.2:3:1",
                     "--alpha", "0.10", "--manifest", tmp_path / "m.json"]) == 4
 
+    def test_negative_sd_is_invalid(self, tmp_path, capsys):
+        # the library refuses the model: exit 4, named, no traceback
+        manifest = tmp_path / "m.json"
+        assert run(["oracle", "--p0", "0.9", "--components", "0.1:2:-1",
+                    "--alpha", "0.10", "--manifest", manifest]) == 4
+        assert capsys.readouterr().err == "error: component sd must be positive, got -1.0\n"
+        assert not manifest.exists()
+
     def test_nan_p0_is_invalid(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
         assert run(["oracle", "--p0", "nan", "--components", "0.2:3:1",
@@ -606,6 +631,17 @@ class TestOracle:
         csv_path = tmp_path / "rules.csv"
         manifest = tmp_path / "m.json"
         assert run(["oracle", "--p0", "0.9", "--components", "0.1:4:1",
+                    "--alpha", "0.05", "--csv", csv_path, "--manifest", manifest]) == 0
+        first = csv_path.read_bytes()
+        csv_path.unlink()
+        assert run(["replay", manifest]) == 0
+        assert csv_path.read_bytes() == first
+
+    def test_replay_of_components_starting_with_dash(self, tmp_path, capsys):
+        # the recorded spec must reach --components as its value, not as a flag
+        csv_path = tmp_path / "rules.csv"
+        manifest = tmp_path / "m.json"
+        assert run(["oracle", "--p0", "0.9", "--components=-0:3:1,0.1:4:1",
                     "--alpha", "0.05", "--csv", csv_path, "--manifest", manifest]) == 0
         first = csv_path.read_bytes()
         csv_path.unlink()
@@ -732,16 +768,17 @@ class TestSimulate:
         }))
         outdir = tmp_path / "out"
         assert run(["simulate", "--config", cfg, "--out", outdir]) == 2
-        assert f"{key} must be a whole number, got {value!r}" in capsys.readouterr().err
+        assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
         assert not outdir.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("p0", "0.8"), ("m", "100"), ("m", "100.7"), ("reps", "2"), ("alpha", "0.1"),
         ("seed", "1"), ("rho", "0.5"), ("p0", True), ("alpha", False), ("rho", True), ("alpha", None),
+        ("components", [["0.2", 4, 1]]), ("components", [[0.2, True, 1]]), ("components", [[0.2, 4, None]]),
     ])
     def test_non_number_is_config_error(self, tmp_path, capsys, key, value):
         # float() and int() would run "0.1" or "100" and record the string;
-        # a boolean or null is no number either
+        # a boolean or null is no number either, nor is one in a component
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "p0": 0.8, "components": "0.2:4:1", "m": 100, "reps": 2,
@@ -749,7 +786,9 @@ class TestSimulate:
         }))
         outdir = tmp_path / "out"
         assert run(["simulate", "--config", cfg, "--out", outdir]) == 2
-        kind = "a whole number" if key in ("m", "reps", "seed") else "a number"
+        kind = "an integer" if key in ("m", "reps", "seed") else "a number"
+        if key == "components":
+            key, value = "each entry of components", next(x for x in value[0] if type(x) not in (int, float))
         assert f"{key} must be {kind}, got {value!r}" in capsys.readouterr().err
         assert not outdir.exists()
 
@@ -759,6 +798,23 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
         cfg.write_text(json.dumps({"p0": 0.8}))
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+    @pytest.mark.parametrize("text, names", [
+        (None, "cannot read config: "),
+        ("[0.8]", "config must be a JSON object"),
+        ('{"p0": 0.8, "components": [[0.2, 4]], "m": 100, "reps": 2, "alpha": 0.1, "seed": 1}',
+         "components must be [[w, mean, sd], ...] or 'w:mean:sd,...'"),
+        ('{"p0": 0.8, "components": [0.2, 4, 1], "m": 100, "reps": 2, "alpha": 0.1, "seed": 1}',
+         "components must be [[w, mean, sd], ...] or 'w:mean:sd,...'"),
+    ], ids=["missing-file", "list", "pair", "flat-triple"])
+    def test_config_that_sets_out_no_study_is_input_error(self, tmp_path, capsys, text, names):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        outdir = tmp_path / "o"
+        assert run(["simulate", "--config", cfg, "--out", outdir]) == 2
+        assert names in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         # a misspelt "rho" would otherwise run an independent study
@@ -926,11 +982,18 @@ class TestReplay:
         ({"command": "estimate-null", "inputs": "z.txt"}, "'inputs' must be a list"),
         ({"command": "oracle", "parameters": [0.8]}, "'parameters' must be a JSON object"),
         ({"command": "simulate"}, "'parameters' has no entry 'config'"),
+        ({"command": "oracle", "parameters": {"p0": 1.0, "alpha": 0.1}},
+         "'parameters' has no entry 'components'"),
+        ({"command": "bogus"}, "manifest has unknown command 'bogus'"),
+        ({"command": ["analyze"]}, "manifest has unknown command ['analyze']"),
+        (None, "cannot load manifest: "),
     ], ids=["analyze-no-inputs", "analyze-no-procedure", "list", "estimate-null-empty-inputs",
-            "string-inputs", "list-parameters", "simulate-no-config"])
+            "string-inputs", "list-parameters", "simulate-no-config", "oracle-no-components",
+            "unknown-command", "list-command", "missing-file"])
     def test_malformed_manifest_is_input_error(self, tmp_path, capsys, manifest, names):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(manifest))
+        if manifest is not None:
+            path.write_text(json.dumps(manifest))
         assert run(["replay", path]) == 2
         assert names in capsys.readouterr().err
 

@@ -351,3 +351,13 @@ def test_star_import_binds_every_export_and_lazy_submodules_resolve():
     assert out.stdout.split() == ["True", "59", "lfdr_lab.simulation", "True"]
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         lfdr_lab.no_such_name
+
+
+def test_lazy_submodule_loads_on_attribute_access():
+    # a fresh process, where nothing has imported oracle yet: reading the
+    # package's attribute imports the submodule through __getattr__
+    code = ("import sys, lfdr_lab\n"
+            "print('lfdr_lab.oracle' in sys.modules, lfdr_lab.oracle.__name__,\n"
+            "      lfdr_lab.oracle is sys.modules['lfdr_lab.oracle'])\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "lfdr_lab.oracle", "True"]

@@ -90,6 +90,11 @@ class TestRejectionRegion:
 
 
 class TestRegionFromPvalueThreshold:
+    @pytest.mark.parametrize("t", [0.0, 1.0, math.nan])
+    def test_threshold_outside_open_unit_interval_is_refused(self, t):
+        with pytest.raises(ValueError, match=rf"^p-value threshold must be in \(0, 1\), got {t}$"):
+            region_from_pvalue_threshold(STD, t)
+
     def test_near_one_covers_the_line(self):
         r = region_from_pvalue_threshold(STD, 1.0 - 1e-9)
         (lo1, hi1), (lo2, hi2) = r.intervals
@@ -120,6 +125,11 @@ class TestRegionFromPvalueThreshold:
 
 
 class TestRegionFromLfdrThreshold:
+    @pytest.mark.parametrize("lam", [0.0, 1.0, math.nan])
+    def test_threshold_outside_open_unit_interval_is_refused(self, lam):
+        with pytest.raises(ValueError, match=rf"^lfdr threshold must be in \(0, 1\), got {lam}$"):
+            region_from_lfdr_threshold(symmetric_model(), lam)
+
     def test_pure_null_empty(self):
         m = mixture_model(1.0, [])
         assert region_from_lfdr_threshold(m, 0.5).is_empty
@@ -166,6 +176,14 @@ class TestRegionRates:
     def test_full_region_mfnr_raises(self):
         with pytest.raises(FullRegion):
             mfnr_of_region(fig2_model(), RejectionRegion(((-math.inf, math.inf),)))
+
+    def test_massless_region_raises(self):
+        # [60, 61] lies 57 sd past every component: its mass underflows to 0
+        far = RejectionRegion(((60.0, 61.0),))
+        with pytest.raises(EmptyRegion, match="^rejection region carries no probability mass$"):
+            mfdr_of_region(symmetric_model(), far)
+        with pytest.raises(FullRegion, match="^acceptance set carries no probability mass$"):
+            mfnr_of_region(symmetric_model(), far.complement())
 
     def test_empty_rejection_mfnr_is_nonnull_proportion(self):
         m = symmetric_model()

@@ -224,14 +224,26 @@ class TestRunReplicated:
             SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, procedures=())
         with pytest.raises(ValueError, match="not the string 'bh'"):
             SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, procedures="bh")
+        # a dict would run its keys, and a nested list fail on hashing
+        for procedures in ({"bh": 7}, [["bh"]]):
+            with pytest.raises(ValueError, match=f"^procedures must be a list of names, got {re.escape(repr(procedures))}$"):
+                SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, procedures=procedures)
 
     @pytest.mark.parametrize("key, value", [("m", 200.5), ("m", True), ("m", 200.0), ("m", "200"),
                                             ("reps", 2.5), ("reps", np.float64(2.0)), ("seed", 1.5),
-                                            ("seed", False)])
+                                            ("seed", False), ("alpha", "0.1"), ("alpha", None),
+                                            ("rho", "0"), ("rho", False), ("rho", np.bool_(True))])
     def test_counts_must_be_integers(self, key, value):
+        # and alpha and rho real numbers: a comparison would raise TypeError
+        # on a string, and a bool would be stored as it is
         settings = {"model": PURE_NULL, "m": 200, "reps": 2, "alpha": 0.1, "seed": 1, key: value}
-        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {re.escape(repr(value))}$"):
+        kind = "a number" if key in ("alpha", "rho") else "an integer"
+        with pytest.raises(ValueError, match=f"^{key} must be {kind}, got {re.escape(repr(value))}$"):
             SimConfig(**settings)
+
+    def test_real_alpha_and_rho_are_floats(self):
+        config = SimConfig(model=PURE_NULL, m=200, reps=2, alpha=np.float32(0.25), seed=1, rho=0)
+        assert [(v, type(v)) for v in (config.alpha, config.rho)] == [(0.25, float), (0.0, float)]
 
     def test_numpy_integer_counts_are_python_ints(self):
         config = SimConfig(model=PURE_NULL, m=np.int32(200), reps=np.uint8(2), alpha=0.1,
