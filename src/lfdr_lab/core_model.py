@@ -133,23 +133,33 @@ def _components(m: TwoGroupModel) -> np.ndarray:
 
 def _log_terms(comps: np.ndarray, z):
     """log(w_c * f_c(z)) for every row of ``comps``, stacked on a leading
-    axis over the shape of ``z``."""
+    axis over the shape of ``z``: a new array, never a view of ``z``."""
     z = np.asarray(z, dtype=float)
     _, mean, sd, log_w, log_sd = comps.reshape(comps.shape[:2] + (1,) * z.ndim)
-    u = (z - mean) / sd
-    return log_w + (-0.5 * u * u - log_sd - _LOG_SQRT_2PI)
+    terms = np.subtract(z, mean)
+    terms /= sd
+    terms *= -0.5 * terms  # (-0.5 * u) * u, as a product commutes
+    terms -= log_sd
+    terms -= _LOG_SQRT_2PI
+    terms += log_w
+    return terms
 
 
 def _logsumexp(logs):
-    # stable log-sum-exp; the peak term anchors the scale so 6-sigma
-    # contributions survive
-    peak = logs.max(axis=0)
-    return peak + np.log(np.exp(logs - peak).sum(axis=0))
+    """Stable log-sum-exp over the leading axis, kept as a length-1 axis: the
+    peak anchors the scale so 6-sigma terms survive.  Overwrites ``logs``."""
+    peak = logs.max(axis=0, keepdims=True)
+    logs -= peak
+    total = np.exp(logs, out=logs).sum(axis=0, keepdims=True)
+    np.log(total, out=total)
+    total += peak
+    return total
 
 
 def marginal_density(m: TwoGroupModel, z):
     """Mixture density p0*f0(z) + sum_j w_j*f_j(z); strictly positive."""
-    return _as_input(z, np.exp(_logsumexp(_log_terms(_components(m), z))))
+    log_f = _logsumexp(_log_terms(_components(m), z))
+    return _as_input(z, np.exp(log_f, out=log_f)[0])
 
 
 def lfdr(m: TwoGroupModel, z):
@@ -160,8 +170,10 @@ def lfdr(m: TwoGroupModel, z):
     ratio never exceeds 1 mathematically because f >= p0*f0 pointwise.
     """
     terms = _log_terms(_components(m), z)
-    log_ratio = terms[0] - _logsumexp(terms)
-    return _as_input(z, np.clip(np.exp(log_ratio), 0.0, 1.0))
+    ratio = terms[:1].copy()
+    ratio -= _logsumexp(terms)
+    np.exp(ratio, out=ratio)
+    return _as_input(z, np.clip(ratio, 0.0, 1.0, out=ratio)[0])
 
 
 def two_sided_pvalue(z, null: GaussianComponent):

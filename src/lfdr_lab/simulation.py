@@ -146,20 +146,30 @@ def sample_correlated(model: TwoGroupModel, m: int, rho: float, seed: int):
     with one shared factor W per replication.
 
     Components are drawn from the cumulative weights of the positive-weight
-    components, so a component of weight 0 is never drawn.
+    components, so a component of weight 0 is never drawn.  A uniform's label
+    counts the cumulative weights at or below it, all but the last: the labels
+    of a right-sided search, in one pass per component.  ``m`` must be an
+    integer >= 0, not a bool; ``m = 0`` gives empty arrays.
     """
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 0:
+        raise ValueError(f"m must be an integer >= 0, got {m!r}")
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must be in [0, 1), got {rho}")
     weights, means, sds = _components(model)[:3, :, 0]
     rng = np.random.default_rng(seed)
-    comp = np.searchsorted(np.cumsum(weights), rng.random(m), side="right")
-    comp = np.minimum(comp, len(means) - 1)  # guard u >= the rounded total weight
+    u = rng.random(m)
+    comp = np.zeros(m, dtype=np.intp)
+    for edge in np.cumsum(weights)[:-1]:
+        comp += u >= edge
     # PCG64 can return exactly 0.0; its smallest nonzero double is 2^-53, so
     # the clamp keeps ndtri finite and leaves every other draw unchanged
     e = ndtri(np.maximum(rng.random(m), 2.0**-53))
     shared = ndtri(np.maximum(rng.random(1), 2.0**-53))[0]
-    noise = math.sqrt(1.0 - rho) * e + math.sqrt(rho) * shared
-    z = means[comp] + sds[comp] * noise
+    e *= math.sqrt(1.0 - rho)
+    e += math.sqrt(rho) * shared
+    e *= sds.take(comp)
+    z = means.take(comp)
+    z += e
     return z, comp > 0
 
 

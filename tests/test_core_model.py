@@ -322,6 +322,78 @@ class TestComponentTable:
             assert np.array_equal(copied_table, core_model._components(make()))
 
 
+def read_only(values) -> np.ndarray:
+    a = np.array(values)
+    a.flags.writeable = False
+    return a
+
+
+def assert_same_result(got, want):
+    """Same type, shape, dtype and bits; DecisionTables field by field, and
+    decide's dicts key by key."""
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same_result(got[key], want[key])
+    elif isinstance(want, procedures.DecisionTable):
+        assert got.k == want.k
+        for name in ("rejected", "pvalue", "lfdr_hat"):
+            assert_same_result(getattr(got, name), getattr(want, name))
+    elif want is not None:
+        assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+SIX_NONNULL = mixture_model(0.7, [(0.05, -4.0, 0.5), (0.08, -2.0, 1.5), (0.0, 1.0, 1.0), (0.03, 1.5, 0.2),
+                                  (0.04, 3.0, 2.0), (0.06, 5.0, 0.8), (0.04, 7.0, 0.3)])
+
+
+class TestKernelsLeaveInputUnwritten:
+    """Kernels that work on arrays they allocate must never write to their
+    argument: every array passed here is read-only, so an in-place step on
+    an alias of it raises."""
+
+    @pytest.mark.parametrize("m", [fig2_model(), SIX_NONNULL])
+    @pytest.mark.parametrize("z", [
+        0.25, read_only(0.4), read_only([]), read_only([[0.05, 0.3, 0.9], [0.001, -6.0, 40.0]]),
+        read_only([0, 1, 1, 0, 1]),
+    ], ids=["float", "0-d", "empty", "2-D", "int"])
+    def test_elementwise_kernels(self, m, z):
+        table = core_model._components(m)
+        before = table.tobytes()
+        writable = np.array(z, dtype=float)
+        # the parent's arithmetic: the component loop, and erfc of |z - u0|/s0
+        want_lfdr, want_f = loop_lfdr_and_density(m, writable)
+        want_p = np.maximum(erfc(np.abs(writable - m.null.mean) / m.null.sd / math.sqrt(2.0)), math.ulp(0.0))
+        for got, want in ((lfdr(m, z), want_lfdr), (marginal_density(m, z), want_f),
+                          (two_sided_pvalue(z, m.null), want_p)):
+            assert_same_result(got, float(want) if np.ndim(z) == 0 else want)
+        assert not table.flags.writeable and table.tobytes() == before
+
+    def test_vector_kernels(self):
+        z = read_only(np.random.default_rng(3).normal(size=300) * 2.0)
+        p = read_only(two_sided_pvalue(z, STD))
+        lfdr_values = read_only(lfdr(fig2_model(), z))
+        calls = [
+            (procedures.decide, z, ("bh", "adaptive_bh", "lfdr"), 0.1, STD),
+            (procedures.decide, z, ("bh", "adaptive_bh", "lfdr"), 0.1, None),
+            (procedures.decide, read_only([0, 1, 1, 0, 1]), ("bh", "adaptive_bh", "lfdr"), 0.1, STD),
+            (procedures.bh_stepup, p, 0.1),
+            (procedures.bh_stepup, read_only([1, 1, 1]), 0.1),
+            (procedures.lfdr_stepup, lfdr_values, 0.1),
+            (procedures.lfdr_stepup, read_only([0, 1, 1, 0, 1]), 0.1),
+        ]
+        for kernel, values, *rest in calls:
+            assert_same_result(kernel(values, *rest), kernel(np.array(values), *rest))
+        empty = read_only([])
+        for kernel, error in ((procedures.decide, errors.EmptyInput), (procedures.bh_stepup, errors.InvalidPValue),
+                              (procedures.lfdr_stepup, errors.InvalidLfdr)):
+            args = (("bh",), 0.1, STD) if kernel is procedures.decide else (0.1,)
+            with pytest.raises(error):
+                kernel(empty, *args)
+
+
 def test_package_exports_the_module_lists():
     # each public name is listed once, in the __all__ of the module that
     # defines it; the oracle's and the simulator's names are absent from

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,11 +6,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import ndtri
 
 from lfdr_lab import (
+    GaussianComponent,
     SimConfig,
+    TwoGroupModel,
     bh_stepup,
     concentrated_alternative_demo,
     confusion,
@@ -24,7 +29,7 @@ from lfdr_lab import (
     sample_model,
     two_sided_pvalue,
 )
-from lfdr_lab import simulation
+from lfdr_lab import core_model, simulation
 from lfdr_lab.cli import main as cli_main
 
 PURE_NULL = mixture_model(1.0, [])
@@ -132,6 +137,108 @@ class TestSampleCorrelated:
     def test_invalid_rho(self):
         with pytest.raises(ValueError):
             sample_correlated(PURE_NULL, 10, 1.0, 0)
+
+    @pytest.mark.parametrize("m", [-1, 2.5, 3.0, True, False, "3", None, np.float64(2.0)])
+    def test_m_must_be_a_count(self, m):
+        # numpy would refuse -1 as a negative dimension and 2.5 with a
+        # TypeError about sequences, and take a bool as 0 or 1
+        for draw in (lambda: sample_correlated(PURE_NULL, m, 0.5, 0), lambda: sample_model(PURE_NULL, m, 0)):
+            with pytest.raises(ValueError, match=f"^m must be an integer >= 0, got {re.escape(repr(m))}$"):
+                draw()
+
+    def test_m_zero_and_numpy_integers(self):
+        for draw in (sample_model, lambda model, m, seed: sample_correlated(model, m, 0.5, seed)):
+            z, nonnull = draw(eq1_default_model(), 0, 1)
+            assert (z.shape, z.dtype, nonnull.shape, nonnull.dtype) == ((0,), np.float64, (0,), np.bool_)
+            for m in (np.int32(5), np.uint8(5)):
+                assert_array_equal(draw(eq1_default_model(), m, 1)[0], draw(eq1_default_model(), 5, 1)[0])
+
+
+# the three models whose draws are pinned: eq1, figure 2 at p1 = 0.15, and six
+# nonnull components of unequal sd with a row of weight 0
+PINNED_DRAW_MODELS = {
+    "eq1": eq1_default_model(),
+    "figure2_p1_0.15": simulation._figure2_model(0.15),
+    "six_nonnull": mixture_model(0.7, [(0.05, -4.0, 0.5), (0.08, -2.0, 1.5), (0.0, 1.0, 1.0), (0.03, 1.5, 0.2),
+                                       (0.04, 3.0, 2.0), (0.06, 5.0, 0.8), (0.04, 7.0, 0.3)]),
+}
+
+
+def draw_digest(model) -> str:
+    h = hashlib.sha256()
+    for rho in (0.0, 0.5):
+        for m in (1, 777):
+            for k in range(3):
+                z, nonnull = sample_correlated(model, m, rho, rep_seed(2008, k))
+                h.update(z.tobytes())
+                h.update(nonnull.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, want", [
+    ("eq1", "3ace3508afceee453ddfc34bc0ca94a506f55658098b71dbefd082deac3749a2"),
+    ("figure2_p1_0.15", "1cca77903a495bb2df7ab481108ac527bb18f9e87659b6b8c75348f7e72a7917"),
+    ("six_nonnull", "70047fbe28e60e82582a04e0b2de01a369c11a6bf35a3fb622bd0ec9fb6b36a8"),
+])
+def test_draw_bits_pinned(name, want):
+    # the digests are of the draws made while labels came from a binary
+    # search of the cumulative weights
+    assert draw_digest(PINNED_DRAW_MODELS[name]) == want
+
+
+@pytest.mark.parametrize("rho, procedures, want", [
+    (0.0, ("lfdr_estimated",), "327b42e7b91bc8220444e9c317d0984e9308ba6aafebe1de33b34b4c5eed1377"),
+    (0.5, ("bh", "adaptive_bh", "lfdr_oracle_plugin"), "90f7a55e3f89b824e3d7d2746d200f0c93d97fbc2455ca91a583e545542b77f4"),
+])
+def test_replication_study_bits_pinned(rho, procedures, want):
+    # the benchmark's two replication studies (eq1, m = 5000, alpha 0.1) at
+    # three replications, by the repr of every rate
+    config = SimConfig(model=eq1_default_model(), m=5000, reps=3, alpha=0.1, seed=20081000, rho=rho,
+                       procedures=procedures)
+    assert hashlib.sha256(repr(run_replicated(config)).encode()).hexdigest() == want
+
+
+class ScriptedUniforms:
+    """A generator whose first draw is ``u`` and every later one 0.5, so
+    that the noise is ndtri(0.5) = 0 and each z is its component's mean."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        u, self.u = self.u, None
+        return np.full(n, 0.5) if u is None else u
+
+
+@st.composite
+def weights_and_uniforms(draw):
+    """Up to 40 component weights, some tiny (down to 1e-300) or 0, and
+    uniforms at 0, at each cumulative weight and one ulp either side of it,
+    at 1 - 2^-53, and some drawn freely."""
+    raw = draw(st.lists(st.just(0.0) | st.floats(1e-300, 1e-250) | st.floats(1e-6, 1.0), max_size=39))
+    scale = draw(st.floats(0.0, 0.99)) / sum(raw) if sum(raw) > 0.0 else 0.0
+    nonnull = [r * scale for r in raw]
+    model = TwoGroupModel(1.0 - sum(nonnull), GaussianComponent(0.0, 1.0),
+                          tuple((w, GaussianComponent(float(j + 1), 1.0)) for j, w in enumerate(nonnull)))
+    edges = np.cumsum(core_model._components(model)[0, :, 0])
+    u = [0.0, 1.0 - 2.0**-53, *draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))]
+    for edge in edges:
+        u += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)]
+    return model, np.array([x for x in u if 0.0 <= x < 1.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=weights_and_uniforms())
+@example(case=(mixture_model(0.5, [(0.5 - 9e-13, 1.0, 1.0), (0.0, 50.0, 1.0)]), np.array([0.5 - 2.0**-54, 0.5, 1.0 - 2.0**-53])))
+def test_labels_are_those_of_a_right_sided_search(case):
+    model, u = case
+    weights, means = core_model._components(model)[:2, :, 0]
+    want = np.minimum(np.searchsorted(np.cumsum(weights), u, side="right"), weights.size - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation.np.random, "default_rng", lambda seed: ScriptedUniforms(u.copy()))
+        z, nonnull = sample_correlated(model, u.size, 0.0, 1)
+    assert_array_equal(z, means[want])
+    assert_array_equal(nonnull, want > 0)
 
 
 class TestRepSeed:
