@@ -13,7 +13,7 @@ access, through the module ``__getattr__``.  So an analysis under an
 estimated null never imports scipy.  Each module's ``__all__`` is the one
 list of what it exports; ``_LAZY`` names those of ``oracle`` and
 ``simulation`` again, since they cannot be read without importing scipy.
-The package's ``__all__`` joins them: 59 exports.
+The package's ``__all__`` joins them: 58 exports.
 """
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ from .errors import (
     LfdrLabError,
     NotEnoughData,
 )
-from .estimation import estimate_null_ecf
+from .estimation import _vector, estimate_null_ecf
 from .procedures import DecisionTable, decide
 
 # oracle and simulation import scipy.special: the commands that need them
@@ -185,11 +185,11 @@ def _cells(values: np.ndarray) -> list:
 def decision_table_csv(z, table: DecisionTable) -> str:
     """``index,z,pvalue,lfdr_hat,reject`` rows in input order, floats at
     full precision; the column of the statistic the rule did not rank is
-    blank."""
-    m = table.rejected.size
-    if len(z) != m:
-        raise LengthMismatch(f"{len(z)} z-values for {m} decisions")
-    columns = [np.asarray(z, dtype=float), table.pvalue, table.lfdr_hat]
+    blank.  ``z`` must be a 1-D vector as long as the table."""
+    z, m = _vector(z, "z-values"), table.rejected.size
+    if z.size != m:
+        raise LengthMismatch(f"{z.size} z-values for {m} decisions")
+    columns = [z, table.pvalue, table.lfdr_hat]
     chunks = ["index,z,pvalue,lfdr_hat,reject\n"]
     for lo in range(0, m, _CSV_CHUNK):
         hi = min(lo + _CSV_CHUNK, m)

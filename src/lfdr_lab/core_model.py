@@ -14,8 +14,8 @@ far-tail arithmetic (six-sigma terms and beyond) stays accurate.
 
 This module also owns the package's one array form of a mixture,
 ``_components``: a table of the positive-weight components, null first,
-that the lfdr and density functions here, the oracle's masses, scan grid
-and lfdr slopes, and the samplers all read.  Each model builds it once,
+that the lfdr function here, the oracle's masses, scan grid and lfdr
+slopes, and the samplers all read.  Each model builds it once,
 read-only, when it is made, so those callers share one table; copies and
 pickles rebuild the model through its constructor, which checks it again.
 """
@@ -34,7 +34,6 @@ __all__ = [
     "GaussianComponent",
     "TwoGroupModel",
     "gaussian_pdf",
-    "marginal_density",
     "lfdr",
     "two_sided_pvalue",
     "mixture_model",
@@ -154,12 +153,6 @@ def _logsumexp(logs):
     np.log(total, out=total)
     total += peak
     return total
-
-
-def marginal_density(m: TwoGroupModel, z):
-    """Mixture density p0*f0(z) + sum_j w_j*f_j(z); strictly positive."""
-    log_f = _logsumexp(_log_terms(_components(m), z))
-    return _as_input(z, np.exp(log_f, out=log_f)[0])
 
 
 def lfdr(m: TwoGroupModel, z):

@@ -54,6 +54,10 @@ The estimate is that table: ``starts`` and ``cells`` per segment, ``values``,
 ``bandwidth`` (spacing h/100) and ``data``; ``grid`` is derived from it.
 ``_Sample`` is the one place a sample is prepared: checked finite, sorted
 and centred once.  ``decide`` hands one record to both estimators.
+``_vector`` is the one place a caller's vector is converted: the sample, the
+p-values, the lfdr values, the truth flags, the z column of a decision CSV
+and a density table's data all enter through it, and any shape but 1-D is
+refused by name.
 """
 
 from __future__ import annotations
@@ -130,7 +134,7 @@ class MarginalDensityEstimate:
         self.starts = np.asarray(self.starts, dtype=float)
         self.cells = np.asarray(self.cells, dtype=np.intp)
         self.values = np.asarray(self.values, dtype=float)
-        self.data = np.asarray(self.data, dtype=float)
+        self.data = _vector(self.data, "MarginalDensityEstimate data")
         if not self.bandwidth > 0.0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
         if self.starts.ndim != 1 or self.cells.shape != self.starts.shape or not np.all(self.cells > 0):
@@ -209,12 +213,22 @@ def _binade(x: float) -> float:
     return math.ldexp(0.5, math.frexp(x)[1])
 
 
+def _vector(values, what: str, dtype=float) -> np.ndarray:
+    """``values`` as an array of ``dtype``, not copied when it already is
+    one; ``ValueError`` naming ``what`` unless it is 1-D."""
+    v = np.asarray(values, dtype)
+    if v.ndim != 1:
+        raise ValueError(f"{what}: expected a 1-D vector, got shape {v.shape}")
+    return v
+
+
 class _Sample:
-    """A z sample prepared once: ``z`` as floats, checked finite (``stage``
-    names the caller), its sort ``s`` and ``center_spread`` on first read."""
+    """A z sample prepared once: ``z`` as a float vector, checked finite
+    (``stage`` names the caller), its sort ``s`` and ``center_spread`` on
+    first read."""
 
     def __init__(self, z, stage: str):
-        self.z = z = np.asarray(z, dtype=float)
+        self.z = z = _vector(z, stage)
         if not np.isfinite(z).all():
             bad = np.flatnonzero(~np.isfinite(z))
             raise NonFiniteInput(f"{stage}: {bad.size} non-finite z value(s), "
@@ -302,9 +316,10 @@ def estimate_null_ecf(z) -> NullEstimate:
     equivariant under z -> a*z + b to rounding at every finite scale: the
     scan runs on the centred data over a power of two near s.
 
-    Raises NonFiniteInput on nan or inf, NotEnoughData below 100
-    observations, and DegenerateCF on zero spread, on overflow at the data's
-    scale, or when the ECF magnitude never falls below the crossing level.
+    Raises ValueError unless z is a 1-D vector, NonFiniteInput on nan or
+    inf, NotEnoughData below 100 observations, and DegenerateCF on zero
+    spread, on overflow at the data's scale, or when the ECF magnitude never
+    falls below the crossing level.
     """
     sample = z if isinstance(z, _Sample) else _Sample(z, "null estimation")
     m = sample.z.size
@@ -391,10 +406,11 @@ def estimate_marginal_kde(z) -> MarginalDensityEstimate:
     h is Silverman's bandwidth.  The sorted data split at gaps over 16h plus
     6 steps; each segment's grid is centred on its midpoint and reaches 8h
     plus 1 to 2 steps past its data.  One FFT convolves all segments' bins
-    with the kernel.  Raises NonFiniteInput on nan or inf, and DegenerateData
-    on fewer than 2 points, zero spread, a bandwidth that underflows to 0, or
-    a spacing under 2^12 ulps of the largest |z| (cell positions need 12
-    bits below a step).
+    with the kernel.  Raises ValueError unless z is a 1-D vector,
+    NonFiniteInput on nan or inf, and DegenerateData on fewer than 2
+    points, zero spread, a bandwidth that underflows to 0, or a spacing
+    under 2^12 ulps of the largest |z| (cell positions need 12 bits below a
+    step).
     """
     sample = z if isinstance(z, _Sample) else _Sample(z, "kernel density estimation")
     m = sample.z.size
@@ -441,8 +457,9 @@ def estimate_marginal_kde(z) -> MarginalDensityEstimate:
 
 
 def _checked_pvalues(pvalues) -> np.ndarray:
-    """A float copy of ``pvalues``, refused unless each lies in (0, 1]."""
-    p = np.array(pvalues, dtype=float)
+    """A float copy of the vector ``pvalues``, refused unless each lies in
+    (0, 1]."""
+    p = _vector(pvalues, "p-values").copy()
     if p.size and not (p.min() > 0.0 and p.max() <= 1.0):  # false on nan
         raise InvalidPValue("p-values must lie in (0, 1]")
     return p
@@ -454,7 +471,8 @@ def estimate_p0_tail(pvalues) -> float:
 
     Follows Storey (2002): under the mixture, p-values above a moderate
     cutoff lam come almost entirely from the null, whose p-values are
-    uniform.  Raises InvalidPValue, as BH does, on a value outside (0, 1].
+    uniform.  Raises ValueError unless ``pvalues`` is a 1-D vector, and
+    InvalidPValue, as BH does, on a value outside (0, 1].
     """
     p = _checked_pvalues(pvalues)
     if p.size == 0:

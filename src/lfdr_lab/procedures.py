@@ -16,8 +16,14 @@ cut is rejected, and a block of values equal to the cut that straddles the
 boundary is split with lower input indices rejected first, so output is a
 deterministic function of the input sequence.  ``decide`` runs the whole
 data-driven chain (null, p-values, p0, kernel marginal, lfdr, step-up)
-once for all the rules the CLI or the simulator asks for; confusion
-counts and fdp/fnp evaluate decisions against known truth.
+once for all the rules the CLI or the simulator asks for; it sorts the
+p-values it computes once, for both BH levels, without re-checking them:
+for finite z they lie in (0, 1] by construction.  Confusion counts and
+fdp/fnp evaluate decisions against known truth.
+
+Every vector a function here ranks or counts (z, p-values, lfdr values,
+truth flags) enters through ``estimation._vector``, which refuses any
+shape but 1-D by name; ``estimated_lfdr_values`` stays elementwise.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .errors import (
     InvalidPValue,
     LengthMismatch,
 )
-from .estimation import _checked_pvalues, _Sample, estimate_marginal_kde, estimate_null_ecf, estimate_p0_tail
+from .estimation import _checked_pvalues, _Sample, _vector, estimate_marginal_kde, estimate_null_ecf, estimate_p0_tail
 
 __all__ = [
     "DecisionTable",
@@ -120,24 +126,20 @@ def _stepup(values: np.ndarray, s: np.ndarray, passes) -> tuple:
     return _k_smallest(values, s, k), k
 
 
-def _sorted_pvalues(pvalues) -> tuple:
-    """A checked float copy of ``pvalues`` and its sort."""
-    p = _checked_pvalues(pvalues)
-    if p.size == 0:
-        raise InvalidPValue("empty p-value vector")
-    return p, np.sort(p)
-
-
 def _bh(p: np.ndarray, s: np.ndarray, level: float) -> DecisionTable:
     """BH step-up at ``level`` on checked p-values ``p``, sorted ``s``."""
     rejected, k = _stepup(p, s, lambda s: s <= level * np.arange(1, s.size + 1) / s.size)
     return DecisionTable(rejected=rejected, k=k, pvalue=p)
 
 
+def _check_p0(p0_hat: float):
+    if not (0.0 < p0_hat <= 1.0):  # false on nan
+        raise ValueError(f"p0_hat must be in (0, 1], got {p0_hat}")
+
+
 def _adaptive_level(alpha: float, p0_hat: float) -> float:
     _check_alpha(alpha)
-    if not (0.0 < p0_hat <= 1.0):
-        raise ValueError(f"p0_hat must be in (0, 1], got {p0_hat}")
+    _check_p0(p0_hat)
     return min(alpha / p0_hat, 1.0 - 1e-12)
 
 
@@ -146,9 +148,13 @@ def bh_stepup(pvalues, alpha: float) -> DecisionTable:
 
     With sorted p-values p_(1) <= ... <= p_(m), rejects the hypotheses
     carrying the k smallest p-values where k = max{i : p_(i) <= i*alpha/m}.
+    ``pvalues`` must be a 1-D vector; the table holds a float copy of it.
     """
     _check_alpha(alpha)
-    return _bh(*_sorted_pvalues(pvalues), alpha)
+    p = _checked_pvalues(pvalues)
+    if p.size == 0:
+        raise InvalidPValue("empty p-value vector")
+    return _bh(p, np.sort(p), alpha)
 
 
 def adaptive_bh(pvalues, alpha: float, p0_hat: float) -> DecisionTable:
@@ -166,10 +172,11 @@ def lfdr_stepup(lfdr_values, alpha: float) -> DecisionTable:
     Sorts the values ascending and rejects through the largest index k at
     which the running mean (1/k) * sum of the k smallest values is <= alpha;
     that running mean is the estimated false discovery rate of the rejected
-    set.
+    set.  ``lfdr_values`` must be a 1-D vector; the table holds a float copy
+    of it.
     """
     _check_alpha(alpha)
-    v = np.array(lfdr_values, dtype=float)
+    v = _vector(lfdr_values, "lfdr values").copy()
     if v.size == 0:
         raise InvalidLfdr("empty lfdr vector")
     if not (v.min() >= 0.0 and v.max() <= 1.0):  # false on nan
@@ -179,19 +186,21 @@ def lfdr_stepup(lfdr_values, alpha: float) -> DecisionTable:
 
 
 def estimated_lfdr_values(z, p0_hat: float, null: GaussianComponent, marginal) -> np.ndarray:
-    """Estimated local fdr min(1, p0_hat * f0(z) / f_hat(z)).
+    """Estimated local fdr min(1, p0_hat * f0(z) / f_hat(z)), elementwise on
+    z of any shape.
 
     ``null`` is the null component f0 (known or estimated); ``marginal`` is
-    a MarginalDensityEstimate.  Raises DegenerateMarginal when the marginal
-    estimate vanishes at an evaluation point, which signals a bandwidth or
-    grid misconfiguration; the floor is 1e-300 on f_hat * bandwidth, so it
-    scales with the data.
+    a MarginalDensityEstimate.  Raises ValueError unless p0_hat lies in
+    (0, 1], and DegenerateMarginal when the marginal estimate vanishes at an
+    evaluation point, which signals a bandwidth or grid misconfiguration;
+    the floor is 1e-300 on f_hat * bandwidth, so it scales with the data.
     """
+    _check_p0(p0_hat)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     f0 = gaussian_pdf(z, null)
     fhat = marginal.evaluate(z)
     if np.any(fhat * marginal.bandwidth < 1e-300):
-        worst = float(z[np.argmin(fhat)])
+        worst = float(z.flat[np.argmin(fhat)])
         raise DegenerateMarginal(f"marginal estimate vanishes near z = {worst:.6g}")
     return np.minimum(1.0, p0_hat * f0 / fhat)
 
@@ -207,13 +216,12 @@ def decide(z, procedures: tuple, alpha: float, null: GaussianComponent | None) -
     rule plugs p0, the null and a kernel marginal into
     ``estimated_lfdr_values`` (a single observation gets lfdr 1).  Each
     piece is computed once, and only if a requested procedure needs it;
-    both BH levels share one copy of the p-values and one sort, and the
-    p-values are range-checked once: by the tail p0 if it runs, else here.
+    both BH levels share the p-values and their one sort.
 
-    Raises EmptyInput on empty z and NonFiniteInput on nan or inf, both
-    before any stage runs; NotEnoughData and DegenerateCF from null
-    estimation; and DegenerateData, naming the first requested rule that
-    needs p0, when the tail p0 estimate is 0.
+    Raises ValueError unless z is a 1-D vector, EmptyInput on empty z and
+    NonFiniteInput on nan or inf, all before any stage runs; NotEnoughData
+    and DegenerateCF from null estimation; and DegenerateData, naming the
+    first requested rule that needs p0, when the tail p0 estimate is 0.
     """
     if not procedures or not set(procedures) <= {"bh", "adaptive_bh", "lfdr"}:
         raise ValueError(f"procedures must be a tuple of bh, adaptive_bh, lfdr; got {procedures!r}")
@@ -229,21 +237,19 @@ def decide(z, procedures: tuple, alpha: float, null: GaussianComponent | None) -
     # a single observation gets lfdr 1 without p0
     p0_users = [p for p in procedures if p == "adaptive_bh" or (p == "lfdr" and z.size > 1)]
     tail_p0 = p0_hat is None and bool(p0_users)
-    pvalues = None
-    if "bh" in procedures or "adaptive_bh" in procedures or tail_p0:
+    ranks_p = "bh" in procedures or "adaptive_bh" in procedures
+    if ranks_p or tail_p0:
         pvalues = two_sided_pvalue(z, null)
     if tail_p0:
         p0_hat = estimate_p0_tail(pvalues)
         if p0_hat == 0.0:  # adaptive BH would be undefined and every lfdr estimate 0
             rule = "adaptive BH" if p0_users[0] == "adaptive_bh" else "lfdr rule"
             raise DegenerateData(f"{rule}: tail p0 estimate is 0, no p-value above 0.5")
+    sorted_p = np.sort(pvalues) if ranks_p else None
     tables = {}
-    sorted_p = None
     for procedure in dict.fromkeys(procedures):
         if procedure in ("bh", "adaptive_bh"):
             level = alpha if procedure == "bh" else _adaptive_level(alpha, p0_hat)
-            if sorted_p is None:  # the tail p0 has checked the p-values
-                pvalues, sorted_p = (pvalues, np.sort(pvalues)) if tail_p0 else _sorted_pvalues(pvalues)
             tables[procedure] = _bh(pvalues, sorted_p, level)
         elif z.size == 1:
             tables[procedure] = lfdr_stepup([1.0], alpha)
@@ -254,8 +260,9 @@ def decide(z, procedures: tuple, alpha: float, null: GaussianComponent | None) -
 
 
 def confusion(decisions: DecisionTable, truth) -> ConfusionCounts:
-    """Cross-tabulate decisions against nonnull indicator flags."""
-    truth = np.asarray(truth, dtype=bool)
+    """Cross-tabulate decisions against a 1-D vector of nonnull indicator
+    flags."""
+    truth = _vector(truth, "truth flags", dtype=bool)
     reject = decisions.rejected
     if truth.size != reject.size:
         raise LengthMismatch(f"{truth.size} truth flags for {reject.size} decisions")

@@ -56,11 +56,12 @@ class SimConfig:
     """Settings for one replicated simulation study.
 
     Every setting is checked here, and a bad one raises ``ValueError``
-    naming it: ``procedures`` must be a list or tuple of known procedure
-    names, at least one; ``m``, ``reps`` and ``seed`` must be Python or NumPy
-    integers, ``m`` and ``reps`` at least 1; ``alpha`` must be a real number
-    in (0, 1) and ``rho`` one in [0, 1).  No setting may be a bool.  Counts
-    are stored as ``int``, ``alpha`` and ``rho`` as ``float``.
+    naming it: ``model`` must be a ``TwoGroupModel``; ``procedures`` must
+    be a list or tuple of known procedure names, at least one; ``m``,
+    ``reps`` and ``seed`` must be Python or NumPy integers, ``m`` and
+    ``reps`` at least 1; ``alpha`` must be a real number in (0, 1) and
+    ``rho`` one in [0, 1).  No setting may be a bool.  Counts are stored as
+    ``int``, ``alpha`` and ``rho`` as ``float``.
     """
 
     model: TwoGroupModel
@@ -72,6 +73,8 @@ class SimConfig:
     procedures: tuple = PROCEDURES
 
     def __post_init__(self):
+        if not isinstance(self.model, TwoGroupModel):
+            raise ValueError(f"model must be a TwoGroupModel, got {self.model!r}")
         if isinstance(self.procedures, str):
             raise ValueError(f"procedures must be a sequence of names, not the string {self.procedures!r}")
         if not (isinstance(self.procedures, (list, tuple)) and all(isinstance(p, str) for p in self.procedures)):

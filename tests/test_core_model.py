@@ -20,7 +20,6 @@ from lfdr_lab import (
     TwoGroupModel,
     gaussian_pdf,
     lfdr,
-    marginal_density,
     mixture_model,
     two_sided_pvalue,
 )
@@ -62,22 +61,30 @@ class TestGaussianPdf:
         assert_allclose(gaussian_pdf(z, STD), [hand_phi(v) for v in z], rtol=1e-14)
 
 
+def density(m, z):
+    """The mixture density p0*f0(z) + sum_j w_j*f_j(z) of the component
+    loop, the reference whose log the lfdr reference subtracts."""
+    return loop_lfdr_and_density(m, z)[1]
+
+
 class TestMarginalDensity:
+    # the reference density matches hand sums, integrates to 1 and stays
+    # positive in the far tail
     def test_pure_null_degenerate(self):
         m = mixture_model(1.0, [])
         for z in (-3.0, 0.0, 1.7, 6.0):
-            assert_allclose(marginal_density(m, z), gaussian_pdf(z, STD), rtol=1e-14)
+            assert_allclose(density(m, z), gaussian_pdf(z, STD), rtol=1e-14)
 
     def test_fig2_hand_sum(self):
         # oracle: three-term hand sum
         want = 0.8 * hand_phi(-2.0) + 0.15 * hand_phi(-2.0, -3.0) + 0.05 * hand_phi(-2.0, 4.0)
         assert_allclose(want, 0.0794883821922161, rtol=1e-12)  # frozen
-        assert_allclose(marginal_density(fig2_model(), -2.0), want, rtol=1e-12)
+        assert_allclose(density(fig2_model(), -2.0), want, rtol=1e-12)
 
     def test_integrates_to_one(self):
         # quadrature oracle over [min mean - 10, max mean + 10]
         m = fig2_model()
-        total, _ = quad(lambda z: marginal_density(m, z), -13.0, 14.0, limit=200)
+        total, _ = quad(lambda z: density(m, z), -13.0, 14.0, limit=200)
         assert abs(total - 1.0) <= 1e-6
 
     def test_integrates_to_one_random_models(self):
@@ -89,12 +96,12 @@ class TestMarginalDensity:
             m = mixture_model(w[0], [(w[1], means[0], sds[0]), (w[2], means[1], sds[1])])
             lo = min(0.0, *means) - 10 * max(1.0, *sds)
             hi = max(0.0, *means) + 10 * max(1.0, *sds)
-            total, _ = quad(lambda z: marginal_density(m, z), lo, hi, limit=200)
+            total, _ = quad(lambda z: density(m, z), lo, hi, limit=200)
             assert abs(total - 1.0) <= 1e-6
 
     def test_strictly_positive(self):
         m = fig2_model()
-        assert marginal_density(m, -12.0) > 0.0
+        assert density(m, -12.0) > 0.0
 
 
 class TestLfdr:
@@ -226,7 +233,7 @@ class TestModelTypes:
         total = sum(r for r, _, _ in comps)
         m = mixture_model(p0, [((1.0 - p0) * r / total, mu, sd) for r, mu, sd in comps])
         z = np.array(z)
-        f = marginal_density(m, z)
+        f = density(m, z)
         f0_scaled = m.p0 * gaussian_pdf(z, m.null)
         assert np.all(f0_scaled >= 0.0)
         assert np.all(f >= f0_scaled * (1.0 - 1e-12))
@@ -271,15 +278,15 @@ class TestComponentTable:
     )
     @example(m=mixture_model(0.7, [(0.2, -1.0, 0.3), (0.0, 5.0, 1.0), (0.1, 2.0, 2.0)]),
              point=5.0, row=[-3.0, -1.0, 0.0, 2.0, 5.0, 9.0])
-    def test_lfdr_and_density_match_component_loop(self, m, point, row):
+    def test_lfdr_matches_component_loop(self, m, point, row):
         row = np.array(row)
         for z in (point, np.array(point), row, np.array([]), row.reshape(2, 3)):
-            for got, want in zip((lfdr(m, z), marginal_density(m, z)), loop_lfdr_and_density(m, z)):
-                if np.ndim(z) == 0:
-                    assert type(got) is float
-                else:
-                    assert isinstance(got, np.ndarray) and got.shape == np.shape(z)
-                assert np.array_equal(got, want)
+            got, want = lfdr(m, z), loop_lfdr_and_density(m, z)[0]
+            if np.ndim(z) == 0:
+                assert type(got) is float
+            else:
+                assert isinstance(got, np.ndarray) and got.shape == np.shape(z)
+            assert np.array_equal(got, want)
 
     # figure 1 panels a-d, the README's (and figure 2's) model, a nonnull
     # sd of 0.001, and a component of weight 0, which the table leaves out
@@ -364,10 +371,9 @@ class TestKernelsLeaveInputUnwritten:
         before = table.tobytes()
         writable = np.array(z, dtype=float)
         # the parent's arithmetic: the component loop, and erfc of |z - u0|/s0
-        want_lfdr, want_f = loop_lfdr_and_density(m, writable)
+        want_lfdr = loop_lfdr_and_density(m, writable)[0]
         want_p = np.maximum(erfc(np.abs(writable - m.null.mean) / m.null.sd / math.sqrt(2.0)), math.ulp(0.0))
-        for got, want in ((lfdr(m, z), want_lfdr), (marginal_density(m, z), want_f),
-                          (two_sided_pvalue(z, m.null), want_p)):
+        for got, want in ((lfdr(m, z), want_lfdr), (two_sided_pvalue(z, m.null), want_p)):
             assert_same_result(got, float(want) if np.ndim(z) == 0 else want)
         assert not table.flags.writeable and table.tobytes() == before
 
@@ -405,7 +411,7 @@ def test_package_exports_the_module_lists():
             assert getattr(lfdr_lab, name) is getattr(module, name)
     exported = set(lfdr_lab.__all__)
     assert exported == listed
-    assert len(exported) == len(lfdr_lab.__all__) == 59
+    assert len(exported) == len(lfdr_lab.__all__) == 58
     public = {name for name in dir(lfdr_lab)
               if not name.startswith("_") and not isinstance(getattr(lfdr_lab, name), types.ModuleType)}
     assert public == exported
@@ -420,7 +426,7 @@ def test_star_import_binds_every_export_and_lazy_submodules_resolve():
             "      len(lfdr_lab.__all__), lfdr_lab.simulation.run_replicated.__module__,\n"
             "      lfdr_lab.oracle.oracle_sweep is namespace['oracle_sweep'])\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["True", "59", "lfdr_lab.simulation", "True"]
+    assert out.stdout.split() == ["True", "58", "lfdr_lab.simulation", "True"]
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         lfdr_lab.no_such_name
 

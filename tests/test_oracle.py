@@ -22,7 +22,6 @@ from lfdr_lab import (
     TwoGroupModel,
     figure2_data,
     lfdr,
-    marginal_density,
     mixture_model,
     mfdr_of_region,
     mfnr_of_region,
@@ -65,11 +64,15 @@ def quad_mfdr(model, region):
     def null_part(z):
         return model.p0 * math.exp(-0.5 * (z - model.null.mean) ** 2) / math.sqrt(2 * math.pi)
 
+    def density(z):
+        return sum(w * math.exp(-0.5 * ((z - c.mean) / c.sd) ** 2) / (c.sd * math.sqrt(2 * math.pi))
+                   for w, c in model.components)
+
     num = den = 0.0
     for lo, hi in region.intervals:
         lo, hi = max(lo, -14.0), min(hi, 15.0)
         num += quad(null_part, lo, hi, limit=300)[0]
-        den += quad(lambda z: marginal_density(model, z), lo, hi, limit=300)[0]
+        den += quad(density, lo, hi, limit=300)[0]
     return num / den
 
 

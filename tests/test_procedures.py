@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from lfdr_lab import (
     InvalidLfdr,
     InvalidPValue,
     LengthMismatch,
+    MarginalDensityEstimate,
     adaptive_bh,
     bh_stepup,
+    cli,
     confusion,
     decide,
     eq1_default_model,
     estimate_marginal_kde,
+    estimate_null_ecf,
     estimated_lfdr_values,
     fdp_fnp,
     lfdr_stepup,
@@ -212,13 +216,14 @@ class TestEstimatedLfdrValues:
         # true null parameters plus the true marginal tabulated on a fine
         # grid give back the exact lfdr up to interpolation error; one
         # segment of 8000 cells from -9, spaced 0.225 / 100 = 18 / 8000
-        from lfdr_lab import MarginalDensityEstimate, marginal_density
+        from lfdr_lab import MarginalDensityEstimate, gaussian_pdf
 
         model = mixture_model(0.8, [(0.1, -3.0, 1.0), (0.1, 3.0, 1.0)])
+        grid = np.linspace(-9.0, 9.0, 8001)
         marginal = MarginalDensityEstimate(
             starts=[-9.0],
             cells=[8000],
-            values=marginal_density(model, np.linspace(-9.0, 9.0, 8001)),
+            values=sum(w * gaussian_pdf(grid, c) for w, c in model.components),
             bandwidth=0.225,
             data=np.array([]),
         )
@@ -237,12 +242,21 @@ class TestEstimatedLfdrValues:
         err = np.abs(vals[central] - exact_lfdr(model, z[central]))
         assert err.mean() <= 0.05
 
-    def test_degenerate_marginal_detected(self):
+    # elementwise on any shape: a matrix used to raise TypeError here
+    @pytest.mark.parametrize("at", [[80.0], [[0.0, 80.0], [1.0, 2.0]]], ids=["1-D", "2-D"])
+    def test_degenerate_marginal_detected(self, at):
         m = mixture_model(0.8, [(0.2, 3.0, 1.0)])
         z, _ = sample_model(m, 500, 0)
         marginal = estimate_marginal_kde(z)
-        with pytest.raises(DegenerateMarginal):
-            estimated_lfdr_values(np.array([80.0]), 0.8, STD, marginal)
+        with pytest.raises(DegenerateMarginal, match="^marginal estimate vanishes near z = 80$"):
+            estimated_lfdr_values(np.array(at), 0.8, STD, marginal)
+
+    @pytest.mark.parametrize("p0_hat", [-0.5, 0.0, 2.0, math.nan])
+    def test_p0_outside_unit_interval_is_refused(self, p0_hat):
+        # a negative p0_hat gave negative lfdr values, and 2 a clipped lfdr of 1
+        marginal = estimate_marginal_kde(sample_model(mixture_model(0.8, [(0.2, 3.0, 1.0)]), 500, 0)[0])
+        with pytest.raises(ValueError, match=rf"^p0_hat must be in \(0, 1\], got {p0_hat}$"):
+            estimated_lfdr_values([0.0, 1.0], p0_hat, STD, marginal)
 
 
 class TestConfusion:
@@ -398,7 +412,8 @@ class TestDecide:
     @pytest.mark.parametrize("null", [STD, None], ids=["known", "estimated"])
     @pytest.mark.parametrize("procedures", DECIDE_SUBSETS, ids="+".join)
     def test_pvalues_checked_at_most_once(self, eq1_z, procedures, null, monkeypatch):
-        # the tail p0 and the BH sort share one range check of the p-values
+        # decide's own p-values lie in (0, 1] by construction, so only the
+        # tail p0, which is public, range-checks them
         from lfdr_lab import estimation
 
         checks = []
@@ -411,8 +426,8 @@ class TestDecide:
         monkeypatch.setattr(estimation, "_checked_pvalues", counted)
         monkeypatch.setattr(procedures_module, "_checked_pvalues", counted)
         decide(eq1_z, procedures, 0.1, null)
-        needs_p = {"bh", "adaptive_bh"} & set(procedures) or (null is STD and "lfdr" in procedures)
-        assert checks == ([eq1_z.size] if needs_p else [])
+        tail_p0 = null is STD and ("adaptive_bh" in procedures or "lfdr" in procedures)
+        assert checks == ([eq1_z.size] if tail_p0 else [])
 
     def test_far_tail_pvalue_is_positive_and_rejected(self, eq1_z):
         # erfc underflows to 0 at z = 40; the p-value is the smallest
@@ -617,3 +632,39 @@ def test_confusion_matches_four_sums(data, n):
     )
     assert all(type(x) is int for x in cells)
     assert sum(cells) == n
+
+
+def _half_table(m):
+    return bh_stepup(np.full(m, 0.5), 0.1)
+
+
+# every public entry that ranks, counts, estimates from or writes a vector,
+# by the name its refusal gives the input; each is called on values that
+# would be valid in a 1-D vector
+VECTOR_ENTRIES = {
+    "decide, known null": ("decide", lambda v: decide(v, ("bh", "adaptive_bh", "lfdr"), 0.1, STD)),
+    "decide, estimated null": ("decide", lambda v: decide(v, ("bh", "lfdr"), 0.1, None)),
+    "estimate_null_ecf": ("null estimation", estimate_null_ecf),
+    "estimate_marginal_kde": ("kernel density estimation", estimate_marginal_kde),
+    "bh_stepup": ("p-values", lambda v: bh_stepup(v, 0.1)),
+    "adaptive_bh": ("p-values", lambda v: adaptive_bh(v, 0.1, 0.8)),
+    "estimate_p0_tail": ("p-values", estimate_p0_tail),
+    "lfdr_stepup": ("lfdr values", lambda v: lfdr_stepup(v, 0.1)),
+    "confusion": ("truth flags", lambda v: confusion(_half_table(v.size), v)),
+    "decision_table_csv": ("z-values", lambda v: cli.decision_table_csv(v, _half_table(v.size))),
+    "MarginalDensityEstimate": ("MarginalDensityEstimate data", lambda v: MarginalDensityEstimate(
+        starts=[-1.0], cells=[200], values=np.full(201, 0.5), bandwidth=1.0, data=v)),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (150, 1), (2, 150)], ids=["0-d", "column", "rows"])
+@pytest.mark.parametrize("entry", sorted(VECTOR_ENTRIES))
+def test_vector_entries_refuse_other_shapes(entry, shape):
+    # a matrix of lfdr values was sorted row by row (k = 1 yet every
+    # hypothesis rejected), column truth flags broadcast into negative
+    # counts, a column of z was written as "[0.5]" cells, and a scalar was
+    # taken as one decision or flattened; each is now refused by name
+    what, call = VECTOR_ENTRIES[entry]
+    values = np.linspace(0.01, 0.99, math.prod(shape)).reshape(shape)
+    with pytest.raises(ValueError, match=re.escape(f"{what}: expected a 1-D vector, got shape {shape}")):
+        call(values)

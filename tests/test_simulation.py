@@ -23,6 +23,7 @@ from lfdr_lab import (
     figure1_data,
     figure2_data,
     mixture_model,
+    oracle_lfdr_rule,
     rep_seed,
     run_replicated,
     sample_correlated,
@@ -319,6 +320,9 @@ class TestRunReplicated:
         assert gaps[50_000] <= gaps[5_000] <= gaps[500]
 
     def test_config_validation(self):
+        # run_replicated would fail later with an AttributeError
+        with pytest.raises(ValueError, match="^model must be a TwoGroupModel, got 'x'$"):
+            SimConfig(model="x", m=10, reps=1, alpha=0.1, seed=1)
         with pytest.raises(ValueError):
             SimConfig(model=PURE_NULL, m=0, reps=1, alpha=0.1, seed=1)
         with pytest.raises(ValueError, match="^reps must be >= 1, got 0$"):
@@ -418,3 +422,29 @@ class TestConcentratedDemo:
     def test_moderate_z_scores_better_than_extreme(self):
         demo = concentrated_alternative_demo()
         assert demo.lfdr_at_mode < demo.lfdr_at_far_tail
+
+
+@pytest.mark.parametrize("name, model", [
+    ("eq1", eq1_default_model()),
+    ("figure 2, p1 = 0.15", mixture_model(0.8, [(0.15, -3.0, 1.0), (0.05, 4.0, 1.0)])),
+])
+def test_data_driven_lfdr_rules_reach_the_oracle(name, model, capfd):
+    # Sun & Cai (2007): the step-up on the true lfdr attains the exact oracle
+    # lfdr rule's mFNR, and the fully estimated rule approaches it as m
+    # grows while its mFDR stays at alpha; seeds 5 and 6 both pass
+    alpha = 0.1
+    oracle = oracle_lfdr_rule(model, alpha).mfnr
+    stats = {}
+    for m, reps in ((1_000, 200), (10_000, 60), (100_000, 12)):
+        config = SimConfig(model=model, m=m, reps=reps, alpha=alpha, seed=5,
+                           procedures=("lfdr_oracle_plugin", "lfdr_estimated"))
+        result = run_replicated(config).per_procedure
+        plugin, est = stats[m] = result["lfdr_oracle_plugin"], result["lfdr_estimated"]
+        with capfd.disabled():
+            print(f"[ORACLE GAP] {name}, m = {m} ({reps} reps): plug-in mFNR {plugin.mfnr:.4f} "
+                  f"+- {plugin.mfnr_se:.4f}, estimated mFDR {est.mfdr:.4f} +- {est.mfdr_se:.4f}, "
+                  f"mFNR {est.mfnr:.4f} +- {est.mfnr_se:.4f}, oracle mFNR {oracle:.4f}", flush=True)
+    for m, (plugin, _) in stats.items():
+        assert abs(plugin.mfnr - oracle) <= 3.0 * plugin.mfnr_se, m
+    assert abs(stats[100_000][1].mfnr - oracle) < abs(stats[1_000][1].mfnr - oracle)
+    assert stats[100_000][1].mfdr <= alpha + 3.0 * stats[100_000][1].mfdr_se
