@@ -8,11 +8,12 @@ diagnostics) and ``replay`` (re-run a recorded manifest).
 Exit codes: 0 success, 2 input/config error, 3 insufficient data, 4
 invalid/infeasible parameters, 5 estimator degeneracy.
 
-A command computes all of its output first, then writes its files and last
-a JSON manifest that records them; replaying the manifest reproduces the
-outputs byte-for-byte.  Output directories are created.  A path that cannot
-be written exits 2 naming it, and the files the run already wrote are
-removed.
+A command computes its results before any file opens, then writes its
+files and last a JSON manifest that records them; ``analyze`` formats its
+decision CSV chunk by chunk as it writes it.  Replaying the manifest
+reproduces the outputs byte-for-byte.  Output directories are created.  A
+path that cannot be written exits 2 naming it, and the files the run
+wrote, a partly written one too, are removed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import suppress
 from dataclasses import astuple
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -161,9 +163,9 @@ def _csv(header: str, rows) -> str:
     return "".join(f"{line}\n" for line in [header, *(",".join(map(str, row)) for row in rows)])
 
 
-# rows per chunk of a decision CSV: each chunk's cells are formatted and
-# joined on their own, so at most this many row strings exist at once
-_CSV_CHUNK = 8192
+# rows per chunk of a decision CSV: each chunk's text is made and written
+# on its own, so at most this many rows of text exist at once
+_CSV_CHUNK = 2048
 
 
 def _cells(values: np.ndarray) -> list:
@@ -182,43 +184,68 @@ def _cells(values: np.ndarray) -> list:
     return cells
 
 
+def _decision_chunks(z, table: DecisionTable):
+    """The text of ``decision_table_csv``: its header, then one string per
+    ``_CSV_CHUNK`` rows.  A chunk's rows are laid out in one list by slice
+    assignment, joined once: index cells, then each column's separator and
+    cells (the separator one "," longer per blank column before it), then
+    the reject tail.  The inputs are checked when the header is asked for."""
+    z, m = _vector(z, "z-values"), table.rejected.size
+    if z.size != m:
+        raise LengthMismatch(f"{z.size} z-values for {m} decisions")
+    yield "index,z,pvalue,lfdr_hat,reject\n"
+    for lo in range(0, m, _CSV_CHUNK):
+        n = min(_CSV_CHUNK, m - lo)
+        parts, sep = [_cells(np.arange(lo, lo + n))], ","
+        for col in (z, table.pvalue, table.lfdr_hat):
+            if col is None:
+                sep += ","
+            else:
+                parts += [[sep] * n, _cells(np.ascontiguousarray(col[lo:lo + n], dtype=float))]
+                sep = ","
+        tails, true_tail = [f"{sep}false\n"] * n, f"{sep}true\n"
+        for i in np.flatnonzero(table.rejected[lo:lo + n]).tolist():
+            tails[i] = true_tail
+        rows = [""] * (n * (len(parts) + 1))
+        for j, cells in enumerate([*parts, tails]):
+            rows[j::len(parts) + 1] = cells
+        yield "".join(rows)
+
+
 def decision_table_csv(z, table: DecisionTable) -> str:
     """``index,z,pvalue,lfdr_hat,reject`` rows in input order, floats at
     full precision; the column of the statistic the rule did not rank is
     blank.  ``z`` must be a 1-D vector as long as the table."""
-    z, m = _vector(z, "z-values"), table.rejected.size
-    if z.size != m:
-        raise LengthMismatch(f"{z.size} z-values for {m} decisions")
-    columns = [z, table.pvalue, table.lfdr_hat]
-    chunks = ["index,z,pvalue,lfdr_hat,reject\n"]
-    for lo in range(0, m, _CSV_CHUNK):
-        hi = min(lo + _CSV_CHUNK, m)
-        cells = [_cells(np.arange(lo, hi))]
-        cells += [[""] * (hi - lo) if col is None else
-                  _cells(np.ascontiguousarray(col[lo:hi], dtype=float)) for col in columns]
-        cells.append(np.where(table.rejected[lo:hi], "true\n", "false\n").tolist())
-        chunks.append("".join(map(",".join, zip(*cells))))
-    return "".join(chunks)
+    return "".join(_decision_chunks(z, table))
 
 
-def _write(path, text: str):
-    """Write ``text`` to ``path``, creating its directory; a path that
-    cannot be written is an input error naming it."""
+def _write(path, text):
+    """Write ``text``, a str or an iterable of str chunks written one by
+    one, to ``path``, creating its directory; a path that cannot be written
+    is an input error naming it, and a write that fails partway removes
+    the file."""
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(text)
+        file = Path(path).open("w")
     except FileExistsError as exc:  # mkdir's report of a regular file on the path
         raise CliError(EXIT_INPUT, f"cannot write {path}: {exc.filename} is not a directory")
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot write {path}: {exc}")
+    try:
+        with file:
+            file.writelines([text] if isinstance(text, str) else text)
+    except OSError as exc:
+        Path(path).unlink(missing_ok=True)
+        raise CliError(EXIT_INPUT, f"cannot write {path}: {exc}")
 
 
 def _finish(command: str, manifest, files: dict, parameters: dict, inputs: list, seed=None):
-    """Write ``files`` ({path: text}, in order), then the manifest that
-    records them at ``manifest``: by default beside the first file, else
-    ``<command>_manifest.json``.  A failed write removes every file this
-    run wrote.  ``simulate`` calls this itself; the other commands call it
-    through ``_record``, from the ``_RECORDED`` table."""
+    """Write ``files`` ({path: text or chunks}, in order), then the
+    manifest that records them at ``manifest``: by default beside the first
+    file, else ``<command>_manifest.json``.  A failed write removes every
+    file this run wrote, its own partial file too.  ``simulate`` calls this
+    itself; the other commands call it through ``_record``, from the
+    ``_RECORDED`` table."""
     record = {"command": command, "inputs": inputs, "outputs": list(files),
               "parameters": parameters, "seed": seed, "tool_version": __version__}
     if manifest is None:
@@ -266,10 +293,11 @@ def cmd_analyze(args) -> int:
     z = read_z_file(args.input)
     null = GaussianComponent(0.0, 1.0) if args.null == "theoretical" else None
     procedure = _ANALYZE_PROCEDURES[args.procedure]
-    text = decision_table_csv(z, decide(z, (procedure,), args.alpha, null)[procedure])
-    _record(args, {args.out: text} if args.out else {})
+    chunks = _decision_chunks(z, decide(z, (procedure,), args.alpha, null)[procedure])
+    _record(args, {args.out: chunks} if args.out else {})
     if not args.out:
-        sys.stdout.write(text)
+        with suppress(BrokenPipeError):  # the reader stopped early, as `| head` does
+            sys.stdout.writelines(chunks)
     return EXIT_OK
 
 

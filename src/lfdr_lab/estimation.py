@@ -214,8 +214,8 @@ def _binade(x: float) -> float:
 
 
 def _vector(values, what: str, dtype=float) -> np.ndarray:
-    """``values`` as an array of ``dtype``, not copied when it already is
-    one; ``ValueError`` naming ``what`` unless it is 1-D."""
+    """``values`` as an array of ``dtype`` (None keeps its own), not copied
+    when it already is one; ``ValueError`` naming ``what`` unless it is 1-D."""
     v = np.asarray(values, dtype)
     if v.ndim != 1:
         raise ValueError(f"{what}: expected a 1-D vector, got shape {v.shape}")

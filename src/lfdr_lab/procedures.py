@@ -261,8 +261,11 @@ def decide(z, procedures: tuple, alpha: float, null: GaussianComponent | None) -
 
 def confusion(decisions: DecisionTable, truth) -> ConfusionCounts:
     """Cross-tabulate decisions against a 1-D vector of nonnull indicator
-    flags."""
-    truth = _vector(truth, "truth flags", dtype=bool)
+    flags: bools, or numbers that are each 0 or 1."""
+    truth = _vector(truth, "truth flags", dtype=None)
+    if truth.dtype != bool and not np.isin(truth, (0, 1)).all():
+        raise ValueError(f"truth flags must be 0 or 1, got {next(v for v in truth.tolist() if v not in (0, 1))!r}")
+    truth = truth.astype(bool, copy=False)
     reject = decisions.rejected
     if truth.size != reject.size:
         raise LengthMismatch(f"{truth.size} truth flags for {reject.size} decisions")

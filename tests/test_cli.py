@@ -1,8 +1,11 @@
+import errno
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -53,6 +56,43 @@ def mixture_file(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+class _RecordedFile:
+    """A text file handle that records the length of each write; the write
+    numbered ``fail_at`` (from 0) and every later one raise ENOSPC."""
+
+    def __init__(self, file, writes: list, fail_at):
+        self.file, self.writes, self.fail_at = file, writes, fail_at
+
+    def write(self, text):
+        if len(self.writes) == self.fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.writes.append(len(text))
+        return self.file.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+
+def record_writes(monkeypatch, path, fail_at=None) -> list:
+    """The lengths of the writes to ``path`` through ``Path.open``, filled
+    in as they happen; other paths open as usual."""
+    writes, real_open = [], Path.open
+
+    def open_(self, *args, **kwargs):
+        file = real_open(self, *args, **kwargs)
+        return _RecordedFile(file, writes, fail_at) if self == Path(path) else file
+
+    monkeypatch.setattr(Path, "open", open_)
+    return writes
 
 
 class TestAnalyze:
@@ -351,6 +391,68 @@ class TestCsvNumbers:
         table = decide(z, ("bh",), 0.1, GaussianComponent(0.0, 1.0))["bh"]
         with pytest.raises(LengthMismatch, match="^19 z-values for 20 decisions$"):
             decision_table_csv(z[1:], table)
+
+    @pytest.mark.parametrize("null", ["theoretical", "estimated"])
+    @pytest.mark.parametrize("procedure", ["bh", "abh", "lfdr"])
+    @pytest.mark.parametrize("m", [1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 3 * _CSV_CHUNK + 1])
+    def test_stream_at_chunk_edges(self, tmp_path, capsys, m, procedure, null):
+        # the --out file, stdout, decision_table_csv and the cell-by-cell CSV
+        # hold the same bytes around chunk boundaries, with rejected rows
+        # first and last in chunks, z = 40 (p-value ulp(0)) and lfdr_hat
+        # below 1e-4, cells that repr lays out
+        z = np.array(sample_model(eq1_default_model(), m, 25)[0])
+        edges = [i for i in (0, _CSV_CHUNK - 1, _CSV_CHUNK, 2 * _CSV_CHUNK - 1, 3 * _CSV_CHUNK - 1,
+                             3 * _CSV_CHUNK) if i < m]
+        if m > 1:
+            z[edges] = [40.0, 7.0, -7.0, 6.5, -6.5, -8.0][:len(edges)]
+        path, out = tmp_path / "z.txt", tmp_path / "dec.csv"
+        write_z_file(path, z)
+        argv = ["analyze", path, "--procedure", procedure, "--null", null, "--manifest", tmp_path / "m.json"]
+        code = run([*argv, "--out", out])
+        if m == 1 and (null == "estimated" or procedure == "abh"):
+            # the estimated null needs m >= 100, and one p-value below 0.5
+            # gives a tail p0 of 0: no decisions, so no file is opened
+            assert code == (3 if null == "estimated" else 5) and not out.exists()
+            return
+        assert code == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        stdout = capsys.readouterr().out.encode()
+        name = {"bh": "bh", "abh": "adaptive_bh", "lfdr": "lfdr"}[procedure]
+        table = decide(z, (name,), 0.1, GaussianComponent(0.0, 1.0) if null == "theoretical" else None)[name]
+        assert out.read_bytes() == stdout == decision_table_csv(z, table).encode() == _repr_csv(z, table)
+        if m > 1:
+            ranked = table.lfdr_hat if procedure == "lfdr" else table.pvalue
+            assert table.rejected[edges].all() and ((0 < ranked) & (ranked < 1e-4)).any()
+            assert procedure == "lfdr" or table.pvalue[0] == 5e-324
+
+    def test_writes_are_one_chunk_each(self, tmp_path, monkeypatch):
+        # the CSV reaches the file as the header and then one write per
+        # chunk of rows, so no string as long as the CSV is ever made
+        m = 10 * _CSV_CHUNK + 1
+        z = sample_model(eq1_default_model(), m, 25)[0]
+        path, out = tmp_path / "z.txt", tmp_path / "dec.csv"
+        write_z_file(path, z)
+        writes = record_writes(monkeypatch, out)
+        assert run(["analyze", path, "--null", "estimated", "--procedure", "lfdr", "--out", out,
+                    "--manifest", tmp_path / "m.json"]) == 0
+        monkeypatch.undo()
+        lines = out.read_text().splitlines(keepends=True)
+        assert writes == [len(lines[0])] + [sum(map(len, lines[lo:lo + _CSV_CHUNK]))
+                                            for lo in range(1, m + 1, _CSV_CHUNK)]
+        assert max(writes) < sum(writes) / 9
+
+    def test_reader_closing_stdout_early_ends_quietly(self, tmp_path):
+        # `lfdr-lab analyze z.txt | head -c 10`: the rest of the CSV is
+        # dropped, with exit 0 and nothing on stderr
+        path = tmp_path / "z.txt"
+        write_z_file(path, sample_model(eq1_default_model(), 10 * _CSV_CHUNK, 25)[0])
+        proc = subprocess.Popen([sys.executable, "-m", "lfdr_lab.cli", "analyze", str(path), "--null", "estimated",
+                                 "--procedure", "lfdr", "--manifest", str(tmp_path / "m.json")],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(10) == b"index,z,pv"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0 and proc.stderr.read() == b""
 
     @staticmethod
     def _check(tmp_path, z, procedure, null):
@@ -962,6 +1064,16 @@ class TestOutputPaths:
         err = capsys.readouterr().err
         assert f"error: cannot write {out}: " in err
         assert "not a directory" in err.lower() and "File exists" not in err
+
+    @pytest.mark.parametrize("fail_at", [0, 1], ids=["first-write", "after-header"])
+    def test_failed_write_removes_its_partial_file(self, null_file, tmp_path, capsys, monkeypatch, fail_at):
+        # a disk that fills up while the CSV streams out: the opened file
+        # goes, and no manifest is written
+        out = tmp_path / "dec.csv"
+        record_writes(monkeypatch, out, fail_at=fail_at)
+        assert run(["analyze", null_file, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert sorted(tmp_path.iterdir()) == [null_file]
 
     def test_unwritable_manifest_removes_outputs(self, null_file, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -291,6 +291,18 @@ class TestConfusion:
         with pytest.raises(LengthMismatch):
             confusion(bh_stepup([0.5], 0.05), [True, False])
 
+    @pytest.mark.parametrize("truth, first", [([0.5, np.nan, 2.0], "0.5"), ([1, 2, 0], "2"),
+                                              ([1.0, 0.0, np.nan], "nan"), (["1", "0", "1"], "'1'")])
+    def test_flags_other_than_0_and_1_are_refused(self, truth, first):
+        # any nonzero flag counted as nonnull: [0.5, nan, 2.0] gave n01 = 1, n11 = 2
+        with pytest.raises(ValueError, match=f"^truth flags must be 0 or 1, got {re.escape(first)}$"):
+            confusion(bh_stepup([0.01, 0.02, 0.9], 0.1), truth)
+
+    def test_zero_one_numbers_count_as_bools(self):
+        table = bh_stepup([0.01, 0.02, 0.9], 0.1)
+        for truth in ([1, 0, 1], [1.0, 0.0, 1.0], np.array([1, 0, 1], dtype=np.uint8)):
+            assert confusion(table, truth) == confusion(table, [True, False, True])
+
 
 class TestFdpFnp:
     def test_conventions(self):
