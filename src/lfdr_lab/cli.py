@@ -39,11 +39,10 @@ from .errors import (
     DegenerateMarginal,
     FullRegion,
     Infeasible,
-    LengthMismatch,
     LfdrLabError,
     NotEnoughData,
 )
-from .estimation import _vector, estimate_null_ecf
+from .estimation import estimate_null_ecf
 from .procedures import DecisionTable, decide
 
 # oracle and simulation import scipy.special: the commands that need them
@@ -184,15 +183,15 @@ def _cells(values: np.ndarray) -> list:
     return cells
 
 
-def _decision_chunks(z, table: DecisionTable):
-    """The text of ``decision_table_csv``: its header, then one string per
-    ``_CSV_CHUNK`` rows.  A chunk's rows are laid out in one list by slice
-    assignment, joined once: index cells, then each column's separator and
-    cells (the separator one "," longer per blank column before it), then
-    the reject tail.  The inputs are checked when the header is asked for."""
-    z, m = _vector(z, "z-values"), table.rejected.size
-    if z.size != m:
-        raise LengthMismatch(f"{z.size} z-values for {m} decisions")
+def _decision_chunks(z: np.ndarray, table: DecisionTable):
+    """The decision CSV of ``decide``'s vector ``z`` and its ``table``:
+    the header ``index,z,pvalue,lfdr_hat,reject``, then one string per
+    ``_CSV_CHUNK`` rows in input order, floats at full precision and the
+    column of the statistic the rule did not rank blank.  A chunk's rows
+    are laid out in one list by slice assignment, joined once: index
+    cells, then each column's separator and cells (the separator one ","
+    longer per blank column before it), then the reject tail."""
+    m = table.rejected.size
     yield "index,z,pvalue,lfdr_hat,reject\n"
     for lo in range(0, m, _CSV_CHUNK):
         n = min(_CSV_CHUNK, m - lo)
@@ -210,13 +209,6 @@ def _decision_chunks(z, table: DecisionTable):
         for j, cells in enumerate([*parts, tails]):
             rows[j::len(parts) + 1] = cells
         yield "".join(rows)
-
-
-def decision_table_csv(z, table: DecisionTable) -> str:
-    """``index,z,pvalue,lfdr_hat,reject`` rows in input order, floats at
-    full precision; the column of the statistic the rule did not rank is
-    blank.  ``z`` must be a 1-D vector as long as the table."""
-    return "".join(_decision_chunks(z, table))
 
 
 def _write(path, text):
@@ -405,7 +397,7 @@ def _parse_sim_config(cfg: dict) -> SimConfig:
     here: the two forms of ``components``, ``p0`` and each component entry
     as numbers, and a whole-number float count such as 100.0 as an int.
     SimConfig checks every other setting."""
-    from .simulation import PROCEDURES, SimConfig
+    from .simulation import SimConfig
 
     missing = _STUDY_KEYS - set(cfg)
     if missing:
@@ -421,8 +413,8 @@ def _parse_sim_config(cfg: dict) -> SimConfig:
     counts = {key: int(cfg[key]) if isinstance(cfg[key], float) and cfg[key].is_integer() else cfg[key]
               for key in ("m", "reps", "seed")}
     try:
-        return SimConfig(model=model, alpha=cfg["alpha"], rho=cfg.get("rho", 0.0),
-                         procedures=cfg.get("procedures", PROCEDURES), **counts)
+        return SimConfig(model=model, alpha=cfg["alpha"], **counts,
+                         **{key: cfg[key] for key in ("rho", "procedures") if key in cfg})
     except ValueError as exc:
         raise CliError(EXIT_INPUT, f"bad config: {exc}")
 
@@ -552,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="run a testing procedure on a z-value file")
     p.add_argument("input", help="z-values: one per line, or CSV with a 'z' column")
     p.add_argument("--alpha", type=float, default=0.10, help="FDR level (default 0.10)")
-    p.add_argument("--procedure", choices=["bh", "abh", "lfdr"], default="bh")
+    p.add_argument("--procedure", choices=list(_ANALYZE_PROCEDURES), default="bh")
     p.add_argument("--null", choices=["theoretical", "estimated"], default="theoretical",
                    help="theoretical N(0,1) or ECF-estimated null")
     p.add_argument("--out", help="output CSV path (default: stdout)")

@@ -55,9 +55,8 @@ The estimate is that table: ``starts`` and ``cells`` per segment, ``values``,
 ``_Sample`` is the one place a sample is prepared: checked finite, sorted
 and centred once.  ``decide`` hands one record to both estimators.
 ``_vector`` is the one place a caller's vector is converted: the sample, the
-p-values, the lfdr values, the truth flags, the z column of a decision CSV
-and a density table's data all enter through it, and any shape but 1-D is
-refused by name.
+p-values, the lfdr values, the truth flags and a density table's data all
+enter through it, and any shape but 1-D is refused by name.
 """
 
 from __future__ import annotations
@@ -189,18 +188,6 @@ def _median_filter(x: np.ndarray, width: int) -> np.ndarray:
     windows = np.ndarray((x.size, width), buffer=padded, strides=2 * padded.strides).copy()
     windows.partition(pad, axis=1)
     return windows[:, pad]
-
-
-def _unwrap(a: np.ndarray) -> np.ndarray:
-    """np.unwrap(np.concatenate([[0.0], a]))[1:] bit for bit, by its own
-    steps: differences folded into [-pi, pi) (+pi for a step of exactly
-    +pi), kept wherever a step reaches pi, and summed."""
-    step = a - np.concatenate(([0.0], a[:-1]))
-    fold = np.mod(step + math.pi, 2.0 * math.pi) - math.pi
-    fold[(fold == -math.pi) & (step > 0.0)] = math.pi
-    fix = fold - step
-    fix[np.abs(step) < math.pi] = 0.0
-    return a + fix.cumsum()
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -364,7 +351,8 @@ def estimate_null_ecf(z) -> NullEstimate:
     decay = -2.0 * np.log(mag[k_star:]) / tw[k_star:] ** 2
     sigma0_sq = max(1e-4 * spread_x * spread_x, float(_median_filter(decay, _MEDFILT).min()))
 
-    phases = _unwrap(np.arctan2(psi.imag[:k_end], psi.real[:k_end]))
+    # unwrapped from the phase 0 of psi_m(0) = 1
+    phases = np.unwrap(np.concatenate(([0.0], np.arctan2(psi.imag[:k_end], psi.real[:k_end]))))[1:]
     weights = (tw * modulus) ** 2
     u0_x = float((weights * phases * tw).sum() / (weights * tw * tw).sum())
 

@@ -39,8 +39,9 @@ wraps one ``RejectionRegion`` and takes its mFDR.  The search's slope
 d mFDR/dlambda reads each boundary's density and lfdr slope off the last
 point of that boundary's own edge search, so no boundary is evaluated
 again.  Both searches run on Python floats: NumPy's per-call cost
-outweighed the arithmetic on a few points.  The scan grid steps 0.01, and
-sd/10 within 12 sd of each component narrower than 0.1.
+outweighed the arithmetic on a few points.  The scan grid steps 0.01 on
+windows of 12 sd around the component means, and sd/10 within 12 sd of
+each component narrower than 0.1.
 Masses, densities, slopes and the scan grid all read the component
 table ``core_model._components``, built with the model; a component of
 weight 0 is in none of them.
@@ -261,15 +262,18 @@ def _tail_masses(comps: np.ndarray, null: GaussianComponent, ts) -> tuple:
 def _scan_grid(m: TwoGroupModel) -> np.ndarray:
     """The sorted lfdr scan grid.
 
-    The grid spans the means of the components of positive weight (the
-    rows of ``_component_rows``) +- 12 max sd in steps of about
-    _GRID_STEP.  Within +- 12 sd of each component with sd < 10 _GRID_STEP
-    the points give way to steps of sd/10, so a sublevel set as narrow as
-    that component still holds grid points; a model without narrow
-    components gets the plain grid.  Raises InvalidModel if a narrow
-    component's step sd/10 spans under 2^12 ulps of its farthest point,
-    |mean| + 12 sd, as the KDE refuses its spacing: such a grid cannot be
-    represented.
+    The grid covers a window of +- 12 max sd around the mean of each
+    component of positive weight (the rows of ``_component_rows``) in
+    steps of about _GRID_STEP.  Overlapping windows merge into one span,
+    laid out by one ``np.linspace``; between spans lies one scan cell, in
+    which the edge search finds any boundary, so the grid's size does not
+    grow with the distance between the means.  Within +- 12 sd of each
+    component with sd < 10 _GRID_STEP the points give way to steps of
+    sd/10, so a sublevel set as narrow as that component still holds grid
+    points; a model without narrow components gets the plain grid.
+    Raises InvalidModel if a narrow component's step sd/10 spans under
+    2^12 ulps of its farthest point, |mean| + 12 sd, as the KDE refuses its
+    spacing: such a grid cannot be represented.
     """
     _, means, sds = _component_rows(m)[:3]
     narrow = [(mean, sd) for mean, sd in zip(means, sds) if sd < 10.0 * _GRID_STEP]
@@ -278,8 +282,13 @@ def _scan_grid(m: TwoGroupModel) -> np.ndarray:
         if not sd / 10.0 > 2**12 * math.ulp(magnitude):
             raise InvalidModel(f"oracle scan grid: step sd/10 = {sd / 10.0:.3g} of the component "
                                f"N({mean:.6g}, {sd:.3g}^2) cannot be represented at |z| up to {magnitude:.6g}")
-    lo, hi = min(means) - 12.0 * max(sds), max(means) + 12.0 * max(sds)
-    zs = np.linspace(lo, hi, int(math.ceil((hi - lo) / _GRID_STEP)) + 1)
+    reach, spans = 12.0 * max(sds), []
+    for mean in sorted(means):
+        if spans and mean - reach <= spans[-1][1]:
+            spans[-1][1] = mean + reach
+        else:
+            spans.append([mean - reach, mean + reach])
+    zs = np.concatenate([np.linspace(lo, hi, int(math.ceil((hi - lo) / _GRID_STEP)) + 1) for lo, hi in spans])
     fine = [np.linspace(mean - 12.0 * sd, mean + 12.0 * sd, 241) for mean, sd in narrow]
     if not fine:
         return zs
@@ -383,10 +392,10 @@ def region_from_lfdr_threshold(m: TwoGroupModel, lam: float) -> RejectionRegion:
     """Sublevel set {z : lfdr(m, z) <= lam} as a union of closed intervals.
 
     Boundaries are located by a sign-change scan on the grid of
-    ``_scan_grid`` (all component means plus 12 sd, finer near narrow
-    components), then refined inside their grid cell by safeguarded Newton
-    steps on log lfdr to |dz| <= 1e-13.  Grid ends whose lfdr is already
-    below the threshold extend to infinity.
+    ``_scan_grid`` (windows of 12 sd around the component means, finer
+    near narrow components), then refined inside their grid cell by
+    safeguarded Newton steps on log lfdr to |dz| <= 1e-13.  Grid ends
+    whose lfdr is already below the threshold extend to infinity.
     """
     if not (0.0 < lam < 1.0):
         raise ValueError(f"lfdr threshold must be in (0, 1), got {lam}")

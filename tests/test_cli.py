@@ -27,8 +27,7 @@ from lfdr_lab import (
     sample_model,
     two_sided_pvalue,
 )
-from lfdr_lab.cli import _CSV_CHUNK, CliError, _cells, decision_table_csv, main, read_z_file
-from lfdr_lab.errors import LengthMismatch
+from lfdr_lab.cli import _CSV_CHUNK, CliError, _cells, _decision_chunks, main, read_z_file
 from lfdr_lab.procedures import DecisionTable, decide
 from lfdr_lab.simulation import eq1_default_model
 
@@ -384,19 +383,13 @@ class TestCsvNumbers:
         z = np.random.default_rng(3).normal(size=40)[::2]
         table = decide(z, ("bh",), 0.1, GaussianComponent(0.0, 1.0))["bh"]
         strided = DecisionTable(table.rejected, table.k, pvalue=np.repeat(table.pvalue, 2)[::2])
-        assert decision_table_csv(z, strided).encode() == _repr_csv(z, table)
-
-    def test_z_and_table_of_different_lengths(self):
-        z = np.random.default_rng(3).normal(size=20)
-        table = decide(z, ("bh",), 0.1, GaussianComponent(0.0, 1.0))["bh"]
-        with pytest.raises(LengthMismatch, match="^19 z-values for 20 decisions$"):
-            decision_table_csv(z[1:], table)
+        assert "".join(_decision_chunks(z, strided)).encode() == _repr_csv(z, table)
 
     @pytest.mark.parametrize("null", ["theoretical", "estimated"])
     @pytest.mark.parametrize("procedure", ["bh", "abh", "lfdr"])
     @pytest.mark.parametrize("m", [1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 3 * _CSV_CHUNK + 1])
     def test_stream_at_chunk_edges(self, tmp_path, capsys, m, procedure, null):
-        # the --out file, stdout, decision_table_csv and the cell-by-cell CSV
+        # the --out file, stdout and the cell-by-cell CSV
         # hold the same bytes around chunk boundaries, with rejected rows
         # first and last in chunks, z = 40 (p-value ulp(0)) and lfdr_hat
         # below 1e-4, cells that repr lays out
@@ -420,7 +413,7 @@ class TestCsvNumbers:
         stdout = capsys.readouterr().out.encode()
         name = {"bh": "bh", "abh": "adaptive_bh", "lfdr": "lfdr"}[procedure]
         table = decide(z, (name,), 0.1, GaussianComponent(0.0, 1.0) if null == "theoretical" else None)[name]
-        assert out.read_bytes() == stdout == decision_table_csv(z, table).encode() == _repr_csv(z, table)
+        assert out.read_bytes() == stdout == _repr_csv(z, table)
         if m > 1:
             ranked = table.lfdr_hat if procedure == "lfdr" else table.pvalue
             assert table.rejected[edges].all() and ((0 < ranked) & (ranked < 1e-4)).any()
@@ -801,6 +794,20 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", outdir]) == 0
         assert hashlib.sha256((outdir / "replication.csv").read_bytes()).hexdigest() == (
             "a4c4b6038e36851a7e337b1572676716976108cb463413f35059ab0b77f24285")
+
+    def test_omitted_keys_take_simconfig_defaults(self, tmp_path):
+        # a config without rho and procedures runs SimConfig's defaults: the
+        # same bytes as one that spells out 0.0 and all four procedures
+        study = {"p0": 0.8, "components": "0.1:-3:1,0.1:3:0.5", "m": 200, "reps": 3, "alpha": 0.1, "seed": 7}
+        spelled = {**study, "rho": 0.0,
+                   "procedures": ["bh", "adaptive_bh", "lfdr_oracle_plugin", "lfdr_estimated"]}
+        outputs = []
+        for name, config in (("omitted", study), ("spelled", spelled)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(config))
+            assert run(["simulate", "--config", cfg, "--out", tmp_path / name]) == 0
+            outputs.append((tmp_path / name / "replication.csv").read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 5
 
     def test_figure_string_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"

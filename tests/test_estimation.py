@@ -39,7 +39,6 @@ from lfdr_lab.estimation import (
     _kernel_sum,
     _median_filter,
     _Sample,
-    _unwrap,
 )
 
 
@@ -320,20 +319,6 @@ def test_median_filter_matches_partitioned_windows(x):
     padded = np.pad(x, 4, mode="edge")
     want = np.partition(np.lib.stride_tricks.sliding_window_view(padded, 9), 4, axis=1)[:, 4]
     assert got.tobytes() == want.tobytes()
-
-
-_HALF_TURNS = st.integers(-8, 8).map(lambda k: k * (math.pi / 2.0))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(a=st.lists(st.floats(-10.0, 10.0) | _HALF_TURNS, min_size=1, max_size=40))
-@example(a=[math.pi, 0.0, -math.pi, math.pi, 3.0 * math.pi, -math.pi, 2.0 * math.pi])
-def test_unwrap_matches_np_unwrap(a):
-    # multiples of pi/2 give steps of exactly +-pi and of multiples of 2 pi,
-    # where np.unwrap's boundary rule decides; the first step is from 0
-    a = np.array(a, dtype=float)
-    want = np.unwrap(np.concatenate([[0.0], a]))[1:]
-    assert _unwrap(a).tobytes() == want.tobytes()
 
 
 def test_shape_tables_are_read_only():

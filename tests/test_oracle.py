@@ -716,6 +716,33 @@ class TestScanGrid:
         rule = oracle_lfdr_rule(m, 0.10)
         assert rule.region == region_from_lfdr_threshold(m, rule.threshold)
 
+    @pytest.mark.parametrize("mean", [1e4, 1e6, -1e6])
+    def test_far_mean_costs_no_more_grid_than_a_near_one(self, mean):
+        # windows around each component, not one span between the means: a
+        # mean of 1e4 took 1,002,401 points, one of 1e6 would take ~1e8
+        near = _scan_grid(mixture_model(0.9, [(0.1, 2.5, 1.0)])).size
+        zs = _scan_grid(mixture_model(0.9, [(0.1, mean, 1.0)]))
+        assert near == 2651 and zs.size <= 2 * near
+        assert np.all(np.diff(zs) > 0.0)
+
+    def test_far_mean_keeps_its_region(self):
+        # the edge found in the one cell between the windows is the one the
+        # dense grid found
+        rule = oracle_lfdr_rule(mixture_model(0.9, [(0.1, 1e4, 1.0)]), 0.1)
+        assert rule.region.intervals == ((4999.997456618134, math.inf),)
+
+    @pytest.mark.parametrize("mean", [1e6, -1e6])
+    def test_far_mean_edge_at_its_closed_form(self, mean):
+        # with equal sds, log odds are linear in z: log(w/p0) + z mean -
+        # mean^2/2 meets log((1 - lam)/lam) at one z
+        rule = oracle_lfdr_rule(mixture_model(0.9, [(0.1, mean, 1.0)]), 0.1)
+        lam = rule.threshold
+        want = mean / 2.0 + (math.log((1.0 - lam) / lam) - math.log(0.1 / 0.9)) / mean
+        (lo, hi), = rule.region.intervals
+        edge = lo if mean > 0 else hi
+        assert math.isinf(hi if mean > 0 else lo)
+        assert abs(edge - want) <= 4 * math.ulp(want)
+
     @pytest.mark.parametrize("mean, sd", [(2.5, 1e-20), (2.5, 1e-17), (-3.0, 1e-13), (40.0, 1e-12),
                                           (2e4, 5e-11)])
     def test_unresolvable_component_is_invalid(self, mean, sd):

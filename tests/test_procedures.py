@@ -17,7 +17,6 @@ from lfdr_lab import (
     MarginalDensityEstimate,
     adaptive_bh,
     bh_stepup,
-    cli,
     confusion,
     decide,
     eq1_default_model,
@@ -650,7 +649,7 @@ def _half_table(m):
     return bh_stepup(np.full(m, 0.5), 0.1)
 
 
-# every public entry that ranks, counts, estimates from or writes a vector,
+# every public entry that ranks, counts or estimates from a vector,
 # by the name its refusal gives the input; each is called on values that
 # would be valid in a 1-D vector
 VECTOR_ENTRIES = {
@@ -663,7 +662,6 @@ VECTOR_ENTRIES = {
     "estimate_p0_tail": ("p-values", estimate_p0_tail),
     "lfdr_stepup": ("lfdr values", lambda v: lfdr_stepup(v, 0.1)),
     "confusion": ("truth flags", lambda v: confusion(_half_table(v.size), v)),
-    "decision_table_csv": ("z-values", lambda v: cli.decision_table_csv(v, _half_table(v.size))),
     "MarginalDensityEstimate": ("MarginalDensityEstimate data", lambda v: MarginalDensityEstimate(
         starts=[-1.0], cells=[200], values=np.full(201, 0.5), bandwidth=1.0, data=v)),
 }
@@ -674,8 +672,8 @@ VECTOR_ENTRIES = {
 def test_vector_entries_refuse_other_shapes(entry, shape):
     # a matrix of lfdr values was sorted row by row (k = 1 yet every
     # hypothesis rejected), column truth flags broadcast into negative
-    # counts, a column of z was written as "[0.5]" cells, and a scalar was
-    # taken as one decision or flattened; each is now refused by name
+    # counts, and a scalar was taken as one decision or flattened; each is
+    # now refused by name
     what, call = VECTOR_ENTRIES[entry]
     values = np.linspace(0.01, 0.99, math.prod(shape)).reshape(shape)
     with pytest.raises(ValueError, match=re.escape(f"{what}: expected a 1-D vector, got shape {shape}")):
