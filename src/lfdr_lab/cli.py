@@ -102,9 +102,9 @@ def read_z_file(path: str) -> np.ndarray:
         text = raw.decode("utf-8")  # the BOM is gone, as utf-8-sig would drop it
     except UnicodeDecodeError as exc:
         raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}")
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    if "#" in text:
-        lines = [ln for ln in lines if not ln.startswith("#")]
+    numbered = [(n, ln) for n, ln in enumerate(map(str.strip, text.splitlines()), start=1)
+                if ln and not ln.startswith("#")]
+    lines = [ln for _, ln in numbered]
     if not lines:
         raise CliError(EXIT_INPUT, f"{path}: no data lines")
     try:
@@ -123,12 +123,7 @@ def read_z_file(path: str) -> np.ndarray:
         header = 1
     bad = np.flatnonzero(~np.isfinite(z))
     if bad.size:
-        data_lines = [
-            n
-            for n, ln in enumerate(text.splitlines(), start=1)
-            if ln.strip() and not ln.strip().startswith("#")
-        ]
-        line = data_lines[header + int(bad[0])]
+        line = numbered[header + int(bad[0])][0]
         raise CliError(EXIT_INPUT, f"{path}:{line}: non-finite z value {float(z[bad[0]])!r}")
     return z
 

@@ -23,8 +23,10 @@ against adaptive quadrature and Monte Carlo.
 The p-value rule bisects to 1e-9 above the largest feasible point of a log
 grid in t, scanned top down in chunks; a chunk is evaluated only if its
 bound (first null mass <= alpha times last total mass) admits it.  The
-bisection, not a Newton finish, ends the search because its feasible end
-is the rule's result: closing onto the root moves figure mFNRs by 5e-9.
+bisection runs in the oracle's one root search, ``_bracketed_newton``, fed
+a zero slope; it, not a Newton finish, ends the search because its
+feasible end is the rule's result: closing onto the root moves figure
+mFNRs by 5e-9.
 
 The mFDR of a sublevel set is the mass-weighted mean of lfdr over it, so
 it is nondecreasing in lambda (Sun & Cai 2007), and the optimal lfdr rule
@@ -32,16 +34,17 @@ is one safeguarded Newton search for lambda in [0, 1 - 1e-12] on the exact
 region masses, over one scan grid and one lfdr profile per rule.  Each
 sublevel-set boundary is refined the same way inside its grid cell, by
 Newton steps on log lfdr (whose z-derivative is closed form), evaluated
-by one function per rule with the components' constants bound once.  The
-lambda search keeps a record of each cutoff it tries: the region's
-intervals as tuples and its null and total masses, from which the rule
-wraps one ``RejectionRegion`` and takes its mFDR.  The search's slope
-d mFDR/dlambda reads each boundary's density and lfdr slope off the last
-point of that boundary's own edge search, so no boundary is evaluated
-again.  Both searches run on Python floats: NumPy's per-call cost
-outweighed the arithmetic on a few points.  The scan grid steps 0.01 on
-windows of 12 sd around the component means, and sd/10 within 12 sd of
-each component narrower than 0.1.
+by one function per rule with the components' constants bound once.
+Every search stops once its bracket is narrower than its tolerance or
+its ends are adjacent floats.  The lambda search keeps a record of each
+cutoff it tries: the region's intervals as tuples and its null and total
+masses, from which the rule wraps one ``RejectionRegion`` and takes its
+mFDR.  The search's slope d mFDR/dlambda reads each boundary's density
+and lfdr slope off the last point of that boundary's own edge search, so
+no boundary is evaluated again.  Both searches run on Python floats:
+NumPy's per-call cost outweighed the arithmetic on a few points.  The scan
+grid steps 0.01 on windows of 12 max sd around the component means, and
+sd/10 within 12 sd of each component narrower than 0.1.
 Masses, densities, slopes and the scan grid all read the component
 table ``core_model._components``, built with the model; a component of
 weight 0 is in none of them.
@@ -271,18 +274,21 @@ def _scan_grid(m: TwoGroupModel) -> np.ndarray:
     component with sd < 10 _GRID_STEP the points give way to steps of
     sd/10, so a sublevel set as narrow as that component still holds grid
     points; a model without narrow components gets the plain grid.
-    Raises InvalidModel if a narrow component's step sd/10 spans under
-    2^12 ulps of its farthest point, |mean| + 12 sd, as the KDE refuses its
-    spacing: such a grid cannot be represented.
+    Raises InvalidModel if a window's step spans under 2^12 ulps of the
+    window's farthest point, as the KDE refuses its spacing: such a grid
+    cannot be represented.  That is the step 0.01 at |mean| + 12 max sd,
+    which refuses every mean from 2^34 - 12 max sd (~1.7e10) on, and the
+    step sd/10 of a narrow component at |mean| + 12 sd.
     """
     _, means, sds = _component_rows(m)[:3]
-    narrow = [(mean, sd) for mean, sd in zip(means, sds) if sd < 10.0 * _GRID_STEP]
-    for mean, sd in narrow:
-        magnitude = abs(mean) + 12.0 * sd
-        if not sd / 10.0 > 2**12 * math.ulp(magnitude):
-            raise InvalidModel(f"oracle scan grid: step sd/10 = {sd / 10.0:.3g} of the component "
-                               f"N({mean:.6g}, {sd:.3g}^2) cannot be represented at |z| up to {magnitude:.6g}")
     reach, spans = 12.0 * max(sds), []
+    narrow = [(mean, sd) for mean, sd in zip(means, sds) if sd < 10.0 * _GRID_STEP]
+    for mean, sd in zip(means, sds):
+        for name, step, half in [("", _GRID_STEP, reach)] + [("sd/10 = ", sd / 10.0, 12.0 * sd)] * (sd < 10.0 * _GRID_STEP):
+            magnitude = abs(mean) + half
+            if not step > 2**12 * math.ulp(magnitude):
+                raise InvalidModel(f"oracle scan grid: step {name}{step:.3g} of the component "
+                                   f"N({mean:.6g}, {sd:.3g}^2) cannot be represented at |z| up to {magnitude:.6g}")
     for mean in sorted(means):
         if spans and mean - reach <= spans[-1][1]:
             spans[-1][1] = mean + reach
@@ -297,23 +303,28 @@ def _scan_grid(m: TwoGroupModel) -> np.ndarray:
 
 
 def _bracketed_newton(fun, lo: float, hi: float, lo_low: bool, tol: float) -> tuple:
-    """Shrink the root bracket [lo, hi] of ``fun`` to width <= tol.
+    """Shrink the root bracket [lo, hi] of ``fun`` until its width is <= tol
+    or its ends are adjacent floats, whichever comes first: the oracle's one
+    root search, for region edges, lambda and the p-value cutoff alike.
 
     ``fun(x)`` returns floats (g, dg/dx); g <= 0 at ``lo`` if ``lo_low``, else
     at ``hi``, and g > 0 at the other end.  A Newton step is taken when it
     is at most half the step before last (as in Numerical Recipes' rtsafe)
     and overshoots the bracket by at most half its own length; otherwise,
-    or if dg is zero or not finite, the bracket is bisected.  Steps shorter
-    than tol/2 are carried tol/2 further and every point is kept tol/4
-    inside the bracket, so a root on a bracket end (a grid point whose lfdr
-    equals the cutoff) closes as fast as an interior one.  Returns (lo, hi).
+    or if dg is zero or not finite, the bracket is bisected, so a ``fun``
+    that returns dg = 0 bisects at every step.  Steps shorter than tol/2
+    are carried tol/2 further and every point is kept tol/4 inside the
+    bracket, so a root on a bracket end (a grid point whose lfdr equals the
+    cutoff) closes as fast as an interior one.  The adjacent-float stop
+    ends searches where tol is below one ulp, as at |z| above ~512 for the
+    edges; _MAX_STEPS caps the rest.  Returns (lo, hi).
     """
     x = 0.5 * (lo + hi)
     prev = older = hi - lo
     for _ in range(_MAX_STEPS):
         g, dg = fun(x)
         lo, hi = (x, hi) if (g <= 0.0) == lo_low else (lo, x)
-        if hi - lo <= tol:
+        if hi - lo <= tol or hi <= math.nextafter(lo, math.inf):
             break
         step = -g / dg if 0.0 < abs(dg) < math.inf else math.nan
         newton = x + step
@@ -392,9 +403,10 @@ def region_from_lfdr_threshold(m: TwoGroupModel, lam: float) -> RejectionRegion:
     """Sublevel set {z : lfdr(m, z) <= lam} as a union of closed intervals.
 
     Boundaries are located by a sign-change scan on the grid of
-    ``_scan_grid`` (windows of 12 sd around the component means, finer
+    ``_scan_grid`` (windows of 12 max sd around the component means, finer
     near narrow components), then refined inside their grid cell by
-    safeguarded Newton steps on log lfdr to |dz| <= 1e-13.  Grid ends
+    safeguarded Newton steps on log lfdr (``_bracketed_newton``) until
+    |dz| <= 1e-13 or the bracket's ends are adjacent floats.  Grid ends
     whose lfdr is already below the threshold extend to infinity.
     """
     if not (0.0 < lam < 1.0):
@@ -415,16 +427,19 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     are checked top down on that bound, and only admitted ones point by
     point.  All steps share the tail masses of ``mfdr_of_region``: the
     grid chunks through ``_tail_masses``, the bisection on Python floats.
-    The result is the bisection's feasible end, not the root: a Newton
-    finish onto the root would move the figures' mFNR by up to 5e-9.
+    The bisection is ``_bracketed_newton`` on mFDR - alpha with a zero
+    slope, which bisects at every step, so it ends at width 1e-9 or at
+    adjacent floats like every other search of the oracle.  The result is
+    the bisection's feasible end, not the root: a Newton finish onto the
+    root would move the figures' mFNR by up to 5e-9.
     """
     _check_alpha(alpha)
     comps = _components(m)
     rows = _component_rows(m)
 
-    def feasible_at(t):
+    def excess(t):  # null/total - alpha <= 0 exactly when null/total <= alpha
         null, total = _region_masses(rows, _pvalue_tails(m.null, t))
-        return null / total <= alpha
+        return null / total - alpha, 0.0
 
     ts, ends = _T_GRID, _T_CHUNK_ENDS
     null, total = _tail_masses(comps, m.null, ts[ends])
@@ -440,11 +455,8 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
             f"tail mFDR is {null[0] / total[0]:.6g} at t = {ts[0]:.3g}"
         )
     t_star = float(ts[i])
-    if i < ts.size - 1:
-        b = float(ts[i + 1])
-        while b - t_star > _SEARCH_TOL:
-            c = 0.5 * (t_star + b)
-            t_star, b = (c, b) if feasible_at(c) else (t_star, c)
+    if i < ts.size - 1 and float(ts[i + 1]) - t_star > _SEARCH_TOL:
+        t_star = _bracketed_newton(excess, t_star, float(ts[i + 1]), True, _SEARCH_TOL)[0]
     region = region_from_pvalue_threshold(m.null, t_star)
     return OracleRule(
         kind="pvalue",
@@ -464,12 +476,17 @@ def _lfdr_excess(null: float, total: float, edge_terms: list, lam: float, alpha:
     finite boundary b by dz/dlam = 1/|lfdr'(b)| and adds mass f(b) there, so
     d mFDR/dlam = sum_b f(b)/|lfdr'(b)| * (lam - mFDR)/total.  Since lfdr(b)
     = lam, f(b) = p0 f0(b)/lam and lfdr'(b) = lam * d log lfdr/dz, both
-    taken from the point where b's edge search ended.
+    taken from the point where b's edge search ended.  A boundary whose
+    slope there is exactly 0 adds 0: far out the slope underflows, and in
+    every case measured p0 f0(b) had underflowed with it.  The derivative
+    only proposes Newton steps; ``_bracketed_newton``'s safeguards still
+    decide each one.
     """
     if total < _MASS_FLOOR:
         return -alpha, 0.0
     rate = null / total  # as mfdr_of_region computes it
-    growth = math.fsum(math.exp(log_null) / lam / (lam * abs(slope)) for log_null, slope in edge_terms)
+    growth = math.fsum(math.exp(log_null) / lam / (lam * abs(slope)) if slope else 0.0
+                       for log_null, slope in edge_terms)
     return rate - alpha, growth * (lam - rate) / total
 
 

@@ -706,6 +706,25 @@ class TestOracle:
             "cannot be represented at |z| up to 2.5\n")
         assert not manifest.exists()
 
+    def test_far_mean_reports_both_rules(self, tmp_path, capsys):
+        # the far edge's lfdr slope underflows to 0: both rules are
+        # reported, where the lambda search raised ZeroDivisionError
+        code = run(["oracle", "--p0", "0.9", "--components", "0.1:3827494478.516315:1", "--alpha", "0.1",
+                    "--csv", tmp_path / "r.csv", "--manifest", tmp_path / "m.json"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == "" and "infeasible" not in out
+        lines = (tmp_path / "r.csv").read_text().strip().split("\n")
+        assert lines[2].endswith(",1913747239.2581573:inf")
+
+    def test_unrepresentable_coarse_step_is_invalid(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        assert run(["oracle", "--p0", "0.9", "--components", "0.1:1e300:1", "--alpha", "0.1",
+                    "--manifest", manifest]) == 4
+        assert capsys.readouterr().err == (
+            "error: oracle scan grid: step 0.01 of the component N(1e+300, 1^2) "
+            "cannot be represented at |z| up to 1e+300\n")
+        assert not manifest.exists()
+
     def test_zero_weight_component_changes_nothing(self, tmp_path):
         # a weight-0 component too narrow for any scan grid is left out of
         # the rules: exit 0, and the CSV of the model without it

@@ -622,6 +622,38 @@ class TestBracketedNewton:
         # bisection alone would take ~43 steps to reach 1e-13
         assert len(calls) <= 10
 
+    def test_zero_slope_bisects_as_a_plain_loop(self):
+        # the p-value rule's search: a zero slope takes the same midpoints
+        # as a loop that bisects while the bracket is wider than tol, and
+        # g <= 0 exactly where the feasibility test holds
+        feasible = lambda t: t * t * t <= 0.3
+        a, b = 0.5, 0.9
+        while b - a > 1e-9:
+            c = 0.5 * (a + b)
+            a, b = (c, b) if feasible(c) else (a, c)
+        lo, hi, _ = self.search(lambda t: (t * t * t - 0.3, 0.0), 0.5, 0.9, True, tol=1e-9)
+        assert (lo, hi) == (a, b)
+
+    def test_far_edge_search_ends_at_adjacent_floats(self):
+        # near z = 5000 one ulp (9.1e-13) is wider than the edge tolerance
+        # 1e-13: the level search in the scan grid's gap cell stops once its
+        # ends are adjacent floats, where it ran all _MAX_STEPS calls before
+        m = mixture_model(0.9, [(0.1, 1e4, 1.0)])
+        zs = _scan_grid(m)
+        i = int(np.searchsorted(zs, 12.0))
+        assert (zs[i], zs[i + 1]) == (12.0, 9988.0)
+        at = _log_lfdr_slope(_components(m)[:, :, 0].tolist())
+        calls = []
+
+        def level(z):
+            calls.append(z)
+            log_lfdr, slope, _ = at(z)
+            return log_lfdr - math.log(0.5), slope
+
+        lo, hi = _bracketed_newton(level, 12.0, 9988.0, False, 1e-13)
+        assert hi == math.nextafter(lo, math.inf) and len(calls) <= 20
+        assert level(hi)[0] <= 0.0 < level(lo)[0]
+
 
 @st.composite
 def models_and_intervals(draw):
@@ -731,7 +763,9 @@ class TestScanGrid:
         rule = oracle_lfdr_rule(mixture_model(0.9, [(0.1, 1e4, 1.0)]), 0.1)
         assert rule.region.intervals == ((4999.997456618134, math.inf),)
 
-    @pytest.mark.parametrize("mean", [1e6, -1e6])
+    # from ~3.5e9 on, the edge's lfdr slope underflowed to 0 at its
+    # search's last point, and the lambda search divided by it
+    @pytest.mark.parametrize("mean", [1e6, -1e6, 3481817630.6889663, 3827494478.516315, -3827494478.516315])
     def test_far_mean_edge_at_its_closed_form(self, mean):
         # with equal sds, log odds are linear in z: log(w/p0) + z mean -
         # mean^2/2 meets log((1 - lam)/lam) at one z
@@ -752,6 +786,22 @@ class TestScanGrid:
         for call in (lambda: oracle_lfdr_rule(m, 0.1), lambda: region_from_lfdr_threshold(m, 0.5)):
             with pytest.raises(InvalidModel, match=r"step sd/10 = .* cannot be represented"):
                 call()
+
+    @pytest.mark.parametrize("mean", [1e14, -1e14, 1e300, 2.0**34 - 12.0])
+    def test_unresolvable_coarse_step_is_invalid(self, mean):
+        # the step 0.01 under 2^12 ulps of |mean| + 12 max sd, from 2^34 on:
+        # refused by name, where 1e14 laid a grid with repeated points and
+        # 1e300 overflowed to the region [1e300, inf) with mFNR 0.0526
+        m = mixture_model(0.9, [(0.1, mean, 1.0)])
+        for call in (lambda: oracle_lfdr_rule(m, 0.1), lambda: region_from_lfdr_threshold(m, 0.5)):
+            with pytest.raises(InvalidModel, match=r"step 0.01 of the component .* cannot be represented"):
+                call()
+
+    def test_largest_resolvable_mean_keeps_its_grid(self):
+        zs = _scan_grid(mixture_model(0.9, [(0.1, 2.0**34 - 13.0, 1.0)]))
+        assert np.all(np.diff(zs) > 0.0)
+        rule = oracle_lfdr_rule(mixture_model(0.9, [(0.1, 1e10, 1.0)]), 0.1)
+        assert rule.region.intervals == ((5000000000.0, math.inf),)
 
     @pytest.mark.parametrize("mean", [2.5, -3.0, 40.0])
     def test_finest_resolvable_component_keeps_its_region(self, mean):
@@ -804,6 +854,21 @@ def test_lfdr_rule_returns_the_region_it_searched():
         rule = oracle_lfdr_rule(m, alpha)
         assert rule.region == region_from_lfdr_threshold(m, rule.threshold)
         assert rule.mfdr == mfdr_of_region(m, rule.region) <= alpha
+
+
+def test_far_edge_under_a_lambda_search():
+    # the far edge's lfdr slope underflows to 0 at its search's last point,
+    # where the lambda search's derivative divided by it; the rule is that
+    # of a nearer far component but for the far edge, at its closed form
+    far = -3216876753.875484
+    rule = oracle_lfdr_rule(mixture_model(0.8, [(0.1, 2.5, 1.0), (0.1, far, 1.0)]), 0.1)
+    near = oracle_lfdr_rule(mixture_model(0.8, [(0.1, 2.5, 1.0), (0.1, -1e6, 1.0)]), 0.1)
+    lam = rule.threshold
+    assert lam < 1.0 - 1e-12 and (lam, rule.mfdr, rule.mfnr) == (near.threshold, near.mfdr, near.mfnr)
+    (_, edge), upper = rule.region.intervals
+    assert upper == near.region.intervals[1]
+    want = far / 2.0 + (math.log((1.0 - lam) / lam) - math.log(0.1 / 0.8)) / far
+    assert abs(edge - want) <= 4 * math.ulp(want)
 
 
 # figure 2's model, panel d's model at alpha 0.2, and the narrow models

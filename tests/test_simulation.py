@@ -23,7 +23,10 @@ from lfdr_lab import (
     figure1_data,
     figure2_data,
     mixture_model,
+    mfdr_of_region,
     oracle_lfdr_rule,
+    oracle_pvalue_rule,
+    region_from_pvalue_threshold,
     rep_seed,
     run_replicated,
     sample_correlated,
@@ -32,6 +35,7 @@ from lfdr_lab import (
 )
 from lfdr_lab import core_model, simulation
 from lfdr_lab.cli import main as cli_main
+from lfdr_lab.procedures import decide
 
 PURE_NULL = mixture_model(1.0, [])
 
@@ -434,17 +438,56 @@ def test_data_driven_lfdr_rules_reach_the_oracle(name, model, capfd):
     # grows while its mFDR stays at alpha; seeds 5 and 6 both pass
     alpha = 0.1
     oracle = oracle_lfdr_rule(model, alpha).mfnr
+    # the p-value side, on the same draws: BH at alpha tends to the p-value
+    # rule at mFDR p0 alpha (Genovese & Wasserman 2002), and adaptive BH to
+    # that rule at alpha p0/p0_inf, where its tail estimate tends to p0_inf
+    # = min(1, 2 P(p > 1/2)) (Storey 2002)
+    below_half = model.p0 * 0.5 / mfdr_of_region(model, region_from_pvalue_threshold(model.null, 0.5))
+    p0_inf = min(1.0, 2.0 * (1.0 - below_half))
+    limits = {"bh": oracle_pvalue_rule(model, model.p0 * alpha),
+              "adaptive_bh": oracle_pvalue_rule(model, alpha * model.p0 / p0_inf)}
     stats = {}
     for m, reps in ((1_000, 200), (10_000, 60), (100_000, 12)):
         config = SimConfig(model=model, m=m, reps=reps, alpha=alpha, seed=5,
-                           procedures=("lfdr_oracle_plugin", "lfdr_estimated"))
-        result = run_replicated(config).per_procedure
-        plugin, est = stats[m] = result["lfdr_oracle_plugin"], result["lfdr_estimated"]
+                           procedures=("lfdr_oracle_plugin", "lfdr_estimated", "bh", "adaptive_bh"))
+        result = stats[m] = run_replicated(config).per_procedure
+        plugin, est = result["lfdr_oracle_plugin"], result["lfdr_estimated"]
         with capfd.disabled():
             print(f"[ORACLE GAP] {name}, m = {m} ({reps} reps): plug-in mFNR {plugin.mfnr:.4f} "
                   f"+- {plugin.mfnr_se:.4f}, estimated mFDR {est.mfdr:.4f} +- {est.mfdr_se:.4f}, "
                   f"mFNR {est.mfnr:.4f} +- {est.mfnr_se:.4f}, oracle mFNR {oracle:.4f}", flush=True)
-    for m, (plugin, _) in stats.items():
+            for proc, limit in limits.items():
+                got = result[proc]
+                print(f"[ORACLE GAP] {name}, m = {m}: {proc} mFDR {got.mfdr:.4f} +- {got.mfdr_se:.4f} "
+                      f"(limit {limit.mfdr:.4f}), mFNR {got.mfnr:.4f} +- {got.mfnr_se:.4f} "
+                      f"(limit {limit.mfnr:.4f}; p0_inf {p0_inf:.5f})", flush=True)
+    for m, result in stats.items():
+        plugin = result["lfdr_oracle_plugin"]
         assert abs(plugin.mfnr - oracle) <= 3.0 * plugin.mfnr_se, m
-    assert abs(stats[100_000][1].mfnr - oracle) < abs(stats[1_000][1].mfnr - oracle)
-    assert stats[100_000][1].mfdr <= alpha + 3.0 * stats[100_000][1].mfdr_se
+        for proc, limit in limits.items():
+            got = result[proc]
+            assert abs(got.mfnr - limit.mfnr) <= 3.0 * got.mfnr_se, (m, proc)
+            assert abs(got.mfdr - limit.mfdr) <= 3.0 * got.mfdr_se, (m, proc)
+    assert abs(limits["bh"].mfdr - model.p0 * alpha) <= 1e-8
+    est = {m: result["lfdr_estimated"] for m, result in stats.items()}
+    assert abs(est[100_000].mfnr - oracle) < abs(est[1_000].mfnr - oracle)
+    assert est[100_000].mfdr <= alpha + 3.0 * est[100_000].mfdr_se
+
+
+# A nonnull component narrower than the null breaks the ECF null's
+# assumption (Jin & Cai 2007): the null estimate measures the spike, and the
+# fully estimated lfdr rule's mean FDP over seeds 11-13 reads 0.585 at sd
+# 0.01 and 0.369 at sd 0.3, against 0.097 at sd 1.  The marks come off
+# when the pipeline detects the spike or holds its FDR there.
+_FOOLS_THE_NULL = pytest.mark.xfail(strict=True, reason="a narrow nonnull component fools the ECF null")
+
+
+@pytest.mark.parametrize("sd", [pytest.param(0.01, marks=_FOOLS_THE_NULL),
+                                pytest.param(0.3, marks=_FOOLS_THE_NULL), 1.0])
+def test_estimated_lfdr_rule_holds_fdr_beside_a_narrow_nonnull(sd):
+    model = mixture_model(0.9, [(0.1, 2.5, sd)])
+    fdps = []
+    for seed in (11, 12, 13):
+        z, nonnull = sample_model(model, 5000, seed)
+        fdps.append(fdp_fnp(confusion(decide(z, ("lfdr",), 0.1, None)["lfdr"], nonnull))[0])
+    assert np.mean(fdps) <= 0.2
