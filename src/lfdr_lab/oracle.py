@@ -43,8 +43,10 @@ mFDR.  The search's slope d mFDR/dlambda reads each boundary's density
 and lfdr slope off the last point of that boundary's own edge search, so
 no boundary is evaluated again.  Both searches run on Python floats:
 NumPy's per-call cost outweighed the arithmetic on a few points.  The scan
-grid steps 0.01 on windows of 12 max sd around the component means, and
-sd/10 within 12 sd of each component narrower than 0.1.
+grid is laid in units of the widest sd: it steps max sd/100 on windows of
+12 max sd around the component means, and sd/10 within 12 sd of each
+component narrower than max sd/10, so its size does not grow with the
+model's scale (a nonnull of sd 1000 beside N(0, 1) lays 2641 points).
 Masses, densities, slopes and the scan grid all read the component
 table ``core_model._components``, built with the model; a component of
 weight 0 is in none of them.
@@ -98,9 +100,6 @@ _T_GRID.flags.writeable = _T_CHUNK_ENDS.flags.writeable = False
 _EDGE_TOL = 1e-13
 _LAMBDA_TOL = 1e-12
 _MAX_STEPS = 200
-# Step of the lfdr scan grid; components narrower than 10 steps get a finer
-# grid of their own (see _scan_grid).
-_GRID_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -267,34 +266,37 @@ def _scan_grid(m: TwoGroupModel) -> np.ndarray:
 
     The grid covers a window of +- 12 max sd around the mean of each
     component of positive weight (the rows of ``_component_rows``) in
-    steps of about _GRID_STEP.  Overlapping windows merge into one span,
+    steps of about max sd/100.  Overlapping windows merge into one span,
     laid out by one ``np.linspace``; between spans lies one scan cell, in
     which the edge search finds any boundary, so the grid's size does not
     grow with the distance between the means.  Within +- 12 sd of each
-    component with sd < 10 _GRID_STEP the points give way to steps of
-    sd/10, so a sublevel set as narrow as that component still holds grid
-    points; a model without narrow components gets the plain grid.
+    component with sd < max sd/10 the points give way to steps of sd/10,
+    so a sublevel set as narrow as that component still holds grid
+    points; a model without narrow components gets the plain grid.  Both
+    steps scale with the sds, so a model rescaled by any factor lays as
+    many points, at most 2643 per component.
     Raises InvalidModel if a window's step spans under 2^12 ulps of the
     window's farthest point, as the KDE refuses its spacing: such a grid
-    cannot be represented.  That is the step 0.01 at |mean| + 12 max sd,
-    which refuses every mean from 2^34 - 12 max sd (~1.7e10) on, and the
-    step sd/10 of a narrow component at |mean| + 12 sd.
+    cannot be represented.  That is the step max sd/100 at |mean| + 12 max
+    sd, which at a widest sd of 1 refuses every mean from 2^34 - 12
+    (~1.7e10) on, and the step sd/10 of a narrow component at |mean| + 12
+    sd.
     """
     _, means, sds = _component_rows(m)[:3]
-    reach, spans = 12.0 * max(sds), []
-    narrow = [(mean, sd) for mean, sd in zip(means, sds) if sd < 10.0 * _GRID_STEP]
+    step, reach, spans = max(sds) / 100.0, 12.0 * max(sds), []
+    narrow = [(mean, sd) for mean, sd in zip(means, sds) if sd < 10.0 * step]
     for mean, sd in zip(means, sds):
-        for name, step, half in [("", _GRID_STEP, reach)] + [("sd/10 = ", sd / 10.0, 12.0 * sd)] * (sd < 10.0 * _GRID_STEP):
+        for name, width, half in [("", step, reach)] + [("sd/10 = ", sd / 10.0, 12.0 * sd)] * (sd < 10.0 * step):
             magnitude = abs(mean) + half
-            if not step > 2**12 * math.ulp(magnitude):
-                raise InvalidModel(f"oracle scan grid: step {name}{step:.3g} of the component "
+            if not width > 2**12 * math.ulp(magnitude):
+                raise InvalidModel(f"oracle scan grid: step {name}{width:.3g} of the component "
                                    f"N({mean:.6g}, {sd:.3g}^2) cannot be represented at |z| up to {magnitude:.6g}")
     for mean in sorted(means):
         if spans and mean - reach <= spans[-1][1]:
             spans[-1][1] = mean + reach
         else:
             spans.append([mean - reach, mean + reach])
-    zs = np.concatenate([np.linspace(lo, hi, int(math.ceil((hi - lo) / _GRID_STEP)) + 1) for lo, hi in spans])
+    zs = np.concatenate([np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1) for lo, hi in spans])
     fine = [np.linspace(mean - 12.0 * sd, mean + 12.0 * sd, 241) for mean, sd in narrow]
     if not fine:
         return zs
@@ -312,11 +314,14 @@ def _bracketed_newton(fun, lo: float, hi: float, lo_low: bool, tol: float) -> tu
     is at most half the step before last (as in Numerical Recipes' rtsafe)
     and overshoots the bracket by at most half its own length; otherwise,
     or if dg is zero or not finite, the bracket is bisected, so a ``fun``
-    that returns dg = 0 bisects at every step.  Steps shorter than tol/2
-    are carried tol/2 further and every point is kept tol/4 inside the
-    bracket, so a root on a bracket end (a grid point whose lfdr equals the
-    cutoff) closes as fast as an interior one.  The adjacent-float stop
-    ends searches where tol is below one ulp, as at |z| above ~512 for the
+    that returns dg = 0 bisects at every step.  With the nudge max(tol/4,
+    ulp(x)) at the current point x, Newton steps shorter than two nudges
+    are carried two nudges further and every point is kept one nudge inside
+    the bracket, so a root on a bracket end (a grid point whose lfdr equals
+    the cutoff), or a point that lands on the root, closes as fast as an
+    interior one: no nudge is smaller than one float step at x, so the
+    next point is never the one just taken.  The adjacent-float stop ends
+    searches where tol is below one ulp, as at |z| above ~512 for the
     edges; _MAX_STEPS caps the rest.  Returns (lo, hi).
     """
     x = 0.5 * (lo + hi)
@@ -327,10 +332,10 @@ def _bracketed_newton(fun, lo: float, hi: float, lo_low: bool, tol: float) -> tu
         if hi - lo <= tol or hi <= math.nextafter(lo, math.inf):
             break
         step = -g / dg if 0.0 < abs(dg) < math.inf else math.nan
-        newton = x + step
+        newton, nudge = x + step, max(0.25 * tol, math.ulp(x))
         if lo - 0.5 * abs(step) <= newton <= hi + 0.5 * abs(step) and abs(step) <= 0.5 * abs(older):
-            newton += math.copysign(0.5 * tol, step) if abs(step) < 0.5 * tol else 0.0
-            nxt = min(max(newton, lo + 0.25 * tol), hi - 0.25 * tol)
+            newton += math.copysign(2.0 * nudge, step) if abs(step) < 2.0 * nudge else 0.0
+            nxt = min(max(newton, lo + nudge), hi - nudge)
         else:
             nxt = 0.5 * (lo + hi)
         older, prev, x = prev, nxt - x, nxt

@@ -241,16 +241,18 @@ def assert_affine_equivariant(z, a, b):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(z=st.lists(st.floats(-1e3, 1e3).map(lambda v: round(v, 1)), min_size=2, max_size=60))
+@example(z=[0.2, 0.2, 0.2])
 def test_center_spread_matches_np_percentile(z):
     # reference: the median and Silverman's spread from np.percentile
-    # (rounded values give ties and zero IQRs)
+    # (rounded values give ties and zero IQRs); constant data have spread 0,
+    # where np.std reads their mean's rounding (3.4e-17 for three 0.2s)
     z = np.array(z)
     sd = float(np.std(z, ddof=1))
     q75, q50, q25 = np.percentile(z, [75.0, 50.0, 25.0])
     spread = min(sd, (q75 - q25) / 1.34)
     center, got = _Sample(z, "test").center_spread
     assert center == q50
-    assert got == (spread if spread > 0.0 else sd)
+    assert got == (0.0 if z.min() == z.max() else spread if spread > 0.0 else sd)
 
 
 @pytest.mark.parametrize("value", [1.0, 0.1, 0.3, 2.5])

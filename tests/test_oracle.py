@@ -654,6 +654,37 @@ class TestBracketedNewton:
         assert hi == math.nextafter(lo, math.inf) and len(calls) <= 20
         assert level(hi)[0] <= 0.0 < level(lo)[0]
 
+    def test_search_that_lands_on_its_root_ends(self):
+        # the Newton step lands on the root, where g = 0 and the next step is
+        # -0.0: nudges of tol/4 and tol/2 rounded back onto that point at
+        # |x| >= 256, which the search then took for all _MAX_STEPS calls and
+        # returned (root, 5001.0); nudges of at least one ulp close it
+        root = 5000.123456789
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            return x - root, 1.0
+
+        lo, hi = _bracketed_newton(fun, 4999.0, 5001.0, True, 1e-13)
+        assert lo <= root <= hi and hi == math.nextafter(lo, math.inf)
+        assert len(calls) <= 5
+
+    # a nonnull mean mu of sd 1 beside N(0, 1) at p0 0.9: log odds are
+    # log(1/9) + z mu - mu^2/2, so lfdr = lam at one edge; the means 4.29e9
+    # and 1e10 gave edges of 1.07e9 and 2500000006.0 when a search that
+    # landed on the edge stalled there
+    FAR_MEANS = (np.geomspace(50.0, 1.6e10, 120).tolist() + (-np.geomspace(50.0, 1.6e10, 120)).tolist()
+                 + [4288892828.8823166, 1e10])
+
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    def test_far_edges_at_their_closed_form(self, lam):
+        for mean in self.FAR_MEANS:
+            (lo, hi), = region_from_lfdr_threshold(mixture_model(0.9, [(0.1, mean, 1.0)]), lam).intervals
+            edge, end = (lo, hi) if mean > 0 else (hi, lo)
+            want = mean / 2.0 + (math.log((1.0 - lam) / lam) - math.log(1.0 / 9.0)) / mean
+            assert math.isinf(end) and abs(edge - want) <= max(1e-13, 4 * math.ulp(want)), mean
+
 
 @st.composite
 def models_and_intervals(draw):
@@ -728,14 +759,30 @@ def test_pvalue_rules_frozen_at_every_figure_point():
 
 class TestScanGrid:
     def test_wide_components_keep_the_uniform_grid(self):
-        # every sd >= 0.1: the grid of step min(0.01, min sd/10) over the
-        # whole span, bit for bit
-        models = [m for m, _ in FIGURE_MODELS[::10]] + [
-            mixture_model(0.9, [(0.1, 2.5, 0.1)]),
-            mixture_model(0.7, [(0.2, -1.0, 0.3), (0.1, 2.0, 2.0)]),
-        ]
+        # widest sd 1 and every sd >= 0.1: the grid of step min(0.01, min
+        # sd/10) over the whole span, bit for bit
+        models = [m for m, _ in FIGURE_MODELS[::10]] + [mixture_model(0.9, [(0.1, 2.5, 0.1)])]
         for m in models:
             assert np.array_equal(_scan_grid(m), uniform_scan_grid(m))
+        # widest sd 2: the step is max sd/100 = 0.02 over [-1 - 24, 2 + 24]
+        zs = _scan_grid(mixture_model(0.7, [(0.2, -1.0, 0.3), (0.1, 2.0, 2.0)]))
+        assert zs.size == 2551 and np.array_equal(zs, np.linspace(-25.0, 26.0, 2551))
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 100.0, 1e4])
+    def test_grid_size_does_not_depend_on_scale(self, scale):
+        # steps in units of the widest sd: a fixed step of 0.01 laid 482,
+        # 2651, 265,001 and 26,500,001 points
+        m = TwoGroupModel(0.9, GaussianComponent(0.0, scale), ((0.1, GaussianComponent(2.5 * scale, scale)),))
+        assert _scan_grid(m).size == 2651
+
+    def test_wide_nonnull_stays_small(self):
+        # a nonnull of sd 1000 beside the N(0, 1) null: 2,400,251 points at
+        # a fixed step of 0.01, whose lfdr rule this one matches
+        m = mixture_model(0.9, [(0.1, 2.5, 1000.0)])
+        assert _scan_grid(m).size <= 2 * 2651
+        rule = oracle_lfdr_rule(m, 0.1)
+        assert abs(rule.threshold - 0.9974597441423804) <= 1e-12
+        assert abs(rule.mfnr - 0.00022460062805203167) <= 1e-12
 
     def test_narrow_component_refined_locally(self):
         m = mixture_model(0.9, [(0.1, 2.5, 0.001)])
@@ -827,6 +874,44 @@ def test_zero_weight_component_changes_no_rule(m):
     for rule in (oracle_pvalue_rule, oracle_lfdr_rule):
         for alpha in (0.05, 0.1, 0.2):
             assert repr(rule(m, alpha)) == repr(rule(plain, alpha))
+
+
+@st.composite
+def far_flung_models(draw):
+    """A mixture of 1-3 nonnull components beside the N(0, 1) null, with
+    Dirichlet(1, ..., 1) weights, |mean| log-uniform in [0.1, 1e9] of
+    either sign and sd log-uniform in [1e-6, 1e6].  Returns (model, alpha)."""
+    alpha = draw(st.sampled_from([0.01, 0.1, 0.3]))
+    k = draw(st.integers(1, 3))
+    gamma = [-math.log(draw(st.floats(1e-6, 1.0, exclude_max=True))) for _ in range(k + 1)]
+    weights = [g / math.fsum(gamma) for g in gamma]
+    log_uniform = lambda lo, hi: 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+    return mixture_model(weights[0], [(w, draw(st.sampled_from([-1.0, 1.0])) * log_uniform(0.1, 1e9),
+                                       log_uniform(1e-6, 1e6)) for w in weights[1:]]), alpha
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(far_flung_models())
+@example((mixture_model(0.5, [(0.5, 0.0, 1.0)]), 0.3))  # flat: the nonnull equals the null
+@example((mixture_model(0.9, [(0.1, 2.5, 1e6)]), 0.1))
+@example((mixture_model(0.9, [(0.1, 1e9, 1e-6)]), 0.1))
+def test_rules_on_far_flung_models(case):
+    # every rule either is refused by name or is a finite cutoff whose
+    # rates are in range, and no grid outgrows 2643 points per component
+    m, alpha = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            assert _scan_grid(m).size <= 2643 * _components(m).shape[1]
+        except InvalidModel:
+            pass
+        for rule_for in (oracle_pvalue_rule, oracle_lfdr_rule):
+            try:
+                rule = rule_for(m, alpha)
+            except (Infeasible, FullRegion, InvalidModel):
+                continue
+            assert math.isfinite(rule.threshold)
+            assert 0.0 <= rule.mfdr <= alpha and 0.0 <= rule.mfnr <= 1.0
 
 
 def test_figure2_rules_frozen():
