@@ -12,13 +12,15 @@ mFDR of a region R is (null mass in R)/(total mass in R); mFNR is the
 nonnull fraction of the complement.  Because every density involved is a
 finite Gaussian mixture, interval masses are computed in closed form from
 Gaussian distribution functions (``_interval_mass``).  A region holds a few
-intervals, so its masses are taken on Python floats with scalar ``ndtr``;
-only the p-value rule's scan over chunks of its t-grid takes them on
-arrays (``_tail_masses``), with each tail written out in closed form, one
-``ndtr`` per tail and component.  Both paths add their terms left to
-right, over intervals and then over components (``_sum``), at any number
-of cutoffs, so they agree bit for bit.  The tests cross-check these masses
-against adaptive quadrature and Monte Carlo.
+intervals, so its masses are taken on Python floats with scalar ``ndtr``.
+The p-value rule's two tails are written out in closed form, one ``ndtr``
+per tail and component: on arrays for its scan over chunks of its t-grid
+(``_tail_masses``, on a slice of the grid's quantiles Phi^-1(1 - t/2),
+computed once), and on Python floats for its bisection
+(``_tail_masses_at``).  All paths add their terms left to right, over
+intervals and then over components (``_sum``), at any number of cutoffs,
+so they agree bit for bit.  The tests cross-check these masses against
+adaptive quadrature and Monte Carlo.
 
 The p-value rule bisects to 1e-9 above the largest feasible point of a log
 grid in t, scanned top down in chunks; a chunk is evaluated only if its
@@ -28,13 +30,21 @@ a zero slope; it, not a Newton finish, ends the search because its
 feasible end is the rule's result: closing onto the root moves figure
 mFNRs by 5e-9.
 
+Work that depends only on the model is done once per distinct input and
+kept, read-only, for the 4 most recently used inputs of each kind
+(``_reused``): the scan grid by the components' means and sds, and the lfdr
+profile with its ``_log_lfdr_slope`` function and the p-value scan's
+chunk-end masses by the bytes of the component table.  So a sweep over
+alpha reuses all three, a sweep over weights reuses the grid, and results
+are bit for bit those of a first call.
+
 The mFDR of a sublevel set is the mass-weighted mean of lfdr over it, so
 it is nondecreasing in lambda (Sun & Cai 2007), and the optimal lfdr rule
 is one safeguarded Newton search for lambda in [0, 1 - 1e-12] on the exact
-region masses, over one scan grid and one lfdr profile per rule.  Each
+region masses, over one scan grid and one lfdr profile per model.  Each
 sublevel-set boundary is refined the same way inside its grid cell, by
 Newton steps on log lfdr (whose z-derivative is closed form), evaluated
-by one function per rule with the components' constants bound once.
+by one function per model with the components' constants bound once.
 Every search stops once its bracket is narrower than its tolerance or
 its ends are adjacent floats.  The lambda search keeps a record of each
 cutoff it tries: the region's intervals as tuples and its null and total
@@ -93,13 +103,17 @@ _SEARCH_TOL = 1e-9
 _CHUNK = 64
 _T_GRID = np.exp(np.linspace(math.log(1e-10), math.log(1.0 - 1e-12), 10_000))
 _T_CHUNK_ENDS = np.append(np.arange(0, _T_GRID.size - 1, _CHUNK), _T_GRID.size - 1)
-_T_GRID.flags.writeable = _T_CHUNK_ENDS.flags.writeable = False
+_T_QUANTILES = -ndtri(_T_GRID / 2.0)  # Phi^-1(1 - t/2), the tails' cut in null sds
+_T_GRID.flags.writeable = _T_CHUNK_ENDS.flags.writeable = _T_QUANTILES.flags.writeable = False
 # Bracket widths at which the lfdr searches stop (sublevel-set boundaries
 # in z, and the lfdr cutoff lambda), and a cap on their steps; bisection
 # alone needs ~40 steps to reach either width.
 _EDGE_TOL = 1e-13
 _LAMBDA_TOL = 1e-12
 _MAX_STEPS = 200
+# The caches of ``_reused``: scan grids, lfdr setups (``_lfdr_setup``) and
+# the p-value scan's chunk-end masses.
+_GRIDS, _LFDR_SETUPS, _PVALUE_ENDS = {}, {}, {}
 
 
 @dataclass(frozen=True)
@@ -189,6 +203,25 @@ def _sum(values):
     return total
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _reused(cache: dict, key: bytes, build: Callable):
+    """``cache[key]``, made by ``build()`` if missing.  The cache keeps its 4
+    most recently used keys, so a sweep that changes one input of its model
+    rebuilds only the work that depends on that input, and keys are bytes,
+    so only bit-identical inputs share an entry."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = build()
+    cache[key] = value
+    if len(cache) > 4:
+        del cache[next(iter(cache))]
+    return value
+
+
 def _component_rows(m: TwoGroupModel) -> list:
     """The component table ``_components(m)`` as five lists (w, mean, sd,
     log w, log sd), for the oracle's scalar arithmetic."""
@@ -242,9 +275,10 @@ def region_from_pvalue_threshold(null: GaussianComponent, t: float) -> Rejection
     return RejectionRegion(_pvalue_tails(null, t))
 
 
-def _tail_masses(comps: np.ndarray, null: GaussianComponent, ts) -> tuple:
-    """Arrays of (null mass, total mass) of the p-value tails at each cutoff
-    in ``ts``, for the component table ``comps``: ``_region_masses`` of
+def _tail_masses(comps: np.ndarray, null: GaussianComponent, q: np.ndarray) -> tuple:
+    """Arrays of (null mass, total mass) of the p-value tails at each
+    quantile q = Phi^-1(1 - t/2) in ``q`` (a slice of ``_T_QUANTILES``),
+    for the component table ``comps``: ``_region_masses`` of
     ``_pvalue_tails(null, t)`` at each t, bit for bit, at any number of
     cutoffs.
 
@@ -253,11 +287,24 @@ def _tail_masses(comps: np.ndarray, null: GaussianComponent, ts) -> tuple:
     w*ndtr(-a) if a > 0 and w*(1 - ndtr(a)) otherwise, and ndtr(-|a|)
     serves both cases."""
     w, mean, sd = comps[:3]
-    q = -ndtri(np.asarray(ts) / 2.0)
     a = (null.mean + q * null.sd - mean) / sd
     upper = ndtr(-np.abs(a))
     per_component = (w * ndtr((null.mean - q * null.sd - mean) / sd)
                      + w * np.where(a > 0.0, upper, 1.0 - upper))
+    return per_component[0], _sum(per_component)
+
+
+def _tail_masses_at(rows: list, null: GaussianComponent, t: float) -> tuple:
+    """``_tail_masses`` at the one cutoff ``t``, on Python floats, for the
+    component ``rows`` of ``_component_rows``: the same closed form, so the
+    same bits as ``_region_masses`` of ``_pvalue_tails(null, t)``."""
+    q = -float(ndtri(t / 2.0))
+    lo, hi = null.mean - q * null.sd, null.mean + q * null.sd
+    per_component = []
+    for w, mean, sd in zip(*rows[:3]):
+        a = (hi - mean) / sd
+        upper = ndtr(-abs(a))
+        per_component.append(float(w * ndtr((lo - mean) / sd) + w * (upper if a > 0.0 else 1.0 - upper)))
     return per_component[0], _sum(per_component)
 
 
@@ -342,6 +389,19 @@ def _bracketed_newton(fun, lo: float, hi: float, lo_low: bool, tol: float) -> tu
     return lo, hi
 
 
+def _lfdr_setup(m: TwoGroupModel) -> tuple:
+    """(``_log_lfdr_slope`` of the model's rows, its scan grid, lfdr on that
+    grid), the work of an lfdr region that depends only on the model: reused
+    by component table, the grid by (means, sds) (``_reused``), read-only."""
+    comps = _components(m)
+
+    def build():
+        zs = _reused(_GRIDS, comps[1:3].tobytes(), lambda: _frozen(_scan_grid(m)))
+        return _log_lfdr_slope(_component_rows(m)), zs, _frozen(lfdr(m, zs))
+
+    return _reused(_LFDR_SETUPS, comps.tobytes(), build)
+
+
 def _log_lfdr_slope(rows: list) -> Callable:
     """The function z -> (log lfdr(z), its derivative in z, log(p0 f0(z)))
     on one float ``z``, for the component table as lists, ``rows =
@@ -416,8 +476,7 @@ def region_from_lfdr_threshold(m: TwoGroupModel, lam: float) -> RejectionRegion:
     """
     if not (0.0 < lam < 1.0):
         raise ValueError(f"lfdr threshold must be in (0, 1), got {lam}")
-    zs = _scan_grid(m)
-    intervals, _ = _sublevel_region(_log_lfdr_slope(_component_rows(m)), zs, lfdr(m, zs), lam)
+    intervals, _ = _sublevel_region(*_lfdr_setup(m), lam)
     return RejectionRegion(intervals)
 
 
@@ -430,8 +489,10 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     total mass T(t) both grow with t, so a chunk [t_a, t_b] of 64 grid
     points holds a feasible point only if N(t_a) <= alpha * T(t_b); chunks
     are checked top down on that bound, and only admitted ones point by
-    point.  All steps share the tail masses of ``mfdr_of_region``: the
-    grid chunks through ``_tail_masses``, the bisection on Python floats.
+    point.  All steps share the tail masses of ``mfdr_of_region``, in
+    closed form: the grid chunks through ``_tail_masses``, with the
+    chunk-end masses reused per component table, and the bisection through
+    ``_tail_masses_at`` on Python floats.
     The bisection is ``_bracketed_newton`` on mFDR - alpha with a zero
     slope, which bisects at every step, so it ends at width 1e-9 or at
     adjacent floats like every other search of the oracle.  The result is
@@ -443,13 +504,14 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     rows = _component_rows(m)
 
     def excess(t):  # null/total - alpha <= 0 exactly when null/total <= alpha
-        null, total = _region_masses(rows, _pvalue_tails(m.null, t))
+        null, total = _tail_masses_at(rows, m.null, t)
         return null / total - alpha, 0.0
 
     ts, ends = _T_GRID, _T_CHUNK_ENDS
-    null, total = _tail_masses(comps, m.null, ts[ends])
+    null, total = _reused(_PVALUE_ENDS, comps.tobytes(),
+                          lambda: tuple(map(_frozen, _tail_masses(comps, m.null, _T_QUANTILES[ends]))))
     for j in np.flatnonzero(null[:-1] <= alpha * total[1:])[::-1]:
-        chunk_null, chunk_total = _tail_masses(comps, m.null, ts[ends[j]: ends[j + 1] + 1])
+        chunk_null, chunk_total = _tail_masses(comps, m.null, _T_QUANTILES[ends[j]: ends[j + 1] + 1])
         hits = np.flatnonzero(chunk_null / chunk_total <= alpha)
         if hits.size:
             i = int(ends[j] + hits[-1])
@@ -502,16 +564,15 @@ def oracle_lfdr_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     sublevel set), and lambda = 0 gives the empty region, which counts as
     feasible.  So lambda = 1 - 1e-12 is used if it is feasible; otherwise
     [0, 1 - 1e-12] brackets the cutoff, and a safeguarded Newton search on
-    the exact sublevel-set masses, with lfdr profiled once on the scan
-    grid, closes it to 1e-12.  The rule returns the search's feasible end
-    with the region and masses recorded there, so the reported mFDR is
-    <= alpha exactly and equals ``mfdr_of_region`` of the region.
+    the exact sublevel-set masses, with lfdr profiled once per model on the
+    scan grid (``_lfdr_setup``), closes it to 1e-12.  The rule returns the
+    search's feasible end with the region and masses recorded there, so the
+    reported mFDR is <= alpha exactly and equals ``mfdr_of_region`` of the
+    region.
     """
     _check_alpha(alpha)
     rows = _component_rows(m)
-    at = _log_lfdr_slope(rows)
-    zs = _scan_grid(m)
-    profile = lfdr(m, zs)
+    at, zs, profile = _lfdr_setup(m)
     records = {}  # lam -> (intervals, null mass, total mass)
 
     def excess(lam):

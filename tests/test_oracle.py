@@ -32,11 +32,17 @@ from lfdr_lab import (
     region_from_pvalue_threshold,
     sample_model,
 )
+from lfdr_lab import oracle
 from lfdr_lab.core_model import _components
 from lfdr_lab.oracle import (
+    _GRIDS,
+    _LFDR_SETUPS,
     _MAX_STEPS,
+    _PVALUE_ENDS,
     _T_CHUNK_ENDS,
     _T_GRID,
+    _T_QUANTILES,
+    SweepRow,
     _bracketed_newton,
     _interval_mass,
     _lfdr_excess,
@@ -46,7 +52,9 @@ from lfdr_lab.oracle import (
     _scan_grid,
     _sublevel_region,
     _tail_masses,
+    _tail_masses_at,
 )
+from lfdr_lab.simulation import figure1_data
 
 STD = GaussianComponent(0.0, 1.0)
 
@@ -238,11 +246,14 @@ class TestOraclePvalueRule:
         assert_allclose(hi1, -lo2, atol=1e-9)
 
     def test_t_grid_built_once_read_only(self):
-        # every rule scans the same module-level grid, so no rule may write it
+        # every rule scans the same module-level grid and its quantiles, so no
+        # rule may write them; the quantiles are those each cutoff gives alone
         assert _T_GRID.size == 10_000 and np.all(np.diff(_T_GRID) > 0.0)
         assert_allclose(_T_GRID[[0, -1]], [1e-10, 1.0 - 1e-12], rtol=1e-12)
         assert _T_CHUNK_ENDS[0] == 0 and _T_CHUNK_ENDS[-1] == _T_GRID.size - 1
-        for grid in (_T_GRID, _T_CHUNK_ENDS):
+        assert _T_QUANTILES.tobytes() == (-ndtri(_T_GRID / 2)).tobytes()
+        assert [-float(ndtri(t / 2.0)) for t in _T_GRID[::97].tolist()] == _T_QUANTILES[::97].tolist()
+        for grid in (_T_GRID, _T_CHUNK_ENDS, _T_QUANTILES):
             with pytest.raises(ValueError, match="read-only"):
                 grid[0] = grid[1]
 
@@ -720,20 +731,27 @@ EIGHT_NONNULL = mixture_model(0.84, [(0.02, mean, sd) for mean, sd in [
 @example((EIGHT_NONNULL, [1e-10, 1e-4, 0.05, 0.3, 1.0 - 1e-12], None))
 @example((EIGHT_NONNULL, [0.05], None))
 @example((EIGHT_NONNULL, None, tuple((x, x + 0.5) for x in range(-5, 5))))
+# the grid's ends, and cuts just below a nonnull mean, where the upper
+# tail's 1 - ndtr(a) differs from ndtr(-a) in its last bit: 1.96 < 2.03 at
+# t = 0.05, and ~1e-12 < 0.04 near t = 1
+@example((mixture_model(0.8, [(0.1, 2.03, 1.0), (0.1, 0.04, 0.2)]), [1e-10, 0.05, 1.0 - 1e-12], None))
 def test_scalar_masses_equal_array_masses(case):
-    # region rates, the lfdr search and the p-value bisection use the scalar
-    # masses, the p-value scan the array ones: equal bit for bit, one by one
-    # and summed left to right over intervals and then components
+    # region rates and the lfdr search use the scalar interval masses, the
+    # p-value scan the array tails and its bisection the scalar tails: all
+    # equal bit for bit, one by one and summed left to right over intervals
+    # and then components
     m, ts, intervals = case
     rows = _components(m)[:, :, 0].tolist()
     if ts is not None:
         # the scan's own arithmetic, on a vector of cutoffs as it runs it,
-        # or on a single cutoff
-        null, total = _tail_masses(_components(m), m.null, ts)
+        # or on a single cutoff, and the bisection's, one cutoff at a time
+        null, total = _tail_masses(_components(m), m.null, -ndtri(np.asarray(ts) / 2.0))
         want = [(n.hex(), t.hex()) for n, t in zip(null.tolist(), total.tolist())]
-        got = [_region_masses(rows, _pvalue_tails(m.null, t)) for t in ts]
-        assert all(type(x) is float for pair in got for x in pair)
-        assert [(n.hex(), t.hex()) for n, t in got] == want
+        for masses_at in (lambda t: _region_masses(rows, _pvalue_tails(m.null, t)),
+                          lambda t: _tail_masses_at(rows, m.null, t)):
+            got = [masses_at(t) for t in ts]
+            assert all(type(x) is float for pair in got for x in pair)
+            assert [(n.hex(), t.hex()) for n, t in got] == want
         return
     null, total = _region_masses(rows, intervals)
     if not intervals:
@@ -924,6 +942,102 @@ def test_figure2_rules_frozen():
         assert abs(got - want) <= 1e-12
     assert data.pvalue_rule.threshold == 0.02256425475985649
     assert data.pvalue_rule.mfnr == 0.04580598705830405
+
+
+def clear_reuse():
+    for cache in (_GRIDS, _LFDR_SETUPS, _PVALUE_ENDS):
+        cache.clear()
+
+
+def both_rules(m, alpha, fresh):
+    # both rules by repr; if fresh, as a first call makes them, with nothing
+    # reused
+    out = []
+    for rule_for in (oracle_pvalue_rule, oracle_lfdr_rule):
+        if fresh:
+            clear_reuse()
+        try:
+            out.append(repr(rule_for(m, alpha)))
+        except (Infeasible, FullRegion) as exc:
+            out.append(repr(exc))
+    return out
+
+
+def fresh_row(value, m, alpha):
+    # oracle_sweep's row at one point, from rules made with nothing reused
+    clear_reuse()
+    try:
+        p_rule, l_rule = oracle_pvalue_rule(m, alpha), oracle_lfdr_rule(m, alpha)
+    except (Infeasible, FullRegion) as exc:
+        return SweepRow(float(value), math.nan, math.nan, error=str(exc))
+    return SweepRow(float(value), p_rule.mfnr, l_rule.mfnr)
+
+
+# the same means, and sds that give different scan grids
+ALTERNATING = [mixture_model(0.8, [(0.02, -3.0, 1.0), (0.18, 1.0, sd)]) for sd in (1.0, 0.05)]
+
+
+class TestReuse:
+    # a rule reuses the scan grid, lfdr setup and tail masses of a model with
+    # the same component table (the grid: the same means and sds)
+    @pytest.mark.parametrize("model_for, sweep, alpha", [
+        # alpha over one model (panel d)
+        (lambda _: mixture_model(0.8, [(0.02, -3.0, 1.0), (0.18, 1.0, 1.0)]),
+         [round(0.02 * k, 2) for k in range(1, 16)], lambda a: a),
+        # p1 with means and sds fixed (figure 2): one grid, a profile and
+        # tail masses each
+        (lambda p1: mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 4.0, 1.0)]), P1_GRID[::-1], 0.10),
+        # mu2 varying (panel c): nothing reused
+        (lambda mu2: mixture_model(0.8, [(0.18, -3.0, 1.0), (0.02, mu2, 1.0)]),
+         [1.0 + 0.25 * k for k in range(21)], 0.10),
+        # two models alternating, at levels that make some points infeasible
+        (lambda k: ALTERNATING[k % 2], list(range(12)), lambda k: [0.001, 0.05, 0.1, 0.2][k % 4]),
+    ], ids=["alpha", "p1", "mu2", "alternating"])
+    def test_sweeps_equal_fresh_single_rule_calls(self, model_for, sweep, alpha):
+        alpha_for = alpha if callable(alpha) else (lambda _: alpha)
+        clear_reuse()
+        rows = oracle_sweep(model_for, sweep, alpha)
+        assert [repr(r) for r in rows] == [repr(fresh_row(v, model_for(v), alpha_for(v))) for v in sweep]
+        fresh = [both_rules(model_for(v), alpha_for(v), fresh=True) for v in sweep]
+        clear_reuse()
+        assert [both_rules(model_for(v), alpha_for(v), fresh=False) for v in sweep] == fresh
+
+    def test_reused_arrays_are_read_only(self):
+        clear_reuse()
+        for panel in "ad":
+            figure1_data(panel)
+        region_from_lfdr_threshold(fig2_model(), 0.5)
+        arrays = [zs for zs in _GRIDS.values()]
+        arrays += [a for _, zs, profile in _LFDR_SETUPS.values() for a in (zs, profile)]
+        arrays += [a for ends in _PVALUE_ENDS.values() for a in ends]
+        assert len(_GRIDS) == 3 and len(_LFDR_SETUPS) == len(_PVALUE_ENDS) == 4
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_caches_keep_four_inputs(self):
+        clear_reuse()
+        figure1_data("c")  # 21 models, 21 grids
+        assert len(_GRIDS) == len(_LFDR_SETUPS) == len(_PVALUE_ENDS) == 4
+
+    def test_alpha_sweep_builds_one_profile_and_one_grid(self, monkeypatch):
+        calls = {"lfdr": 0, "_scan_grid": 0}
+
+        def counted(name):
+            fn = getattr(oracle, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(oracle, name, counted(name))
+        clear_reuse()
+        rows = figure1_data("d")
+        assert len(rows) == 15 and calls == {"lfdr": 1, "_scan_grid": 1}
+        figure1_data("a")  # 19 profiles on one grid
+        assert calls == {"lfdr": 20, "_scan_grid": 2}
 
 
 # a narrow component beside a wide one: the grid mixes fine and coarse cells
