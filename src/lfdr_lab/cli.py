@@ -25,7 +25,7 @@ import io
 import json
 import sys
 from contextlib import suppress
-from dataclasses import astuple
+from dataclasses import MISSING, astuple, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -372,9 +372,6 @@ def _concentrated_report(demo) -> str:
     )
 
 
-# a replication study's required keys, and every key its config may hold
-_STUDY_KEYS = {"p0", "components", "m", "reps", "alpha", "seed"}
-_SIM_KEYS = _STUDY_KEYS | {"rho", "procedures"}
 # the values of a figure config's only key, "figure"
 _FIGURES = ("1a", "1b", "1c", "1d", "2", "concentrated")
 
@@ -388,13 +385,23 @@ def _number(key: str, value) -> float:
 
 
 def _parse_sim_config(cfg: dict) -> SimConfig:
-    """The study that ``cfg`` sets out.  Only what JSON leaves open is read
-    here: the two forms of ``components``, ``p0`` and each component entry
-    as numbers, and a whole-number float count such as 100.0 as an int.
-    SimConfig checks every other setting."""
+    """The study that ``cfg`` sets out.  Its keys are SimConfig's fields,
+    with ``p0`` and ``components`` standing for ``model``; a field without
+    a default is a required key.  Only what JSON leaves open is read here:
+    the two forms of ``components``, ``p0`` and each component entry as
+    numbers, and a whole-number float for a field annotated ``int``, such
+    as 100.0, as an int.  SimConfig checks every other setting."""
     from .simulation import SimConfig
 
-    missing = _STUDY_KEYS - set(cfg)
+    required = {}  # each key of a study config: whether it is required
+    for f in fields(SimConfig):
+        for key in ("p0", "components") if f.name == "model" else (f.name,):
+            required[key] = f.default is MISSING and f.default_factory is MISSING
+    unknown = set(cfg) - set(required)
+    if unknown:
+        raise CliError(EXIT_INPUT, f"unknown config keys: {sorted(unknown)}; "
+                                   f"a study's keys are {', '.join(required)}; a figure's only key is figure")
+    missing = {key for key, needed in required.items() if needed} - set(cfg)
     if missing:
         raise CliError(EXIT_INPUT, f"config missing keys: {sorted(missing)}")
     comps = cfg["components"]
@@ -405,11 +412,11 @@ def _parse_sim_config(cfg: dict) -> SimConfig:
     else:
         raise CliError(EXIT_INPUT, "components must be [[w, mean, sd], ...] or 'w:mean:sd,...'")
     model = _build_model(_number("p0", cfg["p0"]), comps)
-    counts = {key: int(cfg[key]) if isinstance(cfg[key], float) and cfg[key].is_integer() else cfg[key]
-              for key in ("m", "reps", "seed")}
+    whole = lambda value: int(value) if isinstance(value, float) and value.is_integer() else value
+    study = {f.name: whole(cfg[f.name]) if f.type == "int" else cfg[f.name]
+             for f in fields(SimConfig) if f.name in cfg}
     try:
-        return SimConfig(model=model, alpha=cfg["alpha"], **counts,
-                         **{key: cfg[key] for key in ("rho", "procedures") if key in cfg})
+        return SimConfig(model=model, **study)
     except ValueError as exc:
         raise CliError(EXIT_INPUT, f"bad config: {exc}")
 
@@ -434,9 +441,6 @@ def _simulate(cfg, inputs: list, outdir: Path) -> int:
         raise CliError(EXIT_INPUT, "config must be a JSON object")
     figure = cfg.get("figure")
     if "figure" not in cfg:
-        unknown = set(cfg) - _SIM_KEYS
-        if unknown:
-            raise CliError(EXIT_INPUT, f"unknown config keys: {sorted(unknown)}")
         result = run_replicated(_parse_sim_config(cfg))
         rows = [(proc, *astuple(stats)) for proc, stats in result.per_procedure.items()]
         files = {"replication.csv": _csv("procedure,mfdr,mfdr_se,mfnr,mfnr_se,mean_rejections", rows)}

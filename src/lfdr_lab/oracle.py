@@ -79,6 +79,7 @@ from .core_model import (
     lfdr,
 )
 from .errors import EmptyRegion, FullRegion, Infeasible, InvalidModel
+from .estimation import _frozen
 from .procedures import _check_alpha
 
 __all__ = [
@@ -201,11 +202,6 @@ def _sum(values):
     for value in values:
         total += value
     return total
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _reused(cache: dict, key: bytes, build: Callable):

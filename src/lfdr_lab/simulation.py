@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import ndtri
@@ -38,7 +38,12 @@ __all__ = [
     "eq1_default_model",
 ]
 
-PROCEDURES = ("bh", "adaptive_bh", "lfdr_oracle_plugin", "lfdr_estimated")
+# how each procedure decides a replication: decide's name for it, and the
+# null decide runs under, the model's or its ECF estimate; None marks the
+# plug-in rule, the step-up on the exact lfdr(model, z)
+_RULES = {"bh": ("bh", "model"), "adaptive_bh": ("adaptive_bh", "model"),
+          "lfdr_oracle_plugin": None, "lfdr_estimated": ("lfdr", "ecf")}
+PROCEDURES = tuple(_RULES)
 
 _DEMO_SEED = 20080101
 # the mFDR level of figure 1's panels a-c and of figure 2
@@ -57,11 +62,12 @@ class SimConfig:
 
     Every setting is checked here, and a bad one raises ``ValueError``
     naming it: ``model`` must be a ``TwoGroupModel``; ``procedures`` must
-    be a list or tuple of known procedure names, at least one; ``m``,
-    ``reps`` and ``seed`` must be Python or NumPy integers, ``m`` and
-    ``reps`` at least 1; ``alpha`` must be a real number in (0, 1) and
-    ``rho`` one in [0, 1).  No setting may be a bool.  Counts are stored as
-    ``int``, ``alpha`` and ``rho`` as ``float``.
+    be a list or tuple of names from ``PROCEDURES``, at least one, and is
+    stored as a tuple that keeps each name once, in first-seen order; the
+    fields annotated ``int`` (``m``, ``reps`` and ``seed``) must be Python
+    or NumPy integers, ``m`` and ``reps`` at least 1; ``alpha`` must be a
+    real number in (0, 1) and ``rho`` one in [0, 1).  No setting may be a
+    bool.  Counts are stored as ``int``, ``alpha`` and ``rho`` as ``float``.
     """
 
     model: TwoGroupModel
@@ -79,14 +85,14 @@ class SimConfig:
             raise ValueError(f"procedures must be a sequence of names, not the string {self.procedures!r}")
         if not (isinstance(self.procedures, (list, tuple)) and all(isinstance(p, str) for p in self.procedures)):
             raise ValueError(f"procedures must be a list of names, got {self.procedures!r}")
-        self.procedures = tuple(self.procedures)
-        for key in ("m", "reps", "seed", "alpha", "rho"):
-            value = getattr(self, key)
-            count = key in ("m", "reps", "seed")
+        self.procedures = tuple(dict.fromkeys(self.procedures))
+        for f in [f for f in fields(self) if f.type in ("int", "float")]:
+            value = getattr(self, f.name)
+            count = f.type == "int"
             # a bool is an int to Python, and a NumPy integer is Integral
             if isinstance(value, bool) or not isinstance(value, numbers.Integral if count else numbers.Real):
-                raise ValueError(f"{key} must be {'an integer' if count else 'a number'}, got {value!r}")
-            setattr(self, key, operator.index(value) if count else float(value))
+                raise ValueError(f"{f.name} must be {'an integer' if count else 'a number'}, got {value!r}")
+            setattr(self, f.name, operator.index(value) if count else float(value))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.reps < 1:
@@ -96,9 +102,9 @@ class SimConfig:
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
         if not self.procedures:
             raise ValueError("procedures must name at least one procedure")
-        unknown = set(self.procedures) - set(PROCEDURES)
+        unknown = set(self.procedures) - set(_RULES)
         if unknown:
-            raise ValueError(f"unknown procedures: {sorted(unknown)}")
+            raise ValueError(f"unknown procedures: {sorted(unknown)}; known: {', '.join(_RULES)}")
 
 
 @dataclass(frozen=True)
@@ -190,19 +196,21 @@ def run_replicated(config: SimConfig) -> SimResult:
     replication index order; a failed replication aborts the run with its
     cause.  Each procedure's ``mfdr`` and ``mfnr`` are means of the
     per-replication FDP and FNP (see ``ProcedureStats``): its FDR and FNR,
-    not the marginal E[V]/E[R] of the oracle's ``mfdr_of_region``."""
-    known = tuple(p for p in config.procedures if p in ("bh", "adaptive_bh"))
+    not the marginal E[V]/E[R] of the oracle's ``mfdr_of_region``.  Each
+    replication makes one ``decide`` call per null that a procedure runs
+    under."""
+    calls = {}  # {null: {decide's name: procedure}}, None for the ECF estimate
+    for proc in config.procedures:
+        if _RULES[proc]:
+            name, null = _RULES[proc]
+            calls.setdefault(None if null == "ecf" else config.model.null, {})[name] = proc
     outcomes = {proc: [] for proc in config.procedures}  # (fdp, fnp, k) per replication
     for rep in range(config.reps):
         z, nonnull = sample_correlated(config.model, config.m, config.rho, rep_seed(config.seed, rep))
-        tables = decide(z, known, config.alpha, config.model.null) if known else {}
+        tables = {names[name]: table for null, names in calls.items()
+                  for name, table in decide(z, tuple(names), config.alpha, null).items()}
         for proc in outcomes:
-            if proc == "lfdr_oracle_plugin":
-                table = lfdr_stepup(lfdr(config.model, z), config.alpha)
-            elif proc == "lfdr_estimated":
-                table = decide(z, ("lfdr",), config.alpha, None)["lfdr"]
-            else:
-                table = tables[proc]
+            table = tables[proc] if _RULES[proc] else lfdr_stepup(lfdr(config.model, z), config.alpha)
             outcomes[proc].append((*fdp_fnp(confusion(table, nonnull)), table.k))
 
     def std_err(x: np.ndarray) -> float:

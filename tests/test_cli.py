@@ -800,19 +800,29 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", outdir]) == 0
         assert (outdir / "replication.csv").read_bytes() == first
 
-    def test_replication_csv_bytes_pinned(self, tmp_path):
+    @pytest.mark.parametrize("extra, want", [
+        ({"procedures": ["bh", "adaptive_bh", "lfdr_oracle_plugin", "lfdr_estimated"]},
+         "a4c4b6038e36851a7e337b1572676716976108cb463413f35059ab0b77f24285"),
+        ({"rho": 0.5, "procedures": ["lfdr_estimated", "adaptive_bh", "lfdr_oracle_plugin", "bh"]},
+         "579e190227054ba0c457c5f82f822920dc8646a0509f6e7ae523f40abe88da5e"),
+    ], ids=["independent", "dependent-mixed-order"])
+    def test_replication_csv_bytes_pinned(self, tmp_path, extra, want):
         # every procedure, under a model whose component table the sampler,
-        # lfdr() and the plug-in rule share; the digest is of the CSV written
-        # while each call still built its own table
+        # lfdr() and the plug-in rule share; the first digest is of the CSV
+        # written while each call still built its own table.  The second
+        # study lists the procedures out of table order at rho = 0.5, so its
+        # rows keep the config's order and both nulls' decide calls run on
+        # dependent draws; its digest is of the CSV written while
+        # run_replicated branched on each procedure's name
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "p0": 0.8, "components": "0.1:-3:1,0.1:3:0.5", "m": 500, "reps": 4, "alpha": 0.1, "seed": 11,
-            "procedures": ["bh", "adaptive_bh", "lfdr_oracle_plugin", "lfdr_estimated"],
+            "p0": 0.8, "components": "0.1:-3:1,0.1:3:0.5", "m": 500, "reps": 4, "alpha": 0.1, "seed": 11, **extra,
         }))
         outdir = tmp_path / "out"
         assert run(["simulate", "--config", cfg, "--out", outdir]) == 0
-        assert hashlib.sha256((outdir / "replication.csv").read_bytes()).hexdigest() == (
-            "a4c4b6038e36851a7e337b1572676716976108cb463413f35059ab0b77f24285")
+        csv_bytes = (outdir / "replication.csv").read_bytes()
+        assert [line.split(",")[0] for line in csv_bytes.decode().splitlines()[1:]] == extra["procedures"]
+        assert hashlib.sha256(csv_bytes).hexdigest() == want
 
     def test_omitted_keys_take_simconfig_defaults(self, tmp_path):
         # a config without rho and procedures runs SimConfig's defaults: the
@@ -955,6 +965,22 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", outdir]) == 2
         assert "unknown config keys: ['rh0']" in capsys.readouterr().err
         assert not outdir.exists()
+
+    def test_refused_key_or_procedure_names_the_allowed_ones(self, tmp_path, capsys):
+        # the allowed keys are SimConfig's fields, p0 and components for its
+        # model, and the allowed procedures are PROCEDURES, in table order
+        study = {"p0": 0.8, "components": "0.2:4:1", "m": 100, "reps": 2, "alpha": 0.1, "seed": 1}
+        for config, names in (
+            ({**study, "model": "eq1"}, "unknown config keys: ['model']; a study's keys are "
+                                        "p0, components, m, reps, alpha, seed, rho, procedures"),
+            ({**study, "procedures": ["bh", "by"]}, "unknown procedures: ['by']; "
+                                                    "known: bh, adaptive_bh, lfdr_oracle_plugin, lfdr_estimated"),
+        ):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            assert run(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+            assert names in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_empty_procedures_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -333,8 +333,9 @@ class TestRunReplicated:
             SimConfig(model=PURE_NULL, m=1, reps=0, alpha=0.1, seed=1)
         with pytest.raises(ValueError):
             SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, rho=1.0)
-        with pytest.raises(ValueError):
-            SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, procedures=("nope",))
+        known = "bh, adaptive_bh, lfdr_oracle_plugin, lfdr_estimated"
+        with pytest.raises(ValueError, match=re.escape(f"unknown procedures: ['by', 'nope']; known: {known}") + "$"):
+            SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, procedures=("nope", "bh", "by"))
         with pytest.raises(ValueError, match="at least one procedure"):
             SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, procedures=())
         with pytest.raises(ValueError, match="not the string 'bh'"):
@@ -343,6 +344,13 @@ class TestRunReplicated:
         for procedures in ({"bh": 7}, [["bh"]]):
             with pytest.raises(ValueError, match=f"^procedures must be a list of names, got {re.escape(repr(procedures))}$"):
                 SimConfig(model=PURE_NULL, m=1, reps=1, alpha=0.1, seed=1, procedures=procedures)
+
+    def test_repeated_procedures_are_kept_once_in_first_seen_order(self):
+        # as decide keeps them, and as the result holds one row per name
+        config = SimConfig(model=eq1_default_model(), m=500, reps=2, alpha=0.1, seed=3,
+                           procedures=["lfdr_estimated", "bh", "lfdr_estimated", "bh"])
+        assert config.procedures == ("lfdr_estimated", "bh")
+        assert tuple(run_replicated(config).per_procedure) == config.procedures
 
     @pytest.mark.parametrize("key, value", [("m", 200.5), ("m", True), ("m", 200.0), ("m", "200"),
                                             ("reps", 2.5), ("reps", np.float64(2.0)), ("seed", 1.5),
