@@ -372,10 +372,6 @@ def _concentrated_report(demo) -> str:
     )
 
 
-# the values of a figure config's only key, "figure"
-_FIGURES = ("1a", "1b", "1c", "1d", "2", "concentrated")
-
-
 def _number(key: str, value) -> float:
     """``value`` as a float; float() would also read a string such as
     "0.1" and a boolean, which JSON holds apart from numbers."""
@@ -435,30 +431,31 @@ def _simulate(cfg, inputs: list, outdir: Path) -> int:
     """Run the study or figure that the config ``cfg`` names, writing its
     outputs and a manifest that records ``inputs`` and ``cfg`` as written
     under ``outdir``.  A figure config holds one key, ``figure``."""
-    from .simulation import concentrated_alternative_demo, figure1_data, figure2_data, run_replicated
+    from .simulation import _SWEEPS, concentrated_alternative_demo, figure1_data, figure2_data, run_replicated
 
     if not isinstance(cfg, dict):
         raise CliError(EXIT_INPUT, "config must be a JSON object")
     figure = cfg.get("figure")
+    figures = (*_SWEEPS, "concentrated")  # the values of a figure config's one key
     if "figure" not in cfg:
         result = run_replicated(_parse_sim_config(cfg))
         rows = [(proc, *astuple(stats)) for proc, stats in result.per_procedure.items()]
         files = {"replication.csv": _csv("procedure,mfdr,mfdr_se,mfnr,mfnr_se,mean_rejections", rows)}
     elif len(cfg) > 1:
         raise CliError(EXIT_INPUT, f"a figure config holds no other key: {sorted(set(cfg) - {'figure'})}")
-    elif figure not in _FIGURES:
-        raise CliError(EXIT_INPUT, f"figure must be one of {', '.join(_FIGURES)}; got {figure!r}")
-    elif figure == "2":
+    elif figure not in figures:
+        raise CliError(EXIT_INPUT, f"figure must be one of {', '.join(figures)}; got {figure!r}")
+    elif figure == "concentrated":
+        files = {"concentrated_report.txt": _concentrated_report(concentrated_alternative_demo())}
+    elif figure[0] == "1":  # a panel of figure 1
+        panel = figure[1]
+        rows = [(panel, r.sweep, r.mfnr_pvalue, r.mfnr_lfdr) for r in figure1_data(panel)]
+        files = {f"figure1_{panel}.csv": _csv("panel,sweep,mfnr_pvalue,mfnr_lfdr", rows)}
+    else:
         fig2 = figure2_data()
         rows = [(r.sweep, r.mfnr_pvalue, r.mfnr_lfdr) for r in fig2.curve]
         files = {"figure2_curve.csv": _csv("p1,mfnr_pvalue,mfnr_lfdr", rows),
                  "figure2_report.txt": _figure2_report(fig2)}
-    elif figure == "concentrated":
-        files = {"concentrated_report.txt": _concentrated_report(concentrated_alternative_demo())}
-    else:
-        panel = figure[1]
-        rows = [(panel, r.sweep, r.mfnr_pvalue, r.mfnr_lfdr) for r in figure1_data(panel)]
-        files = {f"figure1_{panel}.csv": _csv("panel,sweep,mfnr_pvalue,mfnr_lfdr", rows)}
     _finish("simulate", outdir / "manifest.json", {str(outdir / name): text for name, text in files.items()},
             {"config": cfg}, inputs, cfg.get("seed"))
     return EXIT_OK

@@ -30,13 +30,16 @@ a zero slope; it, not a Newton finish, ends the search because its
 feasible end is the rule's result: closing onto the root moves figure
 mFNRs by 5e-9.
 
-Work that depends only on the model is done once per distinct input and
-kept, read-only, for the 4 most recently used inputs of each kind
-(``_reused``): the scan grid by the components' means and sds, and the lfdr
-profile with its ``_log_lfdr_slope`` function and the p-value scan's
-chunk-end masses by the bytes of the component table.  So a sweep over
-alpha reuses all three, a sweep over weights reuses the grid, and results
-are bit for bit those of a first call.
+Work that depends only on the model is cached, read-only, by
+``functools.lru_cache(maxsize=4)``, as ``estimation`` caches its tables:
+the scan grid (``_scan_grid``) keyed by the components' means and sds, and
+the lfdr profile with its ``_log_lfdr_slope`` function (``_lfdr_setup``)
+and the p-value scan's chunk-end masses (``_pvalue_ends``) keyed by the
+model.  Keys are the arguments' values, so whatever a cached function
+reads is part of its key, and models that compare equal share an entry:
+they can differ only in the sign of a zero mean, which changes no rule.
+A sweep over alpha reuses all three, a sweep over weights reuses the
+grid, and results are bit for bit those of a first call.
 
 The mFDR of a sublevel set is the mass-weighted mean of lfdr over it, so
 it is nondecreasing in lambda (Sun & Cai 2007), and the optimal lfdr rule
@@ -66,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -102,19 +106,15 @@ _MASS_FLOOR = 1e-300
 # refines to this absolute tolerance.
 _SEARCH_TOL = 1e-9
 _CHUNK = 64
-_T_GRID = np.exp(np.linspace(math.log(1e-10), math.log(1.0 - 1e-12), 10_000))
-_T_CHUNK_ENDS = np.append(np.arange(0, _T_GRID.size - 1, _CHUNK), _T_GRID.size - 1)
-_T_QUANTILES = -ndtri(_T_GRID / 2.0)  # Phi^-1(1 - t/2), the tails' cut in null sds
-_T_GRID.flags.writeable = _T_CHUNK_ENDS.flags.writeable = _T_QUANTILES.flags.writeable = False
+_T_GRID = _frozen(np.exp(np.linspace(math.log(1e-10), math.log(1.0 - 1e-12), 10_000)))
+_T_CHUNK_ENDS = _frozen(np.append(np.arange(0, _T_GRID.size - 1, _CHUNK), _T_GRID.size - 1))
+_T_QUANTILES = _frozen(-ndtri(_T_GRID / 2.0))  # Phi^-1(1 - t/2), the tails' cut in null sds
 # Bracket widths at which the lfdr searches stop (sublevel-set boundaries
 # in z, and the lfdr cutoff lambda), and a cap on their steps; bisection
 # alone needs ~40 steps to reach either width.
 _EDGE_TOL = 1e-13
 _LAMBDA_TOL = 1e-12
 _MAX_STEPS = 200
-# The caches of ``_reused``: scan grids, lfdr setups (``_lfdr_setup``) and
-# the p-value scan's chunk-end masses.
-_GRIDS, _LFDR_SETUPS, _PVALUE_ENDS = {}, {}, {}
 
 
 @dataclass(frozen=True)
@@ -204,20 +204,6 @@ def _sum(values):
     return total
 
 
-def _reused(cache: dict, key: bytes, build: Callable):
-    """``cache[key]``, made by ``build()`` if missing.  The cache keeps its 4
-    most recently used keys, so a sweep that changes one input of its model
-    rebuilds only the work that depends on that input, and keys are bytes,
-    so only bit-identical inputs share an entry."""
-    value = cache.pop(key, None)
-    if value is None:
-        value = build()
-    cache[key] = value
-    if len(cache) > 4:
-        del cache[next(iter(cache))]
-    return value
-
-
 def _component_rows(m: TwoGroupModel) -> list:
     """The component table ``_components(m)`` as five lists (w, mean, sd,
     log w, log sd), for the oracle's scalar arithmetic."""
@@ -304,12 +290,14 @@ def _tail_masses_at(rows: list, null: GaussianComponent, t: float) -> tuple:
     return per_component[0], _sum(per_component)
 
 
-def _scan_grid(m: TwoGroupModel) -> np.ndarray:
-    """The sorted lfdr scan grid.
+@lru_cache(maxsize=4)
+def _scan_grid(means: tuple, sds: tuple) -> np.ndarray:
+    """The sorted lfdr scan grid of the components of positive weight with
+    these ``means`` and ``sds`` (rows 1 and 2 of ``_component_rows``, as
+    tuples), read-only.
 
-    The grid covers a window of +- 12 max sd around the mean of each
-    component of positive weight (the rows of ``_component_rows``) in
-    steps of about max sd/100.  Overlapping windows merge into one span,
+    The grid covers a window of +- 12 max sd around each component's mean
+    in steps of about max sd/100.  Overlapping windows merge into one span,
     laid out by one ``np.linspace``; between spans lies one scan cell, in
     which the edge search finds any boundary, so the grid's size does not
     grow with the distance between the means.  Within +- 12 sd of each
@@ -325,7 +313,6 @@ def _scan_grid(m: TwoGroupModel) -> np.ndarray:
     (~1.7e10) on, and the step sd/10 of a narrow component at |mean| + 12
     sd.
     """
-    _, means, sds = _component_rows(m)[:3]
     step, reach, spans = max(sds) / 100.0, 12.0 * max(sds), []
     narrow = [(mean, sd) for mean, sd in zip(means, sds) if sd < 10.0 * step]
     for mean, sd in zip(means, sds):
@@ -342,9 +329,9 @@ def _scan_grid(m: TwoGroupModel) -> np.ndarray:
     zs = np.concatenate([np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1) for lo, hi in spans])
     fine = [np.linspace(mean - 12.0 * sd, mean + 12.0 * sd, 241) for mean, sd in narrow]
     if not fine:
-        return zs
+        return _frozen(zs)
     outside = np.all([(zs < f[0]) | (zs > f[-1]) for f in fine], axis=0)
-    return np.sort(np.concatenate([zs[outside]] + fine))
+    return _frozen(np.sort(np.concatenate([zs[outside]] + fine)))
 
 
 def _bracketed_newton(fun, lo: float, hi: float, lo_low: bool, tol: float) -> tuple:
@@ -385,17 +372,22 @@ def _bracketed_newton(fun, lo: float, hi: float, lo_low: bool, tol: float) -> tu
     return lo, hi
 
 
+@lru_cache(maxsize=4)
 def _lfdr_setup(m: TwoGroupModel) -> tuple:
     """(``_log_lfdr_slope`` of the model's rows, its scan grid, lfdr on that
-    grid), the work of an lfdr region that depends only on the model: reused
-    by component table, the grid by (means, sds) (``_reused``), read-only."""
-    comps = _components(m)
+    grid), the work of an lfdr region that depends only on the model,
+    read-only."""
+    rows = _component_rows(m)
+    zs = _scan_grid(tuple(rows[1]), tuple(rows[2]))
+    return _log_lfdr_slope(rows), zs, _frozen(lfdr(m, zs))
 
-    def build():
-        zs = _reused(_GRIDS, comps[1:3].tobytes(), lambda: _frozen(_scan_grid(m)))
-        return _log_lfdr_slope(_component_rows(m)), zs, _frozen(lfdr(m, zs))
 
-    return _reused(_LFDR_SETUPS, comps.tobytes(), build)
+@lru_cache(maxsize=4)
+def _pvalue_ends(m: TwoGroupModel) -> tuple:
+    """(null mass, total mass) of the p-value tails at each t of
+    ``_T_CHUNK_ENDS``: the bounds of ``oracle_pvalue_rule``'s chunk scan,
+    read-only."""
+    return tuple(map(_frozen, _tail_masses(_components(m), m.null, _T_QUANTILES[_T_CHUNK_ENDS])))
 
 
 def _log_lfdr_slope(rows: list) -> Callable:
@@ -487,7 +479,7 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
     are checked top down on that bound, and only admitted ones point by
     point.  All steps share the tail masses of ``mfdr_of_region``, in
     closed form: the grid chunks through ``_tail_masses``, with the
-    chunk-end masses reused per component table, and the bisection through
+    chunk-end masses cached per model (``_pvalue_ends``), and the bisection through
     ``_tail_masses_at`` on Python floats.
     The bisection is ``_bracketed_newton`` on mFDR - alpha with a zero
     slope, which bisects at every step, so it ends at width 1e-9 or at
@@ -504,8 +496,7 @@ def oracle_pvalue_rule(m: TwoGroupModel, alpha: float) -> OracleRule:
         return null / total - alpha, 0.0
 
     ts, ends = _T_GRID, _T_CHUNK_ENDS
-    null, total = _reused(_PVALUE_ENDS, comps.tobytes(),
-                          lambda: tuple(map(_frozen, _tail_masses(comps, m.null, _T_QUANTILES[ends]))))
+    null, total = _pvalue_ends(m)
     for j in np.flatnonzero(null[:-1] <= alpha * total[1:])[::-1]:
         chunk_null, chunk_total = _tail_masses(comps, m.null, _T_QUANTILES[ends[j]: ends[j + 1] + 1])
         hits = np.flatnonzero(chunk_null / chunk_total <= alpha)

@@ -235,8 +235,18 @@ def run_replicated(config: SimConfig) -> SimResult:
 # Oracle comparison figures
 # ---------------------------------------------------------------------------
 
-def _p1_grid():
-    return [round(0.01 * k, 2) for k in range(1, 20)]
+_P1 = tuple(round(0.01 * k, 2) for k in range(1, 20))
+# each figure's oracle sweep: (values, the model at a value, the mFDR level
+# or the level at a value), for oracle_sweep
+_SWEEPS = {
+    "1a": (_P1, lambda p1: mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 3.0, 1.0)]), _FIGURE_ALPHA),
+    "1b": (_P1, lambda p1: mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 6.0, 1.0)]), _FIGURE_ALPHA),
+    "1c": (tuple(1.0 + 0.25 * k for k in range(21)),
+           lambda mu2: mixture_model(0.8, [(0.18, -3.0, 1.0), (0.02, mu2, 1.0)]), _FIGURE_ALPHA),
+    "1d": (tuple(round(0.02 * k, 2) for k in range(1, 16)),
+           lambda _: mixture_model(0.8, [(0.02, -3.0, 1.0), (0.18, 1.0, 1.0)]), lambda alpha: alpha),
+    "2": (_P1, lambda p1: mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 4.0, 1.0)]), _FIGURE_ALPHA),
+}
 
 
 def figure1_data(panel: str) -> list:
@@ -246,28 +256,13 @@ def figure1_data(panel: str) -> list:
     mFDR 0.10; (b) same with mu2 = 6; (c) p1 = 0.18, p2 = 0.02, mu1 = -3,
     mu2 sweeping 1..6; (d) mu = (-3, 1), p1 = 0.02, p2 = 0.18, alpha
     sweeping 0.02..0.30.  Note panel (d) intentionally places its heavy
-    nonnull component at mu2 = 1, inside the null bulk.
+    nonnull component at mu2 = 1, inside the null bulk.  ``panel`` is one
+    of "a" to "d", in either case; anything else raises ``ValueError``.
     """
-    panel = panel.lower()
-    if panel == "a":
-        sweep = _p1_grid()
-        model_for = lambda p1: mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 3.0, 1.0)])
-        alpha = _FIGURE_ALPHA
-    elif panel == "b":
-        sweep = _p1_grid()
-        model_for = lambda p1: mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 6.0, 1.0)])
-        alpha = _FIGURE_ALPHA
-    elif panel == "c":
-        sweep = [1.0 + 0.25 * k for k in range(21)]
-        model_for = lambda mu2: mixture_model(0.8, [(0.18, -3.0, 1.0), (0.02, mu2, 1.0)])
-        alpha = _FIGURE_ALPHA
-    elif panel == "d":
-        sweep = [round(0.02 * k, 2) for k in range(1, 16)]
-        model_for = lambda _: mixture_model(0.8, [(0.02, -3.0, 1.0), (0.18, 1.0, 1.0)])
-        alpha = lambda a: a
-    else:
+    if panel not in tuple("abcdABCD"):
         raise ValueError(f"panel must be one of a, b, c, d; got {panel!r}")
-    return oracle_sweep(model_for, sweep, alpha)
+    values, model_for, alpha = _SWEEPS["1" + panel.lower()]
+    return oracle_sweep(model_for, values, alpha)
 
 
 @dataclass(frozen=True)
@@ -292,17 +287,14 @@ class Figure2Data:
     probes: list  # ProbePoint at z = -2 and z = 3
 
 
-def _figure2_model(p1: float) -> TwoGroupModel:
-    return mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 4.0, 1.0)])
-
-
 def figure2_data() -> Figure2Data:
     """Sweep p1 for the mu = (-3, 4) mixture at mFDR 0.10 and report both
     rules' regions and the probe decisions at z = -2 and z = 3 for p1 = 0.15."""
-    curve = oracle_sweep(_figure2_model, _p1_grid(), _FIGURE_ALPHA)
-    model = _figure2_model(0.15)
-    p_rule = oracle_pvalue_rule(model, _FIGURE_ALPHA)
-    l_rule = oracle_lfdr_rule(model, _FIGURE_ALPHA)
+    p1s, model_for, alpha = _SWEEPS["2"]
+    curve = oracle_sweep(model_for, p1s, alpha)
+    model = model_for(0.15)
+    p_rule = oracle_pvalue_rule(model, alpha)
+    l_rule = oracle_lfdr_rule(model, alpha)
     probes = []
     for z in (-2.0, 3.0):
         probes.append(

@@ -856,8 +856,9 @@ class TestSimulate:
         assert "z = -2" in report and "z = 3" in report
 
     @pytest.mark.parametrize("figure, names", [
-        ("1a", ["figure1_a.csv"]),
+        *[(f"1{panel}", [f"figure1_{panel}.csv"]) for panel in "abcd"],
         ("2", ["figure2_curve.csv", "figure2_report.txt"]),
+        ("concentrated", ["concentrated_report.txt"]),
     ])
     def test_figure_replay(self, tmp_path, figure, names):
         cfg = tmp_path / "cfg.json"

@@ -35,18 +35,18 @@ from lfdr_lab import (
 from lfdr_lab import oracle
 from lfdr_lab.core_model import _components
 from lfdr_lab.oracle import (
-    _GRIDS,
-    _LFDR_SETUPS,
     _MAX_STEPS,
-    _PVALUE_ENDS,
     _T_CHUNK_ENDS,
     _T_GRID,
     _T_QUANTILES,
     SweepRow,
     _bracketed_newton,
+    _component_rows,
     _interval_mass,
     _lfdr_excess,
+    _lfdr_setup,
     _log_lfdr_slope,
+    _pvalue_ends,
     _pvalue_tails,
     _region_masses,
     _scan_grid,
@@ -61,6 +61,12 @@ STD = GaussianComponent(0.0, 1.0)
 
 def fig2_model():
     return mixture_model(0.8, [(0.15, -3.0, 1.0), (0.05, 4.0, 1.0)])
+
+
+def scan_grid(m):
+    # the scan grid of m's components of positive weight
+    _, means, sds = _component_rows(m)[:3]
+    return _scan_grid(tuple(means), tuple(sds))
 
 
 def symmetric_model(p1=0.10):
@@ -650,7 +656,7 @@ class TestBracketedNewton:
         # 1e-13: the level search in the scan grid's gap cell stops once its
         # ends are adjacent floats, where it ran all _MAX_STEPS calls before
         m = mixture_model(0.9, [(0.1, 1e4, 1.0)])
-        zs = _scan_grid(m)
+        zs = scan_grid(m)
         i = int(np.searchsorted(zs, 12.0))
         assert (zs[i], zs[i + 1]) == (12.0, 9988.0)
         at = _log_lfdr_slope(_components(m)[:, :, 0].tolist())
@@ -781,9 +787,9 @@ class TestScanGrid:
         # sd/10) over the whole span, bit for bit
         models = [m for m, _ in FIGURE_MODELS[::10]] + [mixture_model(0.9, [(0.1, 2.5, 0.1)])]
         for m in models:
-            assert np.array_equal(_scan_grid(m), uniform_scan_grid(m))
+            assert np.array_equal(scan_grid(m), uniform_scan_grid(m))
         # widest sd 2: the step is max sd/100 = 0.02 over [-1 - 24, 2 + 24]
-        zs = _scan_grid(mixture_model(0.7, [(0.2, -1.0, 0.3), (0.1, 2.0, 2.0)]))
+        zs = scan_grid(mixture_model(0.7, [(0.2, -1.0, 0.3), (0.1, 2.0, 2.0)]))
         assert zs.size == 2551 and np.array_equal(zs, np.linspace(-25.0, 26.0, 2551))
 
     @pytest.mark.parametrize("scale", [0.01, 1.0, 100.0, 1e4])
@@ -791,20 +797,20 @@ class TestScanGrid:
         # steps in units of the widest sd: a fixed step of 0.01 laid 482,
         # 2651, 265,001 and 26,500,001 points
         m = TwoGroupModel(0.9, GaussianComponent(0.0, scale), ((0.1, GaussianComponent(2.5 * scale, scale)),))
-        assert _scan_grid(m).size == 2651
+        assert scan_grid(m).size == 2651
 
     def test_wide_nonnull_stays_small(self):
         # a nonnull of sd 1000 beside the N(0, 1) null: 2,400,251 points at
         # a fixed step of 0.01, whose lfdr rule this one matches
         m = mixture_model(0.9, [(0.1, 2.5, 1000.0)])
-        assert _scan_grid(m).size <= 2 * 2651
+        assert scan_grid(m).size <= 2 * 2651
         rule = oracle_lfdr_rule(m, 0.1)
         assert abs(rule.threshold - 0.9974597441423804) <= 1e-12
         assert abs(rule.mfnr - 0.00022460062805203167) <= 1e-12
 
     def test_narrow_component_refined_locally(self):
         m = mixture_model(0.9, [(0.1, 2.5, 0.001)])
-        zs = _scan_grid(m)
+        zs = scan_grid(m)
         assert zs.size < 10_000
         steps = np.diff(zs)
         near = np.abs(zs[:-1] - 2.5) < 0.012
@@ -817,8 +823,8 @@ class TestScanGrid:
     def test_far_mean_costs_no_more_grid_than_a_near_one(self, mean):
         # windows around each component, not one span between the means: a
         # mean of 1e4 took 1,002,401 points, one of 1e6 would take ~1e8
-        near = _scan_grid(mixture_model(0.9, [(0.1, 2.5, 1.0)])).size
-        zs = _scan_grid(mixture_model(0.9, [(0.1, mean, 1.0)]))
+        near = scan_grid(mixture_model(0.9, [(0.1, 2.5, 1.0)])).size
+        zs = scan_grid(mixture_model(0.9, [(0.1, mean, 1.0)]))
         assert near == 2651 and zs.size <= 2 * near
         assert np.all(np.diff(zs) > 0.0)
 
@@ -863,7 +869,7 @@ class TestScanGrid:
                 call()
 
     def test_largest_resolvable_mean_keeps_its_grid(self):
-        zs = _scan_grid(mixture_model(0.9, [(0.1, 2.0**34 - 13.0, 1.0)]))
+        zs = scan_grid(mixture_model(0.9, [(0.1, 2.0**34 - 13.0, 1.0)]))
         assert np.all(np.diff(zs) > 0.0)
         rule = oracle_lfdr_rule(mixture_model(0.9, [(0.1, 1e10, 1.0)]), 0.1)
         assert rule.region.intervals == ((5000000000.0, math.inf),)
@@ -887,8 +893,8 @@ def test_zero_weight_component_changes_no_rule(m):
     # scan grid: an sd of 1e-20 is not refused, a mean of 1e4 does not
     # stretch the grid, and both rules equal those without the component
     plain = mixture_model(0.9, [(0.1, 2.5, 1.0)])
-    zs = _scan_grid(m)
-    assert zs.size == 2651 and np.array_equal(zs, _scan_grid(plain))
+    zs = scan_grid(m)
+    assert zs.size == 2651 and np.array_equal(zs, scan_grid(plain))
     for rule in (oracle_pvalue_rule, oracle_lfdr_rule):
         for alpha in (0.05, 0.1, 0.2):
             assert repr(rule(m, alpha)) == repr(rule(plain, alpha))
@@ -920,7 +926,7 @@ def test_rules_on_far_flung_models(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            assert _scan_grid(m).size <= 2643 * _components(m).shape[1]
+            assert scan_grid(m).size <= 2643 * _components(m).shape[1]
         except InvalidModel:
             pass
         for rule_for in (oracle_pvalue_rule, oracle_lfdr_rule):
@@ -944,9 +950,17 @@ def test_figure2_rules_frozen():
     assert data.pvalue_rule.mfnr == 0.04580598705830405
 
 
+# the oracle's caches of work that depends only on the model
+CACHES = (_scan_grid, _lfdr_setup, _pvalue_ends)
+
+
 def clear_reuse():
-    for cache in (_GRIDS, _LFDR_SETUPS, _PVALUE_ENDS):
-        cache.clear()
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def cache_sizes():
+    return [cache.cache_info().currsize for cache in CACHES]
 
 
 def both_rules(m, alpha, fresh):
@@ -975,28 +989,36 @@ def fresh_row(value, m, alpha):
 
 # the same means, and sds that give different scan grids
 ALTERNATING = [mixture_model(0.8, [(0.02, -3.0, 1.0), (0.18, 1.0, sd)]) for sd in (1.0, 0.05)]
+# four models equal by value: a null mean and a nonnull mean of +0.0 or -0.0
+SIGNED_ZEROS = [TwoGroupModel(0.8, GaussianComponent(null_mean, 1.0),
+                              ((0.1, GaussianComponent(-3.0, 1.0)), (0.1, GaussianComponent(mean, 0.2))))
+                for null_mean in (0.0, -0.0) for mean in (-0.0, 0.0)]
 
 
 class TestReuse:
-    # a rule reuses the scan grid, lfdr setup and tail masses of a model with
-    # the same component table (the grid: the same means and sds)
-    @pytest.mark.parametrize("model_for, sweep, alpha", [
+    # a rule reuses the scan grid, lfdr setup and tail masses of a model
+    # equal to one of the last four (the grid: of the same means and sds)
+    @pytest.mark.parametrize("model_for, sweep, alpha, setups", [
         # alpha over one model (panel d)
         (lambda _: mixture_model(0.8, [(0.02, -3.0, 1.0), (0.18, 1.0, 1.0)]),
-         [round(0.02 * k, 2) for k in range(1, 16)], lambda a: a),
+         [round(0.02 * k, 2) for k in range(1, 16)], lambda a: a, 1),
         # p1 with means and sds fixed (figure 2): one grid, a profile and
         # tail masses each
-        (lambda p1: mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 4.0, 1.0)]), P1_GRID[::-1], 0.10),
+        (lambda p1: mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 4.0, 1.0)]), P1_GRID[::-1], 0.10, 19),
         # mu2 varying (panel c): nothing reused
         (lambda mu2: mixture_model(0.8, [(0.18, -3.0, 1.0), (0.02, mu2, 1.0)]),
-         [1.0 + 0.25 * k for k in range(21)], 0.10),
+         [1.0 + 0.25 * k for k in range(21)], 0.10, 21),
         # two models alternating, at levels that make some points infeasible
-        (lambda k: ALTERNATING[k % 2], list(range(12)), lambda k: [0.001, 0.05, 0.1, 0.2][k % 4]),
-    ], ids=["alpha", "p1", "mu2", "alternating"])
-    def test_sweeps_equal_fresh_single_rule_calls(self, model_for, sweep, alpha):
+        (lambda k: ALTERNATING[k % 2], list(range(12)), lambda k: [0.001, 0.05, 0.1, 0.2][k % 4], 2),
+        # means of either zero's sign: the later models hit the first's
+        # entries, with the rules of a first call
+        (lambda k: SIGNED_ZEROS[k % 4], list(range(12)), lambda k: [0.05, 0.1, 0.2][k % 3], 1),
+    ], ids=["alpha", "p1", "mu2", "alternating", "signed-zeros"])
+    def test_sweeps_equal_fresh_single_rule_calls(self, model_for, sweep, alpha, setups):
         alpha_for = alpha if callable(alpha) else (lambda _: alpha)
         clear_reuse()
         rows = oracle_sweep(model_for, sweep, alpha)
+        assert _lfdr_setup.cache_info().misses == setups
         assert [repr(r) for r in rows] == [repr(fresh_row(v, model_for(v), alpha_for(v))) for v in sweep]
         fresh = [both_rules(model_for(v), alpha_for(v), fresh=True) for v in sweep]
         clear_reuse()
@@ -1007,37 +1029,34 @@ class TestReuse:
         for panel in "ad":
             figure1_data(panel)
         region_from_lfdr_threshold(fig2_model(), 0.5)
-        arrays = [zs for zs in _GRIDS.values()]
-        arrays += [a for _, zs, profile in _LFDR_SETUPS.values() for a in (zs, profile)]
-        arrays += [a for ends in _PVALUE_ENDS.values() for a in ends]
-        assert len(_GRIDS) == 3 and len(_LFDR_SETUPS) == len(_PVALUE_ENDS) == 4
-        for a in arrays:
+        assert cache_sizes() == [3, 4, 4]
+        # the entries kept: panel a's last models, panel d's and figure 2's
+        panel_a = [mixture_model(0.8, [(p1, -3.0, 1.0), (0.2 - p1, 3.0, 1.0)]) for p1 in (0.17, 0.18, 0.19)]
+        panel_d = mixture_model(0.8, [(0.02, -3.0, 1.0), (0.18, 1.0, 1.0)])
+        misses = [cache.cache_info().misses for cache in CACHES]
+        arrays = [scan_grid(m) for m in (panel_a[0], panel_d, fig2_model())]
+        arrays += [a for m in panel_a[1:] + [panel_d, fig2_model()] for a in _lfdr_setup(m)[1:]]
+        arrays += [a for m in panel_a + [panel_d] for a in _pvalue_ends(m)]
+        assert [cache.cache_info().misses for cache in CACHES] == misses and cache_sizes() == [3, 4, 4]
+        for a in arrays + [_T_GRID, _T_CHUNK_ENDS, _T_QUANTILES]:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
     def test_caches_keep_four_inputs(self):
         clear_reuse()
         figure1_data("c")  # 21 models, 21 grids
-        assert len(_GRIDS) == len(_LFDR_SETUPS) == len(_PVALUE_ENDS) == 4
+        assert cache_sizes() == [4, 4, 4]
+        assert [cache.cache_info().maxsize for cache in CACHES] == [4, 4, 4]
 
     def test_alpha_sweep_builds_one_profile_and_one_grid(self, monkeypatch):
-        calls = {"lfdr": 0, "_scan_grid": 0}
-
-        def counted(name):
-            fn = getattr(oracle, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(oracle, name, counted(name))
+        calls = []
+        lfdr_fn = oracle.lfdr
+        monkeypatch.setattr(oracle, "lfdr", lambda *args: calls.append(args) or lfdr_fn(*args))
         clear_reuse()
         rows = figure1_data("d")
-        assert len(rows) == 15 and calls == {"lfdr": 1, "_scan_grid": 1}
+        assert len(rows) == 15 and (len(calls), _scan_grid.cache_info().misses) == (1, 1)
         figure1_data("a")  # 19 profiles on one grid
-        assert calls == {"lfdr": 20, "_scan_grid": 2}
+        assert (len(calls), _scan_grid.cache_info().misses) == (20, 2)
 
 
 # a narrow component beside a wide one: the grid mixes fine and coarse cells
@@ -1078,7 +1097,7 @@ def test_lfdr_excess_slope_matches_central_difference(m, alpha):
     # it is checked against a central difference of mFDR(R(lambda))
     lam = oracle_lfdr_rule(m, alpha).threshold
     rows = _components(m)[:, :, 0].tolist()
-    zs = _scan_grid(m)
+    zs = scan_grid(m)
     intervals, edge_terms = _sublevel_region(_log_lfdr_slope(rows), zs, lfdr(m, zs), lam)
     region = RejectionRegion(intervals)
     excess, slope = _lfdr_excess(*_region_masses(rows, intervals), edge_terms, lam, alpha)

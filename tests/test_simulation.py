@@ -163,7 +163,7 @@ class TestSampleCorrelated:
 # nonnull components of unequal sd with a row of weight 0
 PINNED_DRAW_MODELS = {
     "eq1": eq1_default_model(),
-    "figure2_p1_0.15": simulation._figure2_model(0.15),
+    "figure2_p1_0.15": simulation._SWEEPS["2"][1](0.15),
     "six_nonnull": mixture_model(0.7, [(0.05, -4.0, 0.5), (0.08, -2.0, 1.5), (0.0, 1.0, 1.0), (0.03, 1.5, 0.2),
                                        (0.04, 3.0, 2.0), (0.06, 5.0, 0.8), (0.04, 7.0, 0.3)]),
 }
@@ -407,9 +407,11 @@ class TestFigureData:
         assert lines[0] == "panel,sweep,mfnr_pvalue,mfnr_lfdr"
         assert len(lines) == 16
 
-    def test_bad_panel(self):
-        with pytest.raises(ValueError):
-            figure1_data("e")
+    @pytest.mark.parametrize("panel", ["e", 1, None, ""])
+    def test_bad_panel(self, panel):
+        # refused by name, where 1 and None raised AttributeError
+        with pytest.raises(ValueError, match=f"^panel must be one of a, b, c, d; got {re.escape(repr(panel))}$"):
+            figure1_data(panel)
 
     def test_figure2_probe_report(self):
         fig = figure2_data()
